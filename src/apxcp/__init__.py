@@ -10,8 +10,8 @@ from .approx import (APPROX_KINDS, ApproxCurveResult, ApproxMethod,
                      TauProfile, ThicknessBound, approx_pvalue_curves,
                      base_fit, if_error_bound, if_predictor,
                      influence_direction, influence_vector, rho1, rho2,
-                     rho_tilde1, sandwich_pvalues, tau0, tau1, tau2,
-                     thickness_bound, thickness_gap)
+                     rho_tilde1, tau0, tau1, tau2, thickness_bound,
+                     thickness_gap)
 from .conformal import (CoverageResult, PredictionRegion, PValueCurve, YGrid,
                         conformal_pvalue, cross_pvalues, cross_region,
                         empirical_coverage, full_conformal_pvalues,
@@ -41,7 +41,7 @@ __all__ = [
     "influence_direction", "influence_vector", "load_csv", "loss_d",
     "loss_value", "oracle_pvalues", "oracle_region", "predict",
     "pseudo_inverse_apply", "region_from_curve", "rho1", "rho2",
-    "rho_tilde1", "risk", "rkhs_norm_diff", "sandwich_pvalues", "save_csv",
+    "rho_tilde1", "risk", "rkhs_norm_diff", "save_csv",
     "score", "smoothness_constants", "split_pvalues", "split_region",
     "tau0", "tau1", "tau2", "thickness_bound", "thickness_gap",
     "write_region_csv", "write_region_json",

@@ -15,6 +15,13 @@ envelopes tau are provided:
 Upper and lower p-value curves built from the envelopes sandwich the
 exact full conformal region; the grid measure of their difference is the
 thickness gap diagnostic, with closed-form theoretical bounds alongside.
+
+The curves of all three levels come from one scan over the data scores
+sorted once: a grid point decides every data index by its sorted base
+score except those in a short band around its threshold, which it scores
+exactly. A curve over m grid points costs one fit, one linear solve and
+O((m + n) log n) counting, and gives bit for bit the p-values of scoring
+all m * (n+1) pairs.
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ from .solver import (Predictor, WeightedProblem, anchor_z_weights,
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
 _LEVEL = {"uniform_stability": 0, "local_stability": 1, "influence_function": 2}
 
-# grid chunk size for curve evaluation; bounds peak memory at roughly
-# chunk * (n+1) floats per temporary
+# grid points whose threshold bands the scan scores together; bounds each
+# band temporary at chunk * (widest band) floats, at most chunk * n
 DEFAULT_CHUNK = 16384
 
 
@@ -204,23 +211,63 @@ def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float,
         r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1))
 
 
-def sandwich_pvalues(data_scores, test_scores, data_taus, test_taus):
-    """Upper and lower approximate p-values from scores and envelopes.
+def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
+    """Upper and lower sandwich p-values at every grid point.
 
-    The upper count treats every comparison in the direction favorable
-    to inclusion (data score + tau against test score - tau); the lower
-    count the opposite. Inputs broadcast; test_scores fixes the output
-    length, and the data axis is the last one.
+    Grid point j scores data index i as |Y_i - (preds_i + shift_j k_dir_i)|
+    and itself as |ys_j - (preds_n + shift_j k_dir_n)|, with envelopes
+    radial_j * scale_i. The upper count takes every comparison in the
+    direction favorable to inclusion (data score + tau >= test score -
+    tau), the lower count the opposite.
+
+    Rather than score all m * n pairs, the data indices are sorted once
+    by base score |Y_i - preds_i|. The shift moves a data score by at most
+    reach_j = |shift_j| * max|k_dir|, so an index whose base score lies
+    more than reach_j (plus a rounding slack) past grid point j's
+    threshold is decided by its base score alone; only the contiguous
+    band of sorted indices within that distance is scored, with the exact
+    float predicate. This needs one tau for every data index, i.e. a
+    constant scale[:n].
     """
-    test_scores = np.atleast_1d(np.asarray(test_scores, dtype=float))
-    data_scores = np.asarray(data_scores, dtype=float)
-    data_taus = np.asarray(data_taus, dtype=float)
-    test_taus = np.asarray(test_taus, dtype=float)
-    n = data_scores.shape[-1]
-    up_thresh = (test_scores - test_taus)[:, None]
-    lo_thresh = (test_scores + test_taus)[:, None]
-    upper_counts = (data_scores + data_taus >= up_thresh).sum(axis=-1)
-    lower_counts = (data_scores - data_taus >= lo_thresh).sum(axis=-1)
+    n = Y.size
+    if np.any(scale[:n] != scale[0]):
+        raise ValueError("the sandwich scan needs a kernel with a constant "
+                         "diagonal k(x, x) over the data inputs (the unit "
+                         "diagonal of the laplacian and gaussian_rbf kernels)")
+    data_taus = radial * scale[0]
+    test_taus = radial * scale[n]
+    test_scores = np.abs(ys - (preds[n] + shift * k_dir[n]))
+    base_scores = np.abs(Y - preds[:n])
+    order = np.argsort(base_scores)
+    sorted_scores = base_scores[order]
+    Ys, ps, ks = Y[order], preds[order], k_dir[order]
+    reach = np.abs(shift) * np.max(np.abs(k_dir[:n]))
+    # a few ulps of every magnitude entering a score or a comparison
+    magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n])) + reach
+    eps = np.finfo(float).eps
+
+    def count_at_least(offsets, thresholds):
+        """Per grid point, the number of i with score_i + offset >= threshold."""
+        centers = thresholds - offsets
+        half = reach + 32.0 * eps * (magnitude + np.abs(thresholds) + np.abs(offsets))
+        first = np.searchsorted(sorted_scores, centers - half, side="left")
+        last = np.searchsorted(sorted_scores, centers + half, side="right")
+        counts = n - last
+        for start in range(0, ys.size, chunk):
+            sl = slice(start, start + chunk)
+            width = int((last[sl] - first[sl]).max())
+            if width == 0:
+                continue
+            idx = first[sl, None] + np.arange(width)
+            inside = idx < last[sl, None]
+            idx = np.minimum(idx, n - 1)
+            scores = np.abs(Ys[idx] - (ps[idx] + shift[sl, None] * ks[idx]))
+            passing = scores + offsets[sl, None] >= thresholds[sl, None]
+            counts[sl] += (passing & inside).sum(axis=1)
+        return counts
+
+    upper_counts = count_at_least(data_taus, test_scores - test_taus)
+    lower_counts = count_at_least(-data_taus, test_scores + test_taus)
     upper = (1.0 + upper_counts) / (n + 1.0)
     lower = (1.0 + lower_counts) / (n + 1.0)
     return upper, lower
@@ -252,10 +299,14 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
 
     Levels 0 and 1 score every grid candidate with the base fit's
     predictions; level 2 applies the influence-function coefficient
-    update per candidate. The grid is processed in chunks so very fine
-    grids stay within memory.
+    update per candidate. The data scores are sorted once and counted per
+    grid point in O(log n) plus a short band scored exactly; chunk bounds
+    how many grid points' bands are scored together. The kernel must have
+    a constant diagonal over the data inputs, as both families do.
     """
     Y = np.asarray(Y, dtype=float)
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must be finite")
     n = Y.size
     z = method.z_anchor
     if base is None:
@@ -264,7 +315,6 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     constants = smoothness_constants(loss)
     preds = base.predictions()
     m_q = float(preds[n])
-    data_scores = np.abs(Y - preds[:n])
     ys = grid.values
     np1 = gram.n
     g = constants.gamma_score
@@ -281,8 +331,7 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
         else:
             rt_arr = rho_tilde1(gram, constants, lam, rho1_arr)
             r2_arr = rho2(gram, constants, lam, rho1_arr)
-            radial = np.minimum(g * r2_arr / (lam ** 3 * np1 ** 2),
-                                2.0 * g * rho1_arr / (lam * np1))
+            radial = _radial2(gram, constants, lam, rho1_arr)
     profile = TauProfile(scale=scale, radial=radial, rho1=rho1_arr,
                          rho1_tilde=rt_arr, rho2=r2_arr)
 
@@ -291,22 +340,12 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
         k_dir = gram.entries @ direction
         d1_z = loss_d(loss, 1, float(z), m_q)
         coeff_shift = (d1_z - loss_d(loss, 1, ys, m_q)) / np1
-
-    upper = np.empty(grid.m)
-    lower = np.empty(grid.m)
-    for start in range(0, grid.m, chunk):
-        sl = slice(start, min(start + chunk, grid.m))
-        rad = radial[sl]
-        taus = rad[:, None] * scale[None, :n]
-        test_taus = rad * scale[-1]
-        if level < 2:
-            scores = data_scores[None, :]
-            test_scores = np.abs(ys[sl] - m_q)
-        else:
-            shifted = preds[None, :] + coeff_shift[sl, None] * k_dir[None, :]
-            scores = np.abs(Y[None, :] - shifted[:, :n])
-            test_scores = np.abs(ys[sl] - shifted[:, n])
-        upper[sl], lower[sl] = sandwich_pvalues(scores, test_scores, taus, test_taus)
+    else:
+        # levels 0 and 1 score every candidate with the base predictions
+        k_dir = np.zeros(n + 1)
+        coeff_shift = np.zeros(grid.m)
+    upper, lower = _sandwich_scan(Y, preds, k_dir, coeff_shift, radial, scale,
+                                  ys, chunk)
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
     return ApproxCurveResult(curve=curve, taus=profile, base=base)
 

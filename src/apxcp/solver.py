@@ -70,6 +70,8 @@ class WeightedProblem:
         n = self.targets.size
         if self.gram.n != n + 1:
             raise ValueError(f"gram has {self.gram.n} points but targets has {n} entries")
+        if not np.isfinite(self.targets).all():
+            raise ValueError("targets must be finite")
         if self.weights.shape != (n + 2,):
             raise ValueError(f"weights must have length {n + 2}, got {self.weights.shape}")
         if not np.isfinite(self.weights).all():
@@ -259,6 +261,10 @@ def augmented_problem(X, Y, x_query, anchors: tuple[float, float],
     """Assemble a WeightedProblem over (X_1, ..., X_n, x_query)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     xq = np.atleast_2d(np.asarray(x_query, dtype=float))
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
+    if not np.isfinite(xq).all():
+        raise ValueError("x_query must be finite")
     G = gram(kernel, np.vstack([X, xq]))
     return WeightedProblem(gram=G, targets=np.asarray(Y, dtype=float),
                            anchors=anchors, weights=weights, lam=lam, loss=loss)

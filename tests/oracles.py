@@ -80,3 +80,57 @@ def pvalue_by_hand(train_scores, test_score) -> float:
         if s >= test_score:
             count += 1
     return (1 + count) / (len(list(train_scores)) + 1)
+
+
+def sandwich_pvalues(data_scores, test_scores, data_taus, test_taus):
+    """Upper and lower approximate p-values from scores and envelopes.
+
+    The upper count treats every comparison in the direction favorable
+    to inclusion (data score + tau against test score - tau); the lower
+    count the opposite. Inputs broadcast; test_scores fixes the output
+    length, and the data axis is the last one.
+    """
+    test_scores = np.atleast_1d(np.asarray(test_scores, dtype=float))
+    data_scores = np.asarray(data_scores, dtype=float)
+    data_taus = np.asarray(data_taus, dtype=float)
+    test_taus = np.asarray(test_taus, dtype=float)
+    n = data_scores.shape[-1]
+    up_thresh = (test_scores - test_taus)[:, None]
+    lo_thresh = (test_scores + test_taus)[:, None]
+    upper_counts = (data_scores + data_taus >= up_thresh).sum(axis=-1)
+    lower_counts = (data_scores - data_taus >= lo_thresh).sum(axis=-1)
+    upper = (1.0 + upper_counts) / (n + 1.0)
+    lower = (1.0 + lower_counts) / (n + 1.0)
+    return upper, lower
+
+
+def dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir=None, shift=None,
+                          chunk=16384):
+    """Sandwich p-value curves from every (grid point, index) pair.
+
+    Scores all m * (n+1) pairs chunk by chunk, with the envelope
+    radial[j] * scale[i] per pair. Without k_dir every grid point scores
+    the data with the base predictions (uniform and local stability);
+    with it, grid point j shifts the predictions by shift[j] * k_dir
+    (influence function).
+    """
+    Y = np.asarray(Y, dtype=float)
+    n = Y.size
+    m_q = float(preds[n])
+    data_scores = np.abs(Y - preds[:n])
+    upper = np.empty(ys.size)
+    lower = np.empty(ys.size)
+    for start in range(0, ys.size, chunk):
+        sl = slice(start, min(start + chunk, ys.size))
+        rad = radial[sl]
+        taus = rad[:, None] * scale[None, :n]
+        test_taus = rad * scale[-1]
+        if k_dir is None:
+            scores = data_scores[None, :]
+            test_scores = np.abs(ys[sl] - m_q)
+        else:
+            shifted = preds[None, :] + shift[sl, None] * k_dir[None, :]
+            scores = np.abs(Y[None, :] - shifted[:, :n])
+            test_scores = np.abs(ys[sl] - shifted[:, n])
+        upper[sl], lower[sl] = sandwich_pvalues(scores, test_scores, taus, test_taus)
+    return upper, lower

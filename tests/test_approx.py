@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from apxcp.approx import (APPROX_KINDS, ApproxMethod, TauProfile,
-                          approx_pvalue_curves, base_fit, if_error_bound,
-                          if_predictor, influence_direction, influence_vector,
-                          rho1, rho2, rho_tilde1, sandwich_pvalues, tau0, tau1,
-                          tau2, thickness_bound, thickness_gap)
+from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
+                          TauProfile, _sandwich_scan, approx_pvalue_curves,
+                          base_fit, if_error_bound, if_predictor,
+                          influence_direction, influence_vector, rho1, rho2,
+                          rho_tilde1, tau0, tau1, tau2, thickness_bound,
+                          thickness_gap)
 from apxcp.conformal import (PredictionRegion, YGrid, conformal_pvalue,
                              region_from_curve)
 from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec
 from apxcp.losses import (LossSpec, SmoothnessConstants, loss_d,
                           smoothness_constants)
-from apxcp.solver import (anchor_y_weights, anchor_z_weights,
+from apxcp.solver import (WeightedProblem, anchor_y_weights, anchor_z_weights,
                           augmented_problem, fit, hessian, rkhs_norm_diff)
+
+from oracles import dense_sandwich_curves, laplacian_gram, sandwich_pvalues
 
 KERNEL = KernelSpec("laplacian", 0.5)
 LOGCOSH = LossSpec("logcosh")
@@ -287,6 +292,120 @@ def test_curves_chunking_is_invisible():
                                     LOGCOSH, KERNEL, chunk=7)
         np.testing.assert_array_equal(full.curve.upper, tiny.curve.upper)
         np.testing.assert_array_equal(full.curve.lower, tiny.curve.lower)
+
+
+# exact quarter and eighth steps make sums of scores and envelopes exact,
+# so data scores tie with each other and land exactly on thresholds
+_QUARTERS = st.integers(-12, 12).map(lambda k: k / 4.0)
+_EIGHTHS = st.integers(0, 8).map(lambda k: k / 8.0)
+_FLOATS = st.floats(-10.0, 10.0, allow_subnormal=False)
+_RADII = st.floats(0.0, 5.0, allow_subnormal=False)
+
+
+@st.composite
+def _scan_inputs(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 40))
+    exact = draw(st.booleans())
+    values, radii = (_QUARTERS, _EIGHTHS) if exact else (_FLOATS, _RADII)
+
+    def vector(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+
+    Y = vector(values, n)
+    preds = vector(values, n + 1)
+    level = draw(st.sampled_from([0, 1, 2]))
+    radial = np.full(m, draw(radii)) if level == 0 else vector(radii, m)
+    scale = np.full(n + 1, draw(st.sampled_from([0.5, 1.0, 2.0])))
+    scale[n] = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    k_dir = shift = None
+    if level == 2:
+        k_dir = vector(values, n + 1)
+        # shifts from none to far past the score spread: the band of
+        # undecided indices ranges from empty to all n
+        sizes = st.floats(-8.0, 3.0).map(lambda e: 10.0 ** e)
+        shift = vector(st.one_of(st.just(0.0), values, sizes), m)
+        shift *= vector(st.sampled_from([-1.0, 1.0]), m)
+    # grid points whose test score sits on an upper or lower threshold of
+    # a data base score: exactly with quarter steps, within rounding else
+    base = np.abs(Y - preds[:n])
+    width = radial * (scale[0] + scale[n])
+    picks = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, 1),
+                                    st.sampled_from([-1.0, 1.0])),
+                          min_size=m, max_size=m))
+    hits = [preds[n] + sign * (base[i] + side * width[j])
+            for j, (i, side, sign) in enumerate(picks)]
+    ys = np.where(vector(st.booleans(), m), hits, vector(values, m))
+    return Y, preds, k_dir, shift, radial, scale, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_inputs(), st.sampled_from([1, 7, DEFAULT_CHUNK]))
+# 0.1 + 0.2 >= 0.1 + 0.2 holds, but 0.1 >= (0.1 + 0.2) - 0.2 does not: a
+# search on the rearranged threshold alone would miss this index
+@example((np.array([0.1]), np.zeros(2), None, None, np.array([0.2]),
+          np.array([1.0, 0.0]), np.array([0.1 + 0.2])), 1)
+def test_sorted_scan_matches_dense_oracle(inputs, chunk):
+    Y, preds, k_dir, shift, radial, scale, ys = inputs
+    upper, lower = dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir, shift)
+    if k_dir is None:  # levels 0 and 1 are the zero shift
+        k_dir, shift = np.zeros(Y.size + 1), np.zeros(ys.size)
+    got_upper, got_lower = _sandwich_scan(Y, preds, k_dir, shift, radial, scale,
+                                          ys, chunk)
+    np.testing.assert_array_equal(got_upper, upper)
+    np.testing.assert_array_equal(got_lower, lower)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(4, 14), m=st.integers(2, 80),
+       log_lam=st.floats(-6.0, 2.0), kind=st.sampled_from(APPROX_KINDS),
+       family=st.sampled_from(["laplacian", "gaussian_rbf"]),
+       ties=st.booleans(), chunk=st.sampled_from([1, 7, DEFAULT_CHUNK]))
+def test_curves_match_dense_oracle(seed, n, m, log_lam, kind, family, ties, chunk):
+    X, Y, xq, _ = _instance(seed, n)
+    if ties:
+        Y = np.round(Y)  # duplicate targets
+    lam = 10.0 ** log_lam
+    kernel = KernelSpec(family, 0.5)
+    grid = YGrid.from_targets(Y, m=m)
+    res = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), lam,
+                               LOGCOSH, kernel, chunk=chunk)
+    preds = res.base.predictions()
+    k_dir = shift = None
+    if kind == "influence_function":
+        k_dir = res.base.problem.gram.entries @ influence_direction(res.base)
+        m_q = float(preds[n])
+        shift = (loss_d(LOGCOSH, 1, 0.0, m_q)
+                 - loss_d(LOGCOSH, 1, grid.values, m_q)) / (n + 1)
+    upper, lower = dense_sandwich_curves(Y, preds, res.taus.radial,
+                                         res.taus.scale, grid.values, k_dir, shift)
+    np.testing.assert_array_equal(res.curve.upper, upper)
+    np.testing.assert_array_equal(res.curve.lower, lower)
+
+
+@pytest.mark.parametrize("kind", APPROX_KINDS)
+def test_curves_reject_nonconstant_kernel_diagonal(kind):
+    X, Y, xq, _ = _instance(20, 8)
+    d = np.sqrt(np.linspace(1.0, 2.0, 9))
+    K = d[:, None] * laplacian_gram(np.vstack([X, xq]), 0.5) * d[None, :]
+    base = fit(WeightedProblem(GramMatrix(K), Y, (0.0, 0.0), anchor_z_weights(8),
+                               0.5, LOGCOSH))
+    grid = YGrid.from_targets(Y, m=11)
+    with pytest.raises(ValueError, match="constant diagonal"):
+        approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
+                             KERNEL, base=base)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curves_reject_nonfinite_targets_with_supplied_base(bad):
+    X, Y, xq, _ = _instance(21, 8)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    Y = Y.copy()
+    Y[3] = bad
+    with pytest.raises(ValueError, match="Y must be finite"):
+        approx_pvalue_curves(X, Y, xq, YGrid(-1.0, 1.0, 5),
+                             ApproxMethod("local_stability"), 0.5, LOGCOSH,
+                             KERNEL, base=base)
 
 
 def test_curves_reuse_supplied_base_fit():

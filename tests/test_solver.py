@@ -39,6 +39,20 @@ def test_problem_validation():
         WeightedProblem(G, np.ones(3), (0.0, 0.0), anchor_z_weights(3), 1.0, LossSpec())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where, message", [("Y", "targets must be finite"),
+                                            ("X", "X must be finite"),
+                                            ("x_query", "x_query must be finite")])
+def test_augmented_problem_rejects_nonfinite_inputs(where, message, bad):
+    rng = np.random.default_rng(41)
+    inputs = {"X": rng.uniform(size=(6, 3)), "Y": rng.normal(size=6),
+              "x_query": rng.uniform(size=3)}
+    inputs[where].flat[2] = bad
+    with pytest.raises(ValueError, match=message):
+        augmented_problem(inputs["X"], inputs["Y"], inputs["x_query"], (0.0, 0.0),
+                          anchor_z_weights(6), 0.5, LossSpec("logcosh"), KERNEL)
+
+
 def test_risk_zero_coefficients_squared_loss():
     rng = np.random.default_rng(0)
     n = 6
