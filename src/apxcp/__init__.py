@@ -10,14 +10,13 @@ from .approx import (APPROX_KINDS, ApproxCurveResult, ApproxMethod,
                      TauProfile, ThicknessBound, approx_pvalue_curves,
                      base_fit, if_error_bound, if_predictor,
                      influence_direction, influence_vector, rho1, rho2,
-                     rho_tilde1, tau0, tau1, tau2, thickness_bound,
-                     thickness_gap)
+                     rho_tilde1, tau_profile, thickness_bound, thickness_gap)
 from .conformal import (CoverageResult, PredictionRegion, PValueCurve, YGrid,
-                        conformal_pvalue, cross_pvalues, cross_region,
-                        empirical_coverage, full_conformal_pvalues,
-                        full_region_bruteforce, oracle_pvalues, oracle_region,
-                        region_from_curve, split_pvalues, split_region,
-                        write_region_csv, write_region_json)
+                        conformal_pvalue, cross_pvalues, empirical_coverage,
+                        full_conformal_pvalues, full_region_bruteforce,
+                        oracle_pvalues, oracle_region, region_from_curve,
+                        split_pvalues, split_region, write_region_csv,
+                        write_region_json)
 from .data_io import Dataset, friedman1, load_csv, save_csv
 from .kernels import (KERNEL_FAMILIES, GramMatrix, KernelSpec, eval_kernel,
                       gram, gram_between, pseudo_inverse_apply)
@@ -34,8 +33,7 @@ __all__ = [
     "SmoothnessConstants", "SolverError", "TauProfile", "ThicknessBound",
     "WeightedProblem", "YGrid", "anchor_y_weights", "anchor_z_weights",
     "approx_pvalue_curves", "augmented_problem", "base_fit",
-    "conformal_pvalue", "cross_pvalues", "cross_region",
-    "empirical_coverage", "eval_kernel", "fit", "friedman1",
+    "conformal_pvalue", "cross_pvalues", "empirical_coverage", "eval_kernel", "fit", "friedman1",
     "full_conformal_pvalues", "full_region_bruteforce", "gradient", "gram",
     "gram_between", "hessian", "if_error_bound", "if_predictor",
     "influence_direction", "influence_vector", "load_csv", "loss_d",
@@ -43,6 +41,6 @@ __all__ = [
     "pseudo_inverse_apply", "region_from_curve", "rho1", "rho2",
     "rho_tilde1", "risk", "rkhs_norm_diff", "save_csv",
     "score", "smoothness_constants", "split_pvalues", "split_region",
-    "tau0", "tau1", "tau2", "thickness_bound", "thickness_gap",
+    "tau_profile", "thickness_bound", "thickness_gap",
     "write_region_csv", "write_region_json",
 ]

@@ -12,9 +12,13 @@ envelopes tau are provided:
                       path from the z anchor to the y anchor, with a
                       second-order tau envelope
 
-Upper and lower p-value curves built from the envelopes sandwich the
-exact full conformal region; the grid measure of their difference is the
-thickness gap diagnostic, with closed-form theoretical bounds alongside.
+Every envelope factors as tau_i(y) = scale[i] * radial(y), where scale
+carries the kernel diagonal and the levels differ only in the stability
+radius radial(y); tau_profile builds a level's envelope in that form, and
+if_error_bound reuses the level-2 radius. Upper and lower p-value curves
+built from the envelopes sandwich the exact full conformal region; the
+grid measure of their difference is the thickness gap diagnostic, with
+closed-form theoretical bounds alongside.
 
 The curves of all three levels come from one scan over the data scores
 sorted once: a grid point decides every data index by its sorted base
@@ -31,16 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import PredictionRegion, PValueCurve, YGrid
-from .kernels import DEFAULT_CUTOFF, GramMatrix, KernelSpec, pseudo_inverse_apply
+from .kernels import GramMatrix, KernelSpec, pseudo_inverse_apply
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
-from .solver import (Predictor, WeightedProblem, anchor_z_weights,
-                     augmented_problem, fit, hessian)
+from .solver import (Predictor, anchor_z_weights, augmented_problem, fit,
+                     hessian)
 
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
 _LEVEL = {"uniform_stability": 0, "local_stability": 1, "influence_function": 2}
 
 # grid points whose threshold bands the scan scores together; bounds each
-# band temporary at chunk * (widest band) floats, at most chunk * n
+# band temporary at DEFAULT_CHUNK * (widest band) floats, at most
+# DEFAULT_CHUNK * n
 DEFAULT_CHUNK = 16384
 
 
@@ -102,43 +107,19 @@ class TauProfile:
         return float(self.scale.max() * self.radial.max())
 
 
-def _kernel_scale(gram: GramMatrix) -> np.ndarray:
-    """sqrt(K_ii) * sqrt(K_qq) for every index i."""
-    return np.sqrt(gram.diagonal) * np.sqrt(gram.diagonal[-1])
-
-
-def tau0(gram: GramMatrix, constants: SmoothnessConstants, lam: float) -> np.ndarray:
-    """Uniform-stability envelope, constant in y."""
-    return _kernel_scale(gram) * (constants.gamma_score * constants.rho
-                                  / (lam * gram.n))
-
-
 def rho1(y, z: float, base: Predictor, loss: LossSpec):
     """Local stability radius: half the derivative gap between the two
     anchor outputs at the base fit's query prediction. Never exceeds rho."""
     m_q = base.query_prediction()
-    val = 0.5 * np.abs(loss_d(loss, 1, y, m_q) - loss_d(loss, 1, z, m_q))
-    return val
+    return 0.5 * np.abs(loss_d(loss, 1, y, m_q) - loss_d(loss, 1, z, m_q))
 
 
-def tau1(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
-    """Local-stability envelope; rho1_val may be a scalar or a grid array.
-
-    Returns shape (n+1,) for a scalar radius and (grid, n+1) otherwise.
-    """
-    radial = np.asarray(rho1_val, dtype=float) * (constants.gamma_score / (lam * gram.n))
-    scale = _kernel_scale(gram)
-    if radial.ndim == 0:
-        return scale * float(radial)
-    return radial[:, None] * scale[None, :]
-
-
-def influence_direction(base: Predictor, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+def influence_direction(base: Predictor) -> np.ndarray:
     """Pseudo-inverse of the base-fit risk Hessian applied to the query
     kernel column. Computed once per base fit; every influence quantity
     is a scalar multiple of this vector."""
     H = hessian(base.problem, base.coeffs)
-    return pseudo_inverse_apply(H, base.problem.gram.query_column, cutoff)
+    return pseudo_inverse_apply(H, base.problem.gram.query_column)
 
 
 def influence_vector(z_prime: float, base: Predictor,
@@ -173,42 +154,50 @@ def rho_tilde1(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho
     return (1.0 + kqq * constants.beta2 / (lam * gram.n)) * np.asarray(rho1_val, dtype=float)
 
 
-def rho2(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
+def rho2(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_tilde):
     """Second-order stability radius controlling the influence-function
-    predictor error."""
+    predictor error, from the inflated local radius rho_tilde1."""
     kqq = gram.diagonal[-1]
-    rt = rho_tilde1(gram, constants, lam, rho1_val)
     curvature = float(np.mean(gram.diagonal ** 1.5))
-    return (0.5 * constants.xi * np.sqrt(kqq) * curvature * rt ** 2
-            + 2.0 * lam * kqq * constants.beta2 * rt)
+    return (0.5 * constants.xi * np.sqrt(kqq) * curvature * rho1_tilde ** 2
+            + 2.0 * lam * kqq * constants.beta2 * rho1_tilde)
 
 
-def _radial2(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
-    """min(gamma*rho2/(lam^3 (n+1)^2), 2*gamma*rho1/(lam (n+1)))."""
+def _if_radius(np1: int, lam: float, r1, r2):
+    """min(rho2/(lam^3 (n+1)^2), 2*rho1/(lam (n+1)))."""
+    return np.minimum(r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1))
+
+
+def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
+                lam: float, m: int, rho1_val=None) -> TauProfile:
+    """Envelope of one approximation level over m grid points.
+
+    The scale is sqrt(K_ii) * sqrt(K_qq) for every index i. The radial
+    factor is rho/(lam (n+1)) at level 0, constant in y;
+    rho1/(lam (n+1)) at level 1; and the capped second-order radius
+    min(rho2/(lam^3 (n+1)^2), 2*rho1/(lam (n+1))) at level 2. Levels 1
+    and 2 take the local radius rho1 per grid point (see rho1); level 0
+    needs none.
+    """
     np1 = gram.n
-    g = constants.gamma_score
+    scale = np.sqrt(gram.diagonal) * np.sqrt(gram.diagonal[-1])
+    if level == 0:
+        return TauProfile(scale, np.full(m, constants.rho / (lam * np1)))
     r1 = np.asarray(rho1_val, dtype=float)
-    r2 = rho2(gram, constants, lam, r1)
-    return np.minimum(g * r2 / (lam ** 3 * np1 ** 2), 2.0 * g * r1 / (lam * np1))
-
-
-def tau2(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
-    """Influence-function envelope; shapes as in tau1."""
-    radial = _radial2(gram, constants, lam, rho1_val)
-    scale = _kernel_scale(gram)
-    if radial.ndim == 0:
-        return scale * float(radial)
-    return radial[:, None] * scale[None, :]
+    if level == 1:
+        return TauProfile(scale, r1 / (lam * np1), rho1=r1)
+    rt = rho_tilde1(gram, constants, lam, r1)
+    r2 = rho2(gram, constants, lam, rt)
+    return TauProfile(scale, _if_radius(np1, lam, r1, r2), rho1=r1,
+                      rho1_tilde=rt, rho2=r2)
 
 
 def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
     """RKHS-norm bound on exact refit minus influence-function predictor:
     sqrt(K_qq) * min(rho2/(lam^3 (n+1)^2), 2*rho1/(lam (n+1)))."""
-    np1 = gram.n
     r1 = np.asarray(rho1_val, dtype=float)
-    r2 = rho2(gram, constants, lam, r1)
-    return np.sqrt(gram.diagonal[-1]) * np.minimum(
-        r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1))
+    r2 = rho2(gram, constants, lam, rho_tilde1(gram, constants, lam, r1))
+    return np.sqrt(gram.diagonal[-1]) * _if_radius(gram.n, lam, r1, r2)
 
 
 def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
@@ -293,16 +282,15 @@ def base_fit(X, Y, x_query, z: float, lam: float, loss: LossSpec,
 
 def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
                          lam: float, loss: LossSpec, kernel: KernelSpec,
-                         base: Predictor | None = None,
-                         chunk: int = DEFAULT_CHUNK) -> ApproxCurveResult:
+                         base: Predictor | None = None) -> ApproxCurveResult:
     """Upper and lower approximate p-value curves over the grid.
 
     Levels 0 and 1 score every grid candidate with the base fit's
     predictions; level 2 applies the influence-function coefficient
     update per candidate. The data scores are sorted once and counted per
-    grid point in O(log n) plus a short band scored exactly; chunk bounds
-    how many grid points' bands are scored together. The kernel must have
-    a constant diagonal over the data inputs, as both families do.
+    grid point in O(log n) plus a short band scored exactly. The kernel
+    must have a constant diagonal over the data inputs, as both families
+    do.
     """
     Y = np.asarray(Y, dtype=float)
     if not np.isfinite(Y).all():
@@ -312,42 +300,25 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     if base is None:
         base = base_fit(X, Y, x_query, z, lam, loss, kernel)
     gram = base.problem.gram
-    constants = smoothness_constants(loss)
     preds = base.predictions()
     m_q = float(preds[n])
     ys = grid.values
-    np1 = gram.n
-    g = constants.gamma_score
-    scale = _kernel_scale(gram)
-
     level = method.level
-    rho1_arr = rt_arr = r2_arr = None
-    if level == 0:
-        radial = np.full(grid.m, g * constants.rho / (lam * np1))
-    else:
-        rho1_arr = rho1(ys, z, base, loss)
-        if level == 1:
-            radial = g * rho1_arr / (lam * np1)
-        else:
-            rt_arr = rho_tilde1(gram, constants, lam, rho1_arr)
-            r2_arr = rho2(gram, constants, lam, rho1_arr)
-            radial = _radial2(gram, constants, lam, rho1_arr)
-    profile = TauProfile(scale=scale, radial=radial, rho1=rho1_arr,
-                         rho1_tilde=rt_arr, rho2=r2_arr)
-
+    taus = tau_profile(level, gram, smoothness_constants(loss), lam, grid.m,
+                       None if level == 0 else rho1(ys, z, base, loss))
     if level == 2:
         direction = influence_direction(base)
         k_dir = gram.entries @ direction
         d1_z = loss_d(loss, 1, float(z), m_q)
-        coeff_shift = (d1_z - loss_d(loss, 1, ys, m_q)) / np1
+        coeff_shift = (d1_z - loss_d(loss, 1, ys, m_q)) / gram.n
     else:
         # levels 0 and 1 score every candidate with the base predictions
         k_dir = np.zeros(n + 1)
         coeff_shift = np.zeros(grid.m)
-    upper, lower = _sandwich_scan(Y, preds, k_dir, coeff_shift, radial, scale,
-                                  ys, chunk)
+    upper, lower = _sandwich_scan(Y, preds, k_dir, coeff_shift, taus.radial,
+                                  taus.scale, ys, DEFAULT_CHUNK)
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
-    return ApproxCurveResult(curve=curve, taus=profile, base=base)
+    return ApproxCurveResult(curve=curve, taus=taus, base=base)
 
 
 def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:
@@ -377,7 +348,7 @@ def thickness_bound(method: ApproxMethod, gram: GramMatrix,
     """Closed-form bound on the thickness gap.
 
     Levels 0 and 1 share the uniform-stability bound
-    8 * gamma * rho * max_diag / (lam * (n+1)). Level 2 needs the grid
+    8 * rho * max_diag / (lam * (n+1)). Level 2 needs the grid
     supremum of its envelope: when beta = beta1 * max_diag / (lam (n+1))
     is below one, the refined bound 12/(1-beta) * sup_tau applies;
     otherwise the crude branch 8 * (sup_tau + rho-term) is returned and
@@ -385,14 +356,13 @@ def thickness_bound(method: ApproxMethod, gram: GramMatrix,
     """
     np1 = gram.n
     kmax = gram.diag_max
-    uniform = 8.0 * constants.gamma_score * constants.rho * kmax / (lam * np1)
+    rho_term = constants.rho * kmax / (lam * np1)
     if method.level < 2:
-        return ThicknessBound(value=uniform)
+        return ThicknessBound(value=8.0 * rho_term)
     if sup_tau is None:
         raise ValueError("the influence-function bound needs the grid supremum of tau")
     beta = constants.beta1 * kmax / (lam * np1)
     if beta < 1.0:
         return ThicknessBound(value=12.0 / (1.0 - beta) * sup_tau,
                               refined=True, beta=beta)
-    crude = 8.0 * (sup_tau + constants.gamma_score * constants.rho * kmax / (lam * np1))
-    return ThicknessBound(value=crude, refined=False, beta=beta)
+    return ThicknessBound(value=8.0 * (sup_tau + rho_term), refined=False, beta=beta)

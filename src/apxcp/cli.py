@@ -31,9 +31,8 @@ import numpy as np
 from .approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
                      thickness_bound, thickness_gap)
 from .conformal import (YGrid, cross_pvalues, full_conformal_pvalues,
-                        oracle_pvalues, oracle_region, region_from_curve,
-                        split_pvalues, split_region, write_region_csv,
-                        write_region_json)
+                        oracle_pvalues, region_from_curve, split_pvalues,
+                        write_region_csv, write_region_json)
 from .data_io import friedman1, load_csv, save_csv
 from .kernels import KernelSpec
 from .losses import LossSpec, smoothness_constants
@@ -52,11 +51,11 @@ DEFAULT_LAMBDA_R = 0.33
 DEFAULT_LAMBDA_GRID = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0)
 
 REGION_METHODS = ("full", "split", "cross", "oracle") + APPROX_KINDS
-COMPARE_METHODS = ("SplitCP", "UStableCP", "LocStableCP",
-                   "InfluenceFunctionCP", "OracleCP")
-_COMPARE_KIND = {"UStableCP": "uniform_stability",
-                 "LocStableCP": "local_stability",
-                 "InfluenceFunctionCP": "influence_function"}
+# compare table name -> method, in table order
+COMPARE_METHODS = {"SplitCP": "split", "UStableCP": "uniform_stability",
+                   "LocStableCP": "local_stability",
+                   "InfluenceFunctionCP": "influence_function",
+                   "OracleCP": "oracle"}
 
 
 def _log_ints(lo: int, hi: int, k: int) -> tuple[int, ...]:
@@ -122,6 +121,13 @@ class ExperimentConfig:
             raise ValueError("grid sizes must be >= 2")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
+        if (self.grid_lo is None) != (self.grid_hi is None):
+            raise ValueError("grid.lo and grid.hi must be set together")
+        if self.grid_lo is not None and not self.grid_lo < self.grid_hi:
+            raise ValueError(f"grid.lo must be below grid.hi, got "
+                             f"[{self.grid_lo}, {self.grid_hi}]")
+        if self.grid_margin < 0:
+            raise ValueError(f"grid.margin must be nonnegative, got {self.grid_margin}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -201,7 +207,7 @@ class ExperimentConfig:
 
     def grid_for(self, Y, m: int | None = None) -> YGrid:
         m = self.grid_m if m is None else m
-        if self.grid_lo is not None and self.grid_hi is not None:
+        if self.grid_lo is not None:
             return YGrid(float(self.grid_lo), float(self.grid_hi), m)
         return YGrid.from_targets(Y, m=m, margin=self.grid_margin)
 
@@ -288,10 +294,10 @@ def _approx_extras(profile) -> dict:
     return extras
 
 
-def _pvalue_curve(cfg: ExperimentConfig, X, Y, x_query, y_true, grid, lam):
+def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
+                  grid, lam, seed):
     """Dispatch a method name to its p-value curve (plus tau columns when
-    the method carries envelopes)."""
-    method = cfg.method
+    the method carries envelopes); seed draws the split and cross folds."""
     if method == "full":
         return full_conformal_pvalues(X, Y, x_query, grid, lam, cfg.loss,
                                       cfg.kernel), None
@@ -300,10 +306,10 @@ def _pvalue_curve(cfg: ExperimentConfig, X, Y, x_query, y_true, grid, lam):
                               cfg.kernel), None
     if method == "split":
         return split_pvalues(X, Y, x_query, grid, lam, cfg.loss, cfg.kernel,
-                             cfg.split_fraction, seed=(cfg.seed, 1)), None
+                             cfg.split_fraction, seed=seed), None
     if method == "cross":
         return cross_pvalues(X, Y, x_query, grid, lam, cfg.loss, cfg.kernel,
-                             cfg.cross_folds, seed=(cfg.seed, 1)), None
+                             cfg.cross_folds, seed=seed), None
     approx = ApproxMethod(method, cfg.z_anchor)
     result = approx_pvalue_curves(X, Y, x_query, grid, approx, lam,
                                   cfg.loss, cfg.kernel)
@@ -314,7 +320,8 @@ def cmd_region(cfg: ExperimentConfig, out: Path) -> dict:
     X, Y, x_query, y_true = _dataset(cfg, cfg.seed)
     grid = cfg.grid_for(Y)
     lam = cfg.lambda_for(Y.size + 1)
-    curve, extras = _pvalue_curve(cfg, X, Y, x_query, y_true, grid, lam)
+    curve, extras = _pvalue_curve(cfg, cfg.method, X, Y, x_query, y_true, grid,
+                                  lam, (cfg.seed, 1))
     region = region_from_curve(curve, cfg.alpha, side="upper")
     write_region_csv(out / "region.csv", curve, region, extras=extras,
                      meta=_file_meta(cfg))
@@ -406,21 +413,12 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
         grid = cfg.grid_for(Y)
         lam = cfg.lambda_for(Y.size + 1)
         rep_rows = {}
-        for name in COMPARE_METHODS:
+        for name, method in COMPARE_METHODS.items():
             start = time.perf_counter()
             try:
-                if name == "SplitCP":
-                    region = split_region(X, Y, x_query, grid, cfg.alpha, lam,
-                                          cfg.loss, cfg.kernel, cfg.split_fraction,
-                                          seed=(cfg.seed, rep, 1))
-                elif name == "OracleCP":
-                    region = oracle_region(X, Y, x_query, y_true, grid, cfg.alpha,
-                                           lam, cfg.loss, cfg.kernel)
-                else:
-                    method = ApproxMethod(_COMPARE_KIND[name], cfg.z_anchor)
-                    result = approx_pvalue_curves(X, Y, x_query, grid, method,
-                                                  lam, cfg.loss, cfg.kernel)
-                    region = region_from_curve(result.curve, cfg.alpha, "upper")
+                curve, _ = _pvalue_curve(cfg, method, X, Y, x_query, y_true,
+                                         grid, lam, (cfg.seed, rep, 1))
+                region = region_from_curve(curve, cfg.alpha, "upper")
                 seconds = time.perf_counter() - start
                 rep_rows[name] = [rep, name, region.measure,
                                   int(region.contains(y_true)), seconds,

@@ -139,14 +139,13 @@ def _count_at_least(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.nda
 
 
 def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
-                           loss: LossSpec, kernel: KernelSpec,
-                           warm_start: bool = True) -> PValueCurve:
+                           loss: LossSpec, kernel: KernelSpec) -> PValueCurve:
     """Exact full conformal p-values by refitting at every grid point.
 
     Each candidate y is attached to the query input and the augmented
-    sample is refit from scratch (or from the previous grid point's
-    coefficients when warm_start is on; the fixed gradient tolerance
-    makes the two routes agree).
+    sample is refit, warm-started from the previous grid point's
+    coefficients (the fixed gradient tolerance makes this agree with a
+    refit from scratch).
     """
     Y = np.asarray(Y, dtype=float)
     n = Y.size
@@ -166,8 +165,7 @@ def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
         preds = pred.predictions()
         scores = np.abs(Y - preds[:n])
         pvals[j] = conformal_pvalue(scores, abs(y - preds[n]))
-        if warm_start:
-            init = pred.coeffs
+        init = pred.coeffs
     return PValueCurve(grid=grid, upper=pvals, lower=pvals.copy())
 
 
@@ -179,10 +177,9 @@ def _with_anchors(problem, anchors):
 
 
 def full_region_bruteforce(X, Y, x_query, grid: YGrid, alpha: float, lam: float,
-                           loss: LossSpec, kernel: KernelSpec,
-                           warm_start: bool = True) -> PredictionRegion:
+                           loss: LossSpec, kernel: KernelSpec) -> PredictionRegion:
     """Exact full conformal region {y : p(y) > alpha} by brute force."""
-    curve = full_conformal_pvalues(X, Y, x_query, grid, lam, loss, kernel, warm_start)
+    curve = full_conformal_pvalues(X, Y, x_query, grid, lam, loss, kernel)
     return region_from_curve(curve, alpha)
 
 
@@ -288,14 +285,6 @@ def cross_pvalues(X, Y, x_query, grid: YGrid, lam: float,
         counts += _count_at_least(fold_scores, test)
     pvals = (1.0 + counts) / (n + 1.0)
     return PValueCurve(grid, pvals, pvals.copy())
-
-
-def cross_region(X, Y, x_query, grid: YGrid, alpha: float, lam: float,
-                 loss: LossSpec, kernel: KernelSpec, V: int,
-                 seed=None) -> PredictionRegion:
-    """Region of the V-fold cross-conformal method."""
-    return region_from_curve(
-        cross_pvalues(X, Y, x_query, grid, lam, loss, kernel, V, seed), alpha)
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,8 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv; the last column is the target.
 
     Lines starting with '#' are skipped. Raises ValueError with the
-    offending line number on ragged rows or unparsable fields.
+    offending line number on ragged rows, unparsable fields or nan/inf
+    fields.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -103,9 +104,12 @@ def load_csv(path) -> Dataset:
                 raise ValueError(f"{path}: line {lineno} has {len(record)} "
                                  f"fields, expected {width}")
             try:
-                rows.append([float(v) for v in record])
+                row = [float(v) for v in record]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}: line {lineno} has a non-finite field")
+            rows.append(row)
     if width is None or not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)

@@ -159,11 +159,11 @@ class GramMatrix:
             return 0.0
         return float(w[keep].min()) / self.n
 
-    def project_onto_range(self, vec: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+    def project_onto_range(self, vec: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of retained eigenvectors."""
         vec = np.asarray(vec, dtype=float)
         w, V = self.eigenpairs
-        keep = w > cutoff * max(float(w[-1]), 0.0)
+        keep = w > DEFAULT_CUTOFF * max(float(w[-1]), 0.0)
         Vr = V[:, keep]
         return Vr @ (Vr.T @ vec)
 
@@ -192,21 +192,20 @@ def gram_between(spec: KernelSpec, points, other) -> np.ndarray:
     return np.exp(-gamma * cdist(pts, oth, metric=_METRIC[spec.family]))
 
 
-def pseudo_inverse_apply(matrix, rhs: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+def pseudo_inverse_apply(matrix, rhs: np.ndarray) -> np.ndarray:
     """Apply the spectral pseudo-inverse of a symmetric matrix to a vector.
 
-    Eigenvalues at or below cutoff * max_eigenvalue are treated as zero,
-    so the result lives in the retained eigenspace. Accepts either a
-    GramMatrix (reusing its cached spectrum) or a plain symmetric array.
+    Eigenvalues at or below DEFAULT_CUTOFF * max_eigenvalue are treated
+    as zero, so the result lives in the retained eigenspace. Accepts
+    either a GramMatrix (reusing its cached spectrum) or a plain
+    symmetric array.
     """
-    if not (0.0 < cutoff < 1.0):
-        raise ValueError(f"cutoff must be in (0, 1), got {cutoff}")
     rhs = np.asarray(rhs, dtype=float)
     if isinstance(matrix, GramMatrix):
         w, V = matrix.eigenpairs
     else:
         w, V = np.linalg.eigh(np.asarray(matrix, dtype=float))
-    keep = w > cutoff * max(float(w[-1]), 0.0)
+    keep = w > DEFAULT_CUTOFF * max(float(w[-1]), 0.0)
     if not keep.any():
         return np.zeros_like(rhs)
     Vr = V[:, keep]

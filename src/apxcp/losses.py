@@ -58,14 +58,15 @@ class SmoothnessConstants:
     beta2 : Lipschitz constant of the first u-derivative in u
     beta1 : Lipschitz constant of the first u-derivative in y
     xi    : sup |d^3/du^3 loss(y, u)|
-    gamma_score : Lipschitz constant of the score s(y, u) = |y - u| in u
+
+    The score s(y, u) = |y - u| is 1-Lipschitz in u, so the envelopes
+    need no score constant.
     """
 
     rho: float
     beta2: float
     beta1: float
     xi: float
-    gamma_score: float = 1.0
 
 
 def _maybe_scalar(arr: np.ndarray, scalar_in: bool):

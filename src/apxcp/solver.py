@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import DEFAULT_CUTOFF, GramMatrix, KernelSpec, gram, pseudo_inverse_apply
+from .kernels import GramMatrix, KernelSpec, gram, pseudo_inverse_apply
 from .losses import LossSpec, loss_d, loss_value
 
 ARMIJO_C = 1e-4
@@ -176,25 +176,24 @@ class Predictor:
 
 
 def fit(problem: WeightedProblem, init: np.ndarray | None = None,
-        max_iters: int = DEFAULT_MAX_ITERS, tol: float | None = None,
-        cutoff: float = DEFAULT_CUTOFF) -> Predictor:
+        max_iters: int = DEFAULT_MAX_ITERS) -> Predictor:
     """Minimize the weighted regularized risk by damped Newton.
 
     The Newton direction applies the spectral pseudo-inverse of the
     Hessian; a plain gradient step is the fallback when that direction
     fails to descend. Step sizes come from Armijo backtracking with
     constant 1e-4 and at most 60 halvings. Iterates are projected onto
-    the range of the Gram matrix, where the minimizer is unique.
+    the range of the Gram matrix, where the minimizer is unique. The
+    gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)).
     """
     G = problem.gram
     n = problem.n
-    if tol is None:
-        scale = float(np.linalg.norm(problem.effective_targets())) / (n + 1)
-        tol = BASE_TOL * (1.0 + scale)
+    scale = float(np.linalg.norm(problem.effective_targets())) / (n + 1)
+    tol = BASE_TOL * (1.0 + scale)
     if init is None:
         a = np.zeros(n + 1)
     else:
-        a = G.project_onto_range(np.asarray(init, dtype=float), cutoff)
+        a = G.project_onto_range(np.asarray(init, dtype=float))
     current = risk(problem, a)
     path = [current]
     grad_norm = np.inf
@@ -206,7 +205,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
             a.setflags(write=False)
             return Predictor(a, problem, True, grad_norm, it - 1, tuple(path))
         H = hessian(problem, a)
-        direction = -pseudo_inverse_apply(H, grad, cutoff)
+        direction = -pseudo_inverse_apply(H, grad)
         slope = float(grad @ direction)
         if slope >= 0.0:
             direction = -grad
@@ -218,7 +217,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         step = 1.0
         accepted = None
         for _ in range(MAX_HALVINGS + 1):
-            candidate = G.project_onto_range(a + step * direction, cutoff)
+            candidate = G.project_onto_range(a + step * direction)
             value = risk(problem, candidate)
             required = ARMIJO_C * step * slope
             if value <= current + required or (-required <= noise
@@ -259,8 +258,13 @@ def augmented_problem(X, Y, x_query, anchors: tuple[float, float],
                       weights: np.ndarray, lam: float, loss: LossSpec,
                       kernel: KernelSpec) -> WeightedProblem:
     """Assemble a WeightedProblem over (X_1, ..., X_n, x_query)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
     xq = np.atleast_2d(np.asarray(x_query, dtype=float))
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-d (n, d) array, got shape {X.shape}")
+    if xq.shape != (1, X.shape[1]):
+        raise ValueError(f"x_query must be one point of width {X.shape[1]} "
+                         f"like the rows of X, got shape {np.shape(x_query)}")
     if not np.isfinite(X).all():
         raise ValueError("X must be finite")
     if not np.isfinite(xq).all():

@@ -7,7 +7,7 @@ from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
                           TauProfile, _sandwich_scan, approx_pvalue_curves,
                           base_fit, if_error_bound, if_predictor,
                           influence_direction, influence_vector, rho1, rho2,
-                          rho_tilde1, tau0, tau1, tau2, thickness_bound,
+                          rho_tilde1, tau_profile, thickness_bound,
                           thickness_gap)
 from apxcp.conformal import (PredictionRegion, YGrid, conformal_pvalue,
                              region_from_curve)
@@ -61,19 +61,26 @@ def test_tau_profile_factored_views():
 
 # --- uniform-stability envelope ---
 
+def _taus(level, gram, lam, m=1, rho1_val=None, constants=LOGCOSH_CONSTANTS):
+    """Dense (m, n+1) envelope matrix of one level from the builder."""
+    return tau_profile(level, gram, constants, lam, m, rho1_val).tau_matrix()
+
+
 def test_tau0_unit_diagonal_value():
-    out = tau0(UNIT_GRAM, LOGCOSH_CONSTANTS, lam=0.1)
-    np.testing.assert_allclose(out, np.ones(10))
+    profile = tau_profile(0, UNIT_GRAM, LOGCOSH_CONSTANTS, lam=0.1, m=4)
+    np.testing.assert_allclose(profile.tau_matrix(), np.ones((4, 10)))
+    assert profile.rho1 is None and profile.rho2 is None
 
 
 def test_tau0_zero_lipschitz_constant():
     flat = SmoothnessConstants(rho=0.0, beta2=1.0, beta1=1.0, xi=1.0)
-    np.testing.assert_array_equal(tau0(UNIT_GRAM, flat, lam=0.1), np.zeros(10))
+    np.testing.assert_array_equal(_taus(0, UNIT_GRAM, 0.1, constants=flat),
+                                  np.zeros((1, 10)))
 
 
 def test_tau0_inverse_in_lambda():
-    np.testing.assert_allclose(tau0(UNIT_GRAM, LOGCOSH_CONSTANTS, 0.2),
-                               0.5 * tau0(UNIT_GRAM, LOGCOSH_CONSTANTS, 0.1))
+    np.testing.assert_allclose(_taus(0, UNIT_GRAM, 0.2),
+                               0.5 * _taus(0, UNIT_GRAM, 0.1))
 
 
 # --- local-stability radius and envelope ---
@@ -106,11 +113,15 @@ def test_rho1_never_exceeds_rho():
 
 
 def test_tau1_shapes_and_golden_value():
-    scalar = tau1(UNIT_GRAM, LOGCOSH_CONSTANTS, lam=0.1, rho1_val=0.5)
-    np.testing.assert_allclose(scalar, np.full(10, 0.5))
-    arr = tau1(UNIT_GRAM, LOGCOSH_CONSTANTS, lam=0.1, rho1_val=np.array([0.5, 0.0, 1.0]))
+    single = _taus(1, UNIT_GRAM, 0.1, rho1_val=np.array([0.5]))
+    np.testing.assert_allclose(single, np.full((1, 10), 0.5))
+    r1 = np.array([0.5, 0.0, 1.0])
+    profile = tau_profile(1, UNIT_GRAM, LOGCOSH_CONSTANTS, 0.1, 3, r1)
+    arr = profile.tau_matrix()
     assert arr.shape == (3, 10)
     np.testing.assert_allclose(arr[:, 0], [0.5, 0.0, 1.0])
+    np.testing.assert_array_equal(profile.rho1, r1)
+    assert profile.rho1_tilde is None and profile.rho2 is None
 
 
 def test_tau1_below_tau0():
@@ -118,9 +129,9 @@ def test_tau1_below_tau0():
     gram = base.problem.gram
     ys = np.linspace(-30, 30, 101)
     r1 = rho1(ys, 0.0, base, LOGCOSH)
-    t1 = tau1(gram, LOGCOSH_CONSTANTS, 0.5, r1)
-    t0 = tau0(gram, LOGCOSH_CONSTANTS, 0.5)
-    assert np.all(t1 <= t0[None, :] + 1e-12)
+    t1 = _taus(1, gram, 0.5, ys.size, r1)
+    t0 = _taus(0, gram, 0.5, ys.size)
+    assert np.all(t1 <= t0 + 1e-12)
 
 
 # --- second-order radii ---
@@ -130,14 +141,15 @@ def test_rho_tilde1_golden_value():
 
 
 def test_rho2_golden_value():
-    assert rho2(UNIT_GRAM, LOGCOSH_CONSTANTS, 1.0, 0.5) == pytest.approx(
+    rt = rho_tilde1(UNIT_GRAM, LOGCOSH_CONSTANTS, 1.0, 0.5)
+    assert rho2(UNIT_GRAM, LOGCOSH_CONSTANTS, 1.0, rt) == pytest.approx(
         1.2512500000000002)
 
 
 def test_rho2_monotone_in_third_derivative_bound():
     lo = SmoothnessConstants(rho=1.0, beta2=1.0, beta1=1.0, xi=0.5)
     hi = SmoothnessConstants(rho=1.0, beta2=1.0, beta1=1.0, xi=2.0)
-    assert rho2(UNIT_GRAM, lo, 1.0, 0.5) < rho2(UNIT_GRAM, hi, 1.0, 0.5)
+    assert rho2(UNIT_GRAM, lo, 1.0, 0.55) < rho2(UNIT_GRAM, hi, 1.0, 0.55)
 
 
 def test_tau2_vanishes_at_anchor_and_caps_at_twice_tau1():
@@ -145,11 +157,18 @@ def test_tau2_vanishes_at_anchor_and_caps_at_twice_tau1():
     gram = base.problem.gram
     ys = np.linspace(-30, 30, 101)
     r1 = rho1(ys, 0.0, base, LOGCOSH)
-    t2 = tau2(gram, LOGCOSH_CONSTANTS, 0.5, r1)
-    t1 = tau1(gram, LOGCOSH_CONSTANTS, 0.5, r1)
-    assert np.all(t2 <= 2.0 * t1 + 1e-12)
-    at_anchor = tau2(gram, LOGCOSH_CONSTANTS, 0.5, rho1(0.0, 0.0, base, LOGCOSH))
-    np.testing.assert_array_equal(at_anchor, np.zeros(gram.n))
+    profile = tau_profile(2, gram, LOGCOSH_CONSTANTS, 0.5, ys.size, r1)
+    t1 = _taus(1, gram, 0.5, ys.size, r1)
+    assert np.all(profile.tau_matrix() <= 2.0 * t1 + 1e-12)
+    at_anchor = _taus(2, gram, 0.5, rho1_val=np.array([rho1(0.0, 0.0, base, LOGCOSH)]))
+    np.testing.assert_array_equal(at_anchor, np.zeros((1, gram.n)))
+    # the radii are the standalone ones, and the influence-function error
+    # bound is the level-2 radius on the query's kernel scale
+    rt = rho_tilde1(gram, LOGCOSH_CONSTANTS, 0.5, r1)
+    np.testing.assert_array_equal(profile.rho1_tilde, rt)
+    np.testing.assert_array_equal(profile.rho2, rho2(gram, LOGCOSH_CONSTANTS, 0.5, rt))
+    np.testing.assert_array_equal(if_error_bound(gram, LOGCOSH_CONSTANTS, 0.5, r1),
+                                  np.sqrt(gram.diagonal[-1]) * profile.radial)
 
 
 # --- influence function ---
@@ -282,16 +301,34 @@ def test_curves_nest_across_levels():
     assert np.all(res1.curve.lower >= res0.curve.lower - 1e-15)
 
 
+def _scan_shift(res, kind, grid):
+    """The influence-function prediction shift shift[j] * k_dir of a
+    curve's scan, or (None, None) for the levels that shift nothing."""
+    if kind != "influence_function":
+        return None, None
+    n = res.base.problem.n
+    m_q = float(res.base.predictions()[n])
+    k_dir = res.base.problem.gram.entries @ influence_direction(res.base)
+    shift = (loss_d(LOGCOSH, 1, 0.0, m_q)
+             - loss_d(LOGCOSH, 1, grid.values, m_q)) / (n + 1)
+    return k_dir, shift
+
+
 def test_curves_chunking_is_invisible():
     X, Y, xq, _ = _instance(15, 12)
     grid = YGrid.from_targets(Y, m=53)
     for kind in APPROX_KINDS:
-        full = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5,
-                                    LOGCOSH, KERNEL)
-        tiny = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5,
-                                    LOGCOSH, KERNEL, chunk=7)
-        np.testing.assert_array_equal(full.curve.upper, tiny.curve.upper)
-        np.testing.assert_array_equal(full.curve.lower, tiny.curve.lower)
+        res = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5,
+                                   LOGCOSH, KERNEL)
+        k_dir, shift = _scan_shift(res, kind, grid)
+        if k_dir is None:
+            k_dir, shift = np.zeros(Y.size + 1), np.zeros(grid.m)
+        for chunk in (1, 7):
+            upper, lower = _sandwich_scan(Y, res.base.predictions(), k_dir, shift,
+                                          res.taus.radial, res.taus.scale,
+                                          grid.values, chunk)
+            np.testing.assert_array_equal(res.curve.upper, upper)
+            np.testing.assert_array_equal(res.curve.lower, lower)
 
 
 # exact quarter and eighth steps make sums of scores and envelopes exact,
@@ -360,8 +397,8 @@ def test_sorted_scan_matches_dense_oracle(inputs, chunk):
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(4, 14), m=st.integers(2, 80),
        log_lam=st.floats(-6.0, 2.0), kind=st.sampled_from(APPROX_KINDS),
        family=st.sampled_from(["laplacian", "gaussian_rbf"]),
-       ties=st.booleans(), chunk=st.sampled_from([1, 7, DEFAULT_CHUNK]))
-def test_curves_match_dense_oracle(seed, n, m, log_lam, kind, family, ties, chunk):
+       ties=st.booleans())
+def test_curves_match_dense_oracle(seed, n, m, log_lam, kind, family, ties):
     X, Y, xq, _ = _instance(seed, n)
     if ties:
         Y = np.round(Y)  # duplicate targets
@@ -369,15 +406,9 @@ def test_curves_match_dense_oracle(seed, n, m, log_lam, kind, family, ties, chun
     kernel = KernelSpec(family, 0.5)
     grid = YGrid.from_targets(Y, m=m)
     res = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), lam,
-                               LOGCOSH, kernel, chunk=chunk)
-    preds = res.base.predictions()
-    k_dir = shift = None
-    if kind == "influence_function":
-        k_dir = res.base.problem.gram.entries @ influence_direction(res.base)
-        m_q = float(preds[n])
-        shift = (loss_d(LOGCOSH, 1, 0.0, m_q)
-                 - loss_d(LOGCOSH, 1, grid.values, m_q)) / (n + 1)
-    upper, lower = dense_sandwich_curves(Y, preds, res.taus.radial,
+                               LOGCOSH, kernel)
+    k_dir, shift = _scan_shift(res, kind, grid)
+    upper, lower = dense_sandwich_curves(Y, res.base.predictions(), res.taus.radial,
                                          res.taus.scale, grid.values, k_dir, shift)
     np.testing.assert_array_equal(res.curve.upper, upper)
     np.testing.assert_array_equal(res.curve.lower, lower)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -7,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apxcp.cli import (DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE, DESK_SCHEDULE,
-                       ExperimentConfig, _ols_slope, build_parser, cmd_compare,
-                       cmd_gen_data, cmd_region, cmd_select_lambda, cmd_sweep,
-                       load_config, main, select_lambda_core)
-from apxcp.data_io import load_csv
+from apxcp.approx import ApproxMethod, approx_pvalue_curves
+from apxcp.cli import (COMPARE_METHODS, DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE,
+                       DESK_SCHEDULE, REGION_METHODS, ExperimentConfig,
+                       _ols_slope, build_parser, cmd_compare, cmd_gen_data,
+                       cmd_region, cmd_select_lambda, cmd_sweep, load_config,
+                       main, select_lambda_core)
+from apxcp.conformal import (cross_pvalues, full_conformal_pvalues,
+                             oracle_pvalues, region_from_curve, split_pvalues)
+from apxcp.data_io import friedman1, load_csv
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
 
@@ -60,6 +65,16 @@ def test_config_unknown_keys_rejected():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"lo": -5}, "set together"),
+    ({"lo": 2.0, "hi": -1.0}, "below"),
+    ({"margin": -1.0}, "margin"),
+])
+def test_config_rejects_bad_grid(grid, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({"grid": grid})
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -207,6 +222,50 @@ def test_region_outputs_byte_deterministic(tmp_path):
         outs.append(out)
     for fname in ("region.csv", "region.json", "meta.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _library_curve(cfg, method, X, Y, xq, y_true, grid, lam, seed):
+    """A method's p-value curve straight from the library."""
+    args = (grid, lam, cfg.loss, cfg.kernel)
+    if method == "full":
+        return full_conformal_pvalues(X, Y, xq, *args)
+    if method == "split":
+        return split_pvalues(X, Y, xq, *args, cfg.split_fraction, seed=seed)
+    if method == "cross":
+        return cross_pvalues(X, Y, xq, *args, cfg.cross_folds, seed=seed)
+    if method == "oracle":
+        return oracle_pvalues(X, Y, xq, y_true, *args)
+    return approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(method, cfg.z_anchor),
+                                lam, cfg.loss, cfg.kernel).curve
+
+
+@pytest.mark.parametrize("method", REGION_METHODS)
+def test_region_csv_matches_library_curve(tmp_path, method):
+    cfg = _tiny_cfg(method=method, n=24, grid_m=41, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cmd_region(cfg, tmp_path)
+    X, Y, xq, y_true = friedman1(cfg.n, cfg.noise_sd, cfg.seed).split_query()
+    curve = _library_curve(cfg, method, X, Y, xq, y_true, cfg.grid_for(Y),
+                           cfg.lambda_for(Y.size + 1), (cfg.seed, 1))
+    lines = (tmp_path / "region.csv").read_text().splitlines()
+    rows = list(csv.DictReader(lines[1:]))
+    for column, want in (("upper_p", curve.upper), ("lower_p", curve.lower)):
+        np.testing.assert_array_equal([float(r[column]) for r in rows], want)
+
+
+def test_compare_lengths_match_library_regions(tmp_path):
+    cfg = ExperimentConfig(n=24, compare_repetitions=2, grid_m=41, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = cmd_compare(cfg, tmp_path)["rows"]
+        for rep, name, length, *_ in rows:
+            X, Y, xq, y_true = friedman1(cfg.n, cfg.noise_sd,
+                                         seed=(cfg.seed, rep)).split_query()
+            curve = _library_curve(cfg, COMPARE_METHODS[name], X, Y, xq, y_true,
+                                   cfg.grid_for(Y), cfg.lambda_for(Y.size + 1),
+                                   (cfg.seed, rep, 1))
+            assert length == region_from_curve(curve, cfg.alpha, "upper").measure, name
 
 
 def test_sweep_small_schedule(tmp_path):

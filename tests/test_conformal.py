@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
                              YGrid, conformal_pvalue, cross_pvalues,
-                             cross_region, empirical_coverage,
+                             empirical_coverage,
                              full_conformal_pvalues, full_region_bruteforce,
                              oracle_pvalues, oracle_region, region_from_curve,
                              split_region, write_region_csv, write_region_json)
@@ -164,11 +164,15 @@ def test_full_conformal_pvalue_range():
 
 
 def test_full_conformal_warm_start_matches_cold():
+    # the first point of a grid is refit from scratch: a two-point grid
+    # starting at y gives the cold-refit p-value at y
     X, Y, xq, _ = _instance(3, 10)
     grid = YGrid.from_targets(Y, m=31)
-    warm = full_conformal_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, warm_start=True)
-    cold = full_conformal_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, warm_start=False)
-    np.testing.assert_array_equal(warm.upper, cold.upper)
+    warm = full_conformal_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL)
+    cold = [full_conformal_pvalues(X, Y, xq, YGrid(float(y), float(y) + grid.step, 2),
+                                   0.5, LOGCOSH, KERNEL).upper[0]
+            for y in grid.values]
+    np.testing.assert_array_equal(warm.upper, cold)
 
 
 # --- oracle region ---
@@ -274,9 +278,9 @@ def test_cross_fold_count_validation():
     X, Y, xq, _ = _instance(9, 6)
     grid = YGrid.from_targets(Y, m=21)
     with pytest.raises(ValueError, match="fold"):
-        cross_region(X, Y, xq, grid, 0.1, 0.5, LOGCOSH, KERNEL, V=7)
+        cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=7)
     with pytest.raises(ValueError, match="fold"):
-        cross_region(X, Y, xq, grid, 0.1, 0.5, LOGCOSH, KERNEL, V=1)
+        cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=1)
 
 
 def test_cross_jackknife_limit_runs():

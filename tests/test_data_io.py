@@ -133,6 +133,15 @@ def test_unparsable_field_reports_line_number(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("row", ["{},2.0", "1.0,{}"])
+def test_nonfinite_field_reports_line_number(tmp_path, field, row):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("x1,y\n1.0,2.0\n# note\n" + row.format(field) + "\n")
+    with pytest.raises(ValueError, match="line 4 has a non-finite field"):
+        load_csv(path)
+
+
 def test_missing_target_column(tmp_path):
     path = tmp_path / "narrow.csv"
     path.write_text("x1\n1.0\n")

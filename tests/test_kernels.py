@@ -128,11 +128,6 @@ def test_pseudo_inverse_range_residual():
     np.testing.assert_allclose(H @ sol, rhs, atol=1e-10)
 
 
-def test_pseudo_inverse_cutoff_validation():
-    with pytest.raises(ValueError, match="cutoff"):
-        pseudo_inverse_apply(np.eye(2), np.zeros(2), cutoff=2.0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=2**31 - 1))
 def test_pseudo_inverse_reconstruction_property(k, seed):

@@ -145,7 +145,7 @@ def test_beta1_lipschitz_in_first_argument():
 
 def test_smoothness_constants_logcosh():
     c = smoothness_constants(LossSpec("logcosh", a=1.0))
-    assert (c.rho, c.beta2, c.beta1, c.xi, c.gamma_score) == (1.0, 1.0, 1.0, 1.0, 1.0)
+    assert (c.rho, c.beta2, c.beta1, c.xi) == (1.0, 1.0, 1.0, 1.0)
     c2 = smoothness_constants(LossSpec("logcosh", a=2.0))
     assert c2.rho == 1.0
     assert c2.beta2 == pytest.approx(0.5)

@@ -53,6 +53,17 @@ def test_augmented_problem_rejects_nonfinite_inputs(where, message, bad):
                           anchor_z_weights(6), 0.5, LossSpec("logcosh"), KERNEL)
 
 
+@pytest.mark.parametrize("X, x_query, message", [
+    (np.arange(6.0), np.array([0.5]), "2-d"),
+    (np.ones((6, 3)), np.ones(2), "width 3"),
+    (np.ones((6, 3)), np.ones((2, 3)), "one point"),
+])
+def test_augmented_problem_rejects_mismatched_shapes(X, x_query, message):
+    with pytest.raises(ValueError, match=message):
+        augmented_problem(X, np.zeros(6), x_query, (0.0, 0.0), anchor_z_weights(6),
+                          0.5, LossSpec("logcosh"), KERNEL)
+
+
 def test_risk_zero_coefficients_squared_loss():
     rng = np.random.default_rng(0)
     n = 6
