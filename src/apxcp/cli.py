@@ -16,7 +16,6 @@ columns are the one exception.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -33,7 +32,7 @@ from .approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
 from .conformal import (YGrid, cross_pvalues, full_conformal_pvalues,
                         oracle_pvalues, region_from_curve, split_pvalues,
                         write_region_csv, write_region_json)
-from .data_io import friedman1, load_csv, save_csv
+from .data_io import friedman1, load_csv, save_csv, write_json, write_table
 from .kernels import KernelSpec
 from .losses import LossSpec, smoothness_constants
 from .solver import SolverError
@@ -66,10 +65,34 @@ def _log_ints(lo: int, hi: int, k: int) -> tuple[int, ...]:
 DEFAULT_SCHEDULE = _log_ints(128, 1024, 15)
 DESK_SCHEDULE = _log_ints(32, 256, 8)
 
+# The JSON config file: group -> key -> ExperimentConfig field, where group
+# None holds the top-level keys. from_dict and to_dict both walk this table.
+_SCHEMA: dict[str | None, dict[str, str]] = {
+    None: {name: name for name in (
+        "kernel", "loss", "alpha", "z_anchor", "seed", "n", "noise_sd",
+        "method", "data_csv", "lambda_grid", "n_schedule")},
+    "grid": {"m": "grid_m", "lo": "grid_lo", "hi": "grid_hi",
+             "margin": "grid_margin"},
+    "lambda_rule": {"fixed": "lambda_fixed", "c": "lambda_c", "r": "lambda_r"},
+    "sweep": {"repetitions": "sweep_repetitions", "grid_m": "sweep_grid_m"},
+    "compare": {"repetitions": "compare_repetitions",
+                "split_fraction": "split_fraction", "cross_folds": "cross_folds"},
+    "select": {"d1_fraction": "d1_fraction"},
+}
+# field -> (from JSON, to JSON) for the fields not stored as plain JSON values
+_JSON_FORM = {
+    "kernel": (KernelSpec.from_config, KernelSpec.to_config),
+    "loss": (LossSpec.from_config, LossSpec.to_config),
+    "lambda_grid": (lambda v: tuple(float(x) for x in v), list),
+    "n_schedule": (lambda v: tuple(int(x) for x in v), list),
+}
+_AS_IS = (lambda v: v, lambda v: v)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment settings; from_dict/to_dict mirror the JSON file."""
+    """Validated experiment settings; from_dict/to_dict read and write the
+    JSON file through _SCHEMA."""
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
     loss: LossSpec = field(default_factory=LossSpec)
@@ -123,6 +146,10 @@ class ExperimentConfig:
             raise ValueError("noise_sd must be nonnegative")
         if (self.grid_lo is None) != (self.grid_hi is None):
             raise ValueError("grid.lo and grid.hi must be set together")
+        if not all(math.isfinite(v) for v in (self.grid_lo, self.grid_hi,
+                                              self.grid_margin) if v is not None):
+            raise ValueError(f"grid.lo, grid.hi and grid.margin must be finite, got "
+                             f"{self.grid_lo}, {self.grid_hi}, {self.grid_margin}")
         if self.grid_lo is not None and not self.grid_lo < self.grid_hi:
             raise ValueError(f"grid.lo must be below grid.hi, got "
                              f"[{self.grid_lo}, {self.grid_hi}]")
@@ -131,70 +158,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
         kw: dict = {}
-
-        def pull(group: str, mapping: dict[str, str]) -> None:
-            block = raw.pop(group, None)
-            if block is None:
-                return
-            unknown = set(block) - set(mapping)
+        groups = set(_SCHEMA) - {None}
+        for group, keys in _SCHEMA.items():
+            block = raw if group is None else raw.get(group) or {}
+            unknown = set(block) - set(keys) - (groups if group is None else set())
             if unknown:
-                raise ValueError(f"unknown keys in {group!r}: {sorted(unknown)}")
-            for key, target in mapping.items():
+                where = "config keys" if group is None else f"keys in {group!r}"
+                raise ValueError(f"unknown {where}: {sorted(unknown)}")
+            for key, name in keys.items():
                 if key in block:
-                    kw[target] = block[key]
-
-        if "kernel" in raw:
-            kw["kernel"] = KernelSpec.from_config(raw.pop("kernel"))
-        if "loss" in raw:
-            kw["loss"] = LossSpec.from_config(raw.pop("loss"))
-        pull("grid", {"m": "grid_m", "lo": "grid_lo", "hi": "grid_hi",
-                      "margin": "grid_margin"})
-        pull("lambda_rule", {"fixed": "lambda_fixed", "c": "lambda_c",
-                             "r": "lambda_r"})
-        pull("sweep", {"repetitions": "sweep_repetitions", "grid_m": "sweep_grid_m"})
-        pull("compare", {"repetitions": "compare_repetitions",
-                         "split_fraction": "split_fraction",
-                         "cross_folds": "cross_folds"})
-        pull("select", {"d1_fraction": "d1_fraction"})
-        for key in ("alpha", "z_anchor", "seed", "n", "noise_sd", "method",
-                    "data_csv", "lambda_grid", "n_schedule"):
-            if key in raw:
-                kw[key] = raw.pop(key)
-        if raw:
-            raise ValueError(f"unknown config keys: {sorted(raw)}")
-        if "lambda_grid" in kw:
-            kw["lambda_grid"] = tuple(float(l) for l in kw["lambda_grid"])
-        if "n_schedule" in kw:
-            kw["n_schedule"] = tuple(int(v) for v in kw["n_schedule"])
+                    kw[name] = _JSON_FORM.get(name, _AS_IS)[0](block[key])
         return cls(**kw)
 
     def to_dict(self) -> dict:
-        rule: dict = {"fixed": self.lambda_fixed} if self.lambda_fixed is not None \
-            else {"c": self.lambda_c, "r": self.lambda_r}
-        return {
-            "kernel": self.kernel.to_config(),
-            "loss": self.loss.to_config(),
-            "alpha": self.alpha,
-            "z_anchor": self.z_anchor,
-            "seed": self.seed,
-            "n": self.n,
-            "noise_sd": self.noise_sd,
-            "method": self.method,
-            "data_csv": self.data_csv,
-            "grid": {"m": self.grid_m, "lo": self.grid_lo, "hi": self.grid_hi,
-                     "margin": self.grid_margin},
-            "lambda_rule": rule,
-            "lambda_grid": list(self.lambda_grid),
-            "n_schedule": list(self.n_schedule),
-            "sweep": {"repetitions": self.sweep_repetitions,
-                      "grid_m": self.sweep_grid_m},
-            "compare": {"repetitions": self.compare_repetitions,
-                        "split_fraction": self.split_fraction,
-                        "cross_folds": self.cross_folds},
-            "select": {"d1_fraction": self.d1_fraction},
-        }
+        out: dict = {}
+        for group, keys in _SCHEMA.items():
+            block = out if group is None else out.setdefault(group, {})
+            for key, name in keys.items():
+                block[key] = _JSON_FORM.get(name, _AS_IS)[1](getattr(self, name))
+        rule = out["lambda_rule"]
+        # a fixed lambda replaces the c * (n+1)^(-r) rule in the file
+        if self.lambda_fixed is not None:
+            del rule["c"], rule["r"]
+        else:
+            del rule["fixed"]
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True)
@@ -224,35 +213,23 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     return cfg
 
 
-def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def _write_table(path, header, rows, comment: str | None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+def _file_meta(cfg: ExperimentConfig) -> dict:
+    """The stamp every output file carries: config hash and version."""
+    return {"config_hash": cfg.config_hash(), "version": VERSION}
 
 
 def _write_meta(out: Path, cfg: ExperimentConfig, command: str, **extra) -> None:
-    meta = {"command": command, "config": cfg.to_dict(),
-            "config_hash": cfg.config_hash(), "version": VERSION}
-    meta.update(extra)
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out / "meta.json", {"command": command, "config": cfg.to_dict(),
+                                   **_file_meta(cfg), **extra})
 
 
-def _stamp(cfg: ExperimentConfig) -> str:
-    return f"config_hash={cfg.config_hash()} version={VERSION}"
-
-
-def _file_meta(cfg: ExperimentConfig) -> dict:
-    return {"config_hash": cfg.config_hash(), "version": VERSION}
+def _write_region(out: Path, cfg: ExperimentConfig, curve, region, extras,
+                  **json_extra) -> None:
+    """region.csv and region.json of one curve, both stamped."""
+    write_region_csv(out / "region.csv", curve, region, extras=extras,
+                     meta=_file_meta(cfg))
+    write_region_json(out / "region.json", region, cfg.alpha, cfg.method,
+                      meta={**_file_meta(cfg), **json_extra})
 
 
 def _ols_slope(ns, values) -> tuple[float, float, int]:
@@ -279,7 +256,7 @@ def _dataset(cfg: ExperimentConfig, seed) -> tuple:
 def cmd_gen_data(cfg: ExperimentConfig, out: Path) -> Path:
     ds = friedman1(cfg.n, cfg.noise_sd, cfg.seed)
     path = out / "data.csv"
-    save_csv(path, ds, comment=_stamp(cfg))
+    save_csv(path, ds, comment=_file_meta(cfg))
     _write_meta(out, cfg, "gen-data", dataset=ds.meta)
     return path
 
@@ -323,10 +300,7 @@ def cmd_region(cfg: ExperimentConfig, out: Path) -> dict:
     curve, extras = _pvalue_curve(cfg, cfg.method, X, Y, x_query, y_true, grid,
                                   lam, (cfg.seed, 1))
     region = region_from_curve(curve, cfg.alpha, side="upper")
-    write_region_csv(out / "region.csv", curve, region, extras=extras,
-                     meta=_file_meta(cfg))
-    write_region_json(out / "region.json", region, cfg.alpha, cfg.method,
-                      meta=_file_meta(cfg))
+    _write_region(out, cfg, curve, region, extras)
     _write_meta(out, cfg, "region", lam=lam,
                 region={"measure": region.measure,
                         "intervals": [list(iv) for iv in region.intervals]})
@@ -371,7 +345,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
                                  "", seconds, f"solver_error: {exc}"])
     header = ["n", "rep", "method", "lam", "delta", "bound", "bound_refined",
               "seconds", "status"]
-    _write_table(out / "sweep.csv", header, rows, _stamp(cfg))
+    write_table(out / "sweep.csv", header, rows, _file_meta(cfg))
 
     ok = [r for r in rows if r[8] == "ok"]
     summary = []
@@ -383,9 +357,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
                                 float(np.mean([r[4] for r in grp])),
                                 float(np.mean([r[5] for r in grp])),
                                 float(np.mean([r[7] for r in grp])), len(grp)])
-    _write_table(out / "sweep_summary.csv",
-                 ["n", "method", "lam", "mean_delta", "mean_bound",
-                  "mean_seconds", "reps_ok"], summary, _stamp(cfg))
+    write_table(out / "sweep_summary.csv",
+                ["n", "method", "lam", "mean_delta", "mean_bound",
+                 "mean_seconds", "reps_ok"], summary, _file_meta(cfg))
 
     slopes = {}
     slope_rows = []
@@ -396,9 +370,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
                                                 [r[col] for r in grp])
             slopes[(kind, quantity)] = slope
             slope_rows.append([kind, quantity, slope, intercept, used])
-    _write_table(out / "sweep_slopes.csv",
-                 ["method", "quantity", "slope", "intercept", "points"],
-                 slope_rows, _stamp(cfg))
+    write_table(out / "sweep_slopes.csv",
+                ["method", "quantity", "slope", "intercept", "points"],
+                slope_rows, _file_meta(cfg))
     _write_meta(out, cfg, "sweep", desk=desk, schedule=list(schedule))
     return {"rows": rows, "summary": summary, "slopes": slopes}
 
@@ -434,7 +408,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
                     rep_rows[name][5] = rep_rows[name][4] / oracle_row[4]
         rows.extend(rep_rows[name] for name in COMPARE_METHODS)
     header = ["rep", "method", "length", "covered", "seconds", "rel_time", "status"]
-    _write_table(out / "compare.csv", header, rows, _stamp(cfg))
+    write_table(out / "compare.csv", header, rows, _file_meta(cfg))
 
     summary = []
     stats = {}
@@ -455,10 +429,10 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
         summary.append([name, record["mean_length"], record["median_length"],
                         record["coverage"], record["mean_seconds"],
                         record["mean_rel_time"], record["reps_ok"]])
-    _write_table(out / "compare_summary.csv",
-                 ["method", "mean_length", "median_length", "coverage",
-                  "mean_seconds", "mean_rel_time", "reps_ok"],
-                 summary, _stamp(cfg))
+    write_table(out / "compare_summary.csv",
+                ["method", "mean_length", "median_length", "coverage",
+                 "mean_seconds", "mean_rel_time", "reps_ok"],
+                summary, _file_meta(cfg))
     _write_meta(out, cfg, "compare")
     return {"rows": rows, "stats": stats}
 
@@ -525,15 +499,13 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     result = approx_pvalue_curves(X[d2_idx], Y[d2_idx], x_query, grid2, method,
                                   chosen, cfg.loss, cfg.kernel)
     region = region_from_curve(result.curve, cfg.alpha, "upper")
-    _write_table(out / "selection.csv",
-                 ["lam", "avg_upper_measure", "all_regions_full"],
-                 [[lam, avg, str(full_flags[lam])]
-                  for lam, avg in zip(cfg.lambda_grid, averages)],
-                 _stamp(cfg))
-    write_region_csv(out / "region.csv", result.curve, region,
-                     extras=_approx_extras(result.taus), meta=_file_meta(cfg))
-    write_region_json(out / "region.json", region, cfg.alpha, cfg.method,
-                      meta={**_file_meta(cfg), "lam": chosen})
+    write_table(out / "selection.csv",
+                ["lam", "avg_upper_measure", "all_regions_full"],
+                [[lam, avg, str(full_flags[lam])]
+                 for lam, avg in zip(cfg.lambda_grid, averages)],
+                _file_meta(cfg))
+    _write_region(out, cfg, result.curve, region, _approx_extras(result.taus),
+                  lam=chosen)
     _write_meta(out, cfg, "select-lambda", lam_chosen=chosen,
                 averages=dict(zip(map(str, cfg.lambda_grid), averages)))
     return {"lam": chosen, "averages": averages, "region": region,
@@ -561,8 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config's master seed")
         sp.add_argument("--out", type=Path, default=Path("results"),
                         help="output directory (created if missing)")
-        sp.add_argument("--desk", action="store_true",
-                        help="small-n preset for quick runs (sweep schedule)")
+        if name == "sweep":
+            sp.add_argument("--desk", action="store_true",
+                            help="small-n preset for quick runs (n schedule 32 to 256)")
     return parser
 
 

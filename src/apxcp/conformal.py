@@ -8,15 +8,13 @@ Lebesgue measures of the discretized set (step times cell count).
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
+from .data_io import write_json, write_table
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
 from .solver import (Predictor, SolverError, WeightedProblem, anchor_y_weights,
@@ -52,6 +50,10 @@ class YGrid:
         """Default grid: the observed output range padded by margin*range
         on each side, so regions are unlikely to be clipped."""
         Y = np.asarray(Y, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(Y))
+        if bad.size:
+            raise ValueError(f"targets must be finite, got {Y[bad[:5]].tolist()} "
+                             f"at indices {bad[:5].tolist()} ({bad.size} in all)")
         lo, hi = float(Y.min()), float(Y.max())
         span = hi - lo
         if span <= 0.0:
@@ -95,12 +97,11 @@ class PredictionRegion:
     measure: float
 
     @classmethod
-    def from_mask(cls, grid: YGrid, mask: np.ndarray,
-                  warn_clipped: bool = True) -> "PredictionRegion":
+    def from_mask(cls, grid: YGrid, mask: np.ndarray) -> "PredictionRegion":
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (grid.m,):
             raise ValueError("mask must match the grid size")
-        if warn_clipped and mask.size and (mask[0] or mask[-1]):
+        if mask.size and (mask[0] or mask[-1]):
             warnings.warn("prediction region touches the grid boundary and may be clipped",
                           RuntimeWarning, stacklevel=2)
         padded = np.r_[False, mask, False]
@@ -332,25 +333,12 @@ def write_region_csv(path, curve: PValueCurve, region: PredictionRegion,
     header = ["y", "upper_p", "lower_p", "in_region"] + list(extras)
     columns = [curve.grid.values, curve.upper, curve.lower,
                region.mask.astype(int)] + [np.asarray(v) for v in extras.values()]
-    with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else int(v) for v in row])
+    write_table(path, header, zip(*columns), meta)
 
 
 def write_region_json(path, region: PredictionRegion, alpha: float, method: str,
                       meta: dict | None = None) -> None:
     """Interval summary sidecar: intervals, measure, alpha, method."""
-    payload = {
-        "intervals": [[a, b] for a, b in region.intervals],
-        "measure": region.measure,
-        "alpha": alpha,
-        "method": method,
-    }
-    if meta:
-        payload.update(meta)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"intervals": [[a, b] for a, b in region.intervals],
+                      "measure": region.measure, "alpha": alpha,
+                      "method": method, **(meta or {})})

@@ -1,8 +1,14 @@
-"""Synthetic regression data and CSV persistence."""
+"""Synthetic regression data and file persistence.
+
+write_table and write_json are the only writers of output files: every
+CSV table and JSON sidecar of the package goes through them, so the
+comment-line stamp, the float format and the JSON layout live here.
+"""
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,19 +68,32 @@ def friedman1(n: int, noise_sd: float = 0.0, seed: int | None = None) -> Dataset
     return Dataset(X=X, Y=Y, meta=meta)
 
 
-def save_csv(path, dataset: Dataset, comment: str | None = None) -> None:
-    """Write features and target with an x1..xd,y header. Floats use repr
-    so a round-trip is bit exact. An optional '#' comment line goes first;
-    load_csv skips it."""
-    path = Path(path)
-    d = dataset.X.shape[1]
-    with path.open("w", newline="") as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
+def write_table(path, header, rows, comment: dict | None = None) -> None:
+    """Write a CSV table: an optional '# k=v ...' comment line (keys
+    sorted), the header, then the rows, floats as their repr."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            stamp = " ".join(f"{k}={v}" for k, v in sorted(comment.items()))
+            fh.write(f"# {stamp}\n")
         writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(d)] + ["y"])
-        for row, y in zip(dataset.X, dataset.Y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+        writer.writerow(header)
+        # repr round-trips exactly; float() first so numpy floats print plainly
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write a JSON document, keys sorted and indented, newline-terminated."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def save_csv(path, dataset: Dataset, comment: dict | None = None) -> None:
+    """Write features and target with an x1..xd,y header, bit exact on a
+    round trip. An optional comment dict becomes a leading '#' line;
+    load_csv skips it."""
+    d = dataset.X.shape[1]
+    write_table(path, [f"x{j + 1}" for j in range(d)] + ["y"],
+                (list(row) + [y] for row, y in zip(dataset.X, dataset.Y)), comment)
 
 
 def load_csv(path) -> Dataset:

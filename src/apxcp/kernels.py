@@ -83,6 +83,11 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
     return float(np.exp(-gamma * (diff ** 2).sum()))
 
 
+def _retained(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues (ascending) above DEFAULT_CUTOFF * max."""
+    return w > DEFAULT_CUTOFF * max(float(w[-1]), 0.0)
+
+
 class GramMatrix:
     """Symmetric PSD kernel matrix over a point set.
 
@@ -154,7 +159,7 @@ class GramMatrix:
     def mu_star(self) -> float:
         """Smallest nonzero eigenvalue of K/n (zero = below the cutoff)."""
         w, _ = self.eigenpairs
-        keep = w > DEFAULT_CUTOFF * max(float(w[-1]), 0.0)
+        keep = _retained(w)
         if not keep.any():
             return 0.0
         return float(w[keep].min()) / self.n
@@ -163,8 +168,7 @@ class GramMatrix:
         """Orthogonal projection onto the span of retained eigenvectors."""
         vec = np.asarray(vec, dtype=float)
         w, V = self.eigenpairs
-        keep = w > DEFAULT_CUTOFF * max(float(w[-1]), 0.0)
-        Vr = V[:, keep]
+        Vr = V[:, _retained(w)]
         return Vr @ (Vr.T @ vec)
 
 
@@ -193,19 +197,14 @@ def gram_between(spec: KernelSpec, points, other) -> np.ndarray:
 
 
 def pseudo_inverse_apply(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Apply the spectral pseudo-inverse of a symmetric matrix to a vector.
+    """Apply the spectral pseudo-inverse of a symmetric array to a vector.
 
     Eigenvalues at or below DEFAULT_CUTOFF * max_eigenvalue are treated
-    as zero, so the result lives in the retained eigenspace. Accepts
-    either a GramMatrix (reusing its cached spectrum) or a plain
-    symmetric array.
+    as zero, so the result lives in the retained eigenspace.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if isinstance(matrix, GramMatrix):
-        w, V = matrix.eigenpairs
-    else:
-        w, V = np.linalg.eigh(np.asarray(matrix, dtype=float))
-    keep = w > DEFAULT_CUTOFF * max(float(w[-1]), 0.0)
+    w, V = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    keep = _retained(w)
     if not keep.any():
         return np.zeros_like(rhs)
     Vr = V[:, keep]

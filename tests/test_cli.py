@@ -2,7 +2,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +24,27 @@ from apxcp.losses import LossSpec
 # --- config plumbing ---
 
 def test_config_round_trip():
-    cfg = ExperimentConfig(kernel=KernelSpec("gaussian_rbf", 0.3),
-                           loss=LossSpec("pseudo_huber", 2.0),
-                           alpha=0.2, seed=5, n=64, method="local_stability",
-                           lambda_fixed=0.75, grid_lo=-3.0, grid_hi=3.0,
-                           lambda_grid=(0.1, 1.0), n_schedule=(8, 12, 16, 24))
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-    plain = ExperimentConfig()
-    assert ExperimentConfig.from_dict(plain.to_dict()) == plain
+    shared = dict(kernel=KernelSpec("gaussian_rbf", 0.3),
+                  loss=LossSpec("pseudo_huber", 2.0), alpha=0.2, z_anchor=1.5,
+                  seed=5, n=64, noise_sd=0.25, method="local_stability",
+                  data_csv="data.csv", grid_m=65, grid_lo=-3.0, grid_hi=3.0,
+                  grid_margin=0.125, lambda_grid=(0.1, 1.0),
+                  n_schedule=(8, 12, 16, 24), sweep_repetitions=2,
+                  sweep_grid_m=1001, compare_repetitions=7, split_fraction=0.4,
+                  cross_folds=3, d1_fraction=0.6)
+    fixed = ExperimentConfig(lambda_fixed=0.75, **shared)
+    rule = ExperimentConfig(lambda_c=2.0, lambda_r=0.25, **shared)
+    default = ExperimentConfig()
+    # between them the two configs move every field off its default; a
+    # fixed lambda replaces c and r in the file
+    for cfg, at_default in ((fixed, {"lambda_c", "lambda_r"}),
+                            (rule, {"lambda_fixed"})):
+        assert {f.name for f in fields(ExperimentConfig)
+                if getattr(cfg, f.name) == getattr(default, f.name)} == at_default
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert fixed.to_dict()["lambda_rule"] == {"fixed": 0.75}
+    assert rule.to_dict()["lambda_rule"] == {"c": 2.0, "r": 0.25}
+    assert ExperimentConfig.from_dict(default.to_dict()) == default
 
 
 def test_config_unknown_keys_rejected():
@@ -71,6 +84,10 @@ def test_config_validation(kwargs):
     ({"lo": -5}, "set together"),
     ({"lo": 2.0, "hi": -1.0}, "below"),
     ({"margin": -1.0}, "margin"),
+    ({"lo": -math.inf, "hi": math.inf}, "finite"),
+    ({"lo": 0.0, "hi": math.inf}, "finite"),
+    ({"margin": math.inf}, "finite"),
+    ({"margin": math.nan}, "finite"),
 ])
 def test_config_rejects_bad_grid(grid, message):
     with pytest.raises(ValueError, match=message):
@@ -377,6 +394,14 @@ def test_main_version(capsys):
 def test_parser_rejects_missing_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_desk_is_a_sweep_flag(capsys):
+    assert build_parser().parse_args(["sweep", "--desk"]).desk
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["region", "--desk"])
+    assert exc.value.code == 2
+    assert "--desk" in capsys.readouterr().err
 
 
 def test_default_lambda_grid_positive():

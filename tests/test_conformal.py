@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ def test_grid_from_targets_default_margin():
     assert g.m == 512
     assert g.lo == pytest.approx(0.0)  # min - 0.5*range
     assert g.hi == pytest.approx(8.0)  # max + 0.5*range
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_from_targets_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match=r"targets must be finite.*indices \[1\]"):
+        YGrid.from_targets([1.0, bad, 2.0])
 
 
 def test_grid_nearest_index_clips():
@@ -330,10 +337,11 @@ def test_empirical_coverage_full_and_empty():
     def generator(rng):
         return np.zeros((2, 1)), np.zeros(2), np.zeros(1), 0.5
 
-    full = empirical_coverage(
-        lambda X, Y, xq: PredictionRegion.from_mask(grid, np.ones(11, bool),
-                                                    warn_clipped=False),
-        generator, reps=13, alpha=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the full mask touches the edge
+        full = empirical_coverage(
+            lambda X, Y, xq: PredictionRegion.from_mask(grid, np.ones(11, bool)),
+            generator, reps=13, alpha=0.1)
     empty = empirical_coverage(
         lambda X, Y, xq: PredictionRegion.from_mask(grid, np.zeros(11, bool)),
         generator, reps=13, alpha=0.1)

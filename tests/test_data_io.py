@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from apxcp.data_io import Dataset, friedman1, load_csv, save_csv
+from apxcp.data_io import (Dataset, friedman1, load_csv, save_csv, write_json,
+                           write_table)
 
 from oracles import friedman1_mean
 
@@ -93,13 +94,31 @@ def test_split_query():
 def test_round_trip_exact(tmp_path):
     ds = friedman1(50, noise_sd=0.3, seed=12)
     path = tmp_path / "data.csv"
-    save_csv(path, ds, comment="generator=friedman1 seed=12")
+    save_csv(path, ds, comment={"generator": "friedman1", "seed": 12})
     loaded = load_csv(path)
     np.testing.assert_array_equal(loaded.X, ds.X)
     np.testing.assert_array_equal(loaded.Y, ds.Y)
     assert loaded.meta["source"] == str(path)
     first = path.read_text().splitlines()[0]
-    assert first.startswith("# ")
+    assert first == "# generator=friedman1 seed=12"
+
+
+def test_write_table_cells_and_stamp(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ["a", "b", "c", "d", "e"],
+                [[np.float64(0.5), 0.1, np.float32(0.25), 3, "ok"]],
+                {"version": "1", "config_hash": "abc"})
+    # numpy floats print as plain reprs, keys of the stamp sorted
+    assert path.read_text() == ("# config_hash=abc version=1\n"
+                                "a,b,c,d,e\n0.5,0.1,0.25,3,ok\n")
+    write_table(path, ["a"], [], None)
+    assert path.read_text() == "a\n"
+
+
+def test_write_json_layout(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"b": 1, "a": [0.5]})
+    assert path.read_text() == '{\n  "a": [\n    0.5\n  ],\n  "b": 1\n}\n'
 
 
 def test_single_row_file(tmp_path):
