@@ -18,13 +18,13 @@ from .conformal import (CoverageResult, PredictionRegion, PValueCurve, YGrid,
                         split_pvalues, split_region, write_region_csv,
                         write_region_json)
 from .data_io import Dataset, friedman1, load_csv, save_csv
-from .kernels import (KERNEL_FAMILIES, GramMatrix, KernelSpec, eval_kernel,
-                      gram, gram_between, pseudo_inverse_apply)
+from .kernels import (KERNEL_FAMILIES, GramMatrix, KernelSpec, gram,
+                      gram_between, pseudo_inverse_apply)
 from .losses import (LOSS_FAMILIES, LossSpec, SmoothnessConstants, loss_d,
                      loss_value, score, smoothness_constants)
 from .solver import (Predictor, SolverError, WeightedProblem,
                      anchor_y_weights, anchor_z_weights, augmented_problem,
-                     fit, gradient, hessian, predict, rkhs_norm_diff, risk)
+                     fit, gradient, hessian, rkhs_norm_diff, risk)
 
 __all__ = [
     "APPROX_KINDS", "ApproxCurveResult", "ApproxMethod", "CoverageResult",
@@ -33,11 +33,11 @@ __all__ = [
     "SmoothnessConstants", "SolverError", "TauProfile", "ThicknessBound",
     "WeightedProblem", "YGrid", "anchor_y_weights", "anchor_z_weights",
     "approx_pvalue_curves", "augmented_problem", "base_fit",
-    "conformal_pvalue", "cross_pvalues", "empirical_coverage", "eval_kernel", "fit", "friedman1",
-    "full_conformal_pvalues", "full_region_bruteforce", "gradient", "gram",
-    "gram_between", "hessian", "if_error_bound", "if_predictor",
-    "influence_direction", "influence_vector", "load_csv", "loss_d",
-    "loss_value", "oracle_pvalues", "oracle_region", "predict",
+    "conformal_pvalue", "cross_pvalues", "empirical_coverage", "fit",
+    "friedman1", "full_conformal_pvalues", "full_region_bruteforce",
+    "gradient", "gram", "gram_between", "hessian", "if_error_bound",
+    "if_predictor", "influence_direction", "influence_vector", "load_csv",
+    "loss_d", "loss_value", "oracle_pvalues", "oracle_region",
     "pseudo_inverse_apply", "region_from_curve", "rho1", "rho2",
     "rho_tilde1", "risk", "rkhs_norm_diff", "save_csv",
     "score", "smoothness_constants", "split_pvalues", "split_region",

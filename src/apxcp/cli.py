@@ -19,16 +19,17 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
 from .approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
-                     thickness_bound, thickness_gap)
+                     base_fit, thickness_bound, thickness_gap)
 from .conformal import (YGrid, cross_pvalues, full_conformal_pvalues,
                         oracle_pvalues, region_from_curve, split_pvalues,
                         write_region_csv, write_region_json)
@@ -65,34 +66,65 @@ def _log_ints(lo: int, hi: int, k: int) -> tuple[int, ...]:
 DEFAULT_SCHEDULE = _log_ints(128, 1024, 15)
 DESK_SCHEDULE = _log_ints(32, 256, 8)
 
-# The JSON config file: group -> key -> ExperimentConfig field, where group
-# None holds the top-level keys. from_dict and to_dict both walk this table.
-_SCHEMA: dict[str | None, dict[str, str]] = {
-    None: {name: name for name in (
-        "kernel", "loss", "alpha", "z_anchor", "seed", "n", "noise_sd",
-        "method", "data_csv", "lambda_grid", "n_schedule")},
-    "grid": {"m": "grid_m", "lo": "grid_lo", "hi": "grid_hi",
-             "margin": "grid_margin"},
-    "lambda_rule": {"fixed": "lambda_fixed", "c": "lambda_c", "r": "lambda_r"},
-    "sweep": {"repetitions": "sweep_repetitions", "grid_m": "sweep_grid_m"},
-    "compare": {"repetitions": "compare_repetitions",
-                "split_fraction": "split_fraction", "cross_folds": "cross_folds"},
-    "select": {"d1_fraction": "d1_fraction"},
+# The JSON config file: group -> key -> (ExperimentConfig field, type),
+# where group None holds the top-level keys. from_dict and to_dict walk
+# this table, and construction checks every field against its type: float
+# takes any finite real number, int any integer, (float,) and (int,) a
+# list of them; None passes where it is the field's default.
+_SCHEMA: dict[str | None, dict[str, tuple[str, object]]] = {
+    None: {"kernel": ("kernel", KernelSpec), "loss": ("loss", LossSpec),
+           "alpha": ("alpha", float), "z_anchor": ("z_anchor", float),
+           "seed": ("seed", int), "n": ("n", int),
+           "noise_sd": ("noise_sd", float), "method": ("method", str),
+           "data_csv": ("data_csv", str),
+           "lambda_grid": ("lambda_grid", (float,)),
+           "n_schedule": ("n_schedule", (int,))},
+    "grid": {"m": ("grid_m", int), "lo": ("grid_lo", float),
+             "hi": ("grid_hi", float), "margin": ("grid_margin", float)},
+    "lambda_rule": {"fixed": ("lambda_fixed", float),
+                    "c": ("lambda_c", float), "r": ("lambda_r", float)},
+    "sweep": {"repetitions": ("sweep_repetitions", int),
+              "grid_m": ("sweep_grid_m", int)},
+    "compare": {"repetitions": ("compare_repetitions", int),
+                "split_fraction": ("split_fraction", float),
+                "cross_folds": ("cross_folds", int)},
+    "select": {"d1_fraction": ("d1_fraction", float)},
 }
-# field -> (from JSON, to JSON) for the fields not stored as plain JSON values
-_JSON_FORM = {
-    "kernel": (KernelSpec.from_config, KernelSpec.to_config),
-    "loss": (LossSpec.from_config, LossSpec.to_config),
-    "lambda_grid": (lambda v: tuple(float(x) for x in v), list),
-    "n_schedule": (lambda v: tuple(int(x) for x in v), list),
-}
-_AS_IS = (lambda v: v, lambda v: v)
+# field -> (its key as the file spells it, type)
+_FIELDS = {name: (key if group is None else f"{group}.{key}", kind)
+           for group, keys in _SCHEMA.items()
+           for key, (name, kind) in keys.items()}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               dict: "an object"}
+# the types stored in the file as a JSON object, via from_config/to_config
+_SPECS = (KernelSpec, LossSpec)
+
+
+def _checked(label: str, kind, value):
+    """value if it has the given type, else a ValueError naming label.
+    Numbers come back as float or int, so equal configs hash equally; a
+    list type gives a tuple of its items."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{label} must be a list, got {value!r}")
+        return tuple(_checked(f"{label}[{i}]", kind[0], v)
+                     for i, v in enumerate(value))
+    if kind is float:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    elif kind is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, kind)
+    if not ok or isinstance(value, bool):
+        name = _KIND_NAMES.get(kind, f"a {kind.__name__}")
+        raise ValueError(f"{label} must be {name}, got {value!r}")
+    return kind(value) if kind in (float, int) else value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment settings; from_dict/to_dict read and write the
-    JSON file through _SCHEMA."""
+    JSON file through _SCHEMA, whose types construction checks."""
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
     loss: LossSpec = field(default_factory=LossSpec)
@@ -120,6 +152,10 @@ class ExperimentConfig:
     d1_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                object.__setattr__(self, f.name, _checked(*_FIELDS[f.name], value))
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (0.0 <= self.lambda_r < 1.0):
@@ -146,10 +182,6 @@ class ExperimentConfig:
             raise ValueError("noise_sd must be nonnegative")
         if (self.grid_lo is None) != (self.grid_hi is None):
             raise ValueError("grid.lo and grid.hi must be set together")
-        if not all(math.isfinite(v) for v in (self.grid_lo, self.grid_hi,
-                                              self.grid_margin) if v is not None):
-            raise ValueError(f"grid.lo, grid.hi and grid.margin must be finite, got "
-                             f"{self.grid_lo}, {self.grid_hi}, {self.grid_margin}")
         if self.grid_lo is not None and not self.grid_lo < self.grid_hi:
             raise ValueError(f"grid.lo must be below grid.hi, got "
                              f"[{self.grid_lo}, {self.grid_hi}]")
@@ -161,22 +193,26 @@ class ExperimentConfig:
         kw: dict = {}
         groups = set(_SCHEMA) - {None}
         for group, keys in _SCHEMA.items():
-            block = raw if group is None else raw.get(group) or {}
+            block = _checked(group or "config", dict,
+                             raw if group is None else raw.get(group) or {})
             unknown = set(block) - set(keys) - (groups if group is None else set())
             if unknown:
                 where = "config keys" if group is None else f"keys in {group!r}"
                 raise ValueError(f"unknown {where}: {sorted(unknown)}")
-            for key, name in keys.items():
+            for key, (name, kind) in keys.items():
                 if key in block:
-                    kw[name] = _JSON_FORM.get(name, _AS_IS)[0](block[key])
+                    value = block[key]
+                    kw[name] = (kind.from_config(_checked(key, dict, value))
+                                if kind in _SPECS else value)
         return cls(**kw)
 
     def to_dict(self) -> dict:
         out: dict = {}
         for group, keys in _SCHEMA.items():
             block = out if group is None else out.setdefault(group, {})
-            for key, name in keys.items():
-                block[key] = _JSON_FORM.get(name, _AS_IS)[1](getattr(self, name))
+            for key, (name, _) in keys.items():
+                value = getattr(self, name)
+                block[key] = value.to_config() if isinstance(value, _SPECS) else value
         rule = out["lambda_rule"]
         # a fixed lambda replaces the c * (n+1)^(-r) rule in the file
         if self.lambda_fixed is not None:
@@ -272,9 +308,10 @@ def _approx_extras(profile) -> dict:
 
 
 def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
-                  grid, lam, seed):
+                  grid, lam, seed, base=None):
     """Dispatch a method name to its p-value curve (plus tau columns when
-    the method carries envelopes); seed draws the split and cross folds."""
+    the method carries envelopes); seed draws the split and cross folds,
+    and an approximate method reuses base, the anchored fit, when given."""
     if method == "full":
         return full_conformal_pvalues(X, Y, x_query, grid, lam, cfg.loss,
                                       cfg.kernel), None
@@ -289,7 +326,7 @@ def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
                              cfg.cross_folds, seed=seed), None
     approx = ApproxMethod(method, cfg.z_anchor)
     result = approx_pvalue_curves(X, Y, x_query, grid, approx, lam,
-                                  cfg.loss, cfg.kernel)
+                                  cfg.loss, cfg.kernel, base=base)
     return result.curve, _approx_extras(result.taus)
 
 
@@ -310,8 +347,10 @@ def cmd_region(cfg: ExperimentConfig, out: Path) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
     """Thickness gap and theoretical bound across the n-schedule.
 
-    One row per (n, repetition, method); failures are recorded, not
-    raised. Slopes come from every successful row with a positive value.
+    One row per (n, repetition, method); the three methods share one base
+    fit, and each row's seconds count that fit plus the method's own
+    work. A failed fit is recorded in all three rows, not raised. Slopes
+    come from every successful row with a positive value.
     """
     schedule = DESK_SCHEDULE if desk else cfg.n_schedule
     if len(schedule) < 4:
@@ -324,25 +363,31 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
             ds = friedman1(n + 1, cfg.noise_sd, seed=(cfg.seed, n, rep))
             X, Y, x_query, _ = ds.split_query()
             grid = cfg.grid_for(Y, m=cfg.sweep_grid_m)
+            start = time.perf_counter()
+            try:
+                base = base_fit(X, Y, x_query, cfg.z_anchor, lam, cfg.loss,
+                                cfg.kernel)
+            except SolverError as exc:
+                seconds = time.perf_counter() - start
+                rows.extend([n, rep, kind, lam, float("nan"), float("nan"), "",
+                             seconds, f"solver_error: {exc}"]
+                            for kind in APPROX_KINDS)
+                continue
+            fit_seconds = time.perf_counter() - start
             for kind in APPROX_KINDS:
-                method = ApproxMethod(kind, cfg.z_anchor)
                 start = time.perf_counter()
-                try:
-                    result = approx_pvalue_curves(X, Y, x_query, grid, method,
-                                                  lam, cfg.loss, cfg.kernel)
-                    upper = region_from_curve(result.curve, cfg.alpha, "upper")
-                    lower = region_from_curve(result.curve, cfg.alpha, "lower")
-                    delta = thickness_gap(upper, lower)
-                    bound = thickness_bound(method, result.base.problem.gram,
-                                            constants, lam, result.taus.sup_tau())
-                    seconds = time.perf_counter() - start
-                    rows.append([n, rep, kind, lam, delta, bound.value,
-                                 "" if bound.refined is None else str(bound.refined),
-                                 seconds, "ok"])
-                except SolverError as exc:
-                    seconds = time.perf_counter() - start
-                    rows.append([n, rep, kind, lam, float("nan"), float("nan"),
-                                 "", seconds, f"solver_error: {exc}"])
+                method = ApproxMethod(kind, cfg.z_anchor)
+                result = approx_pvalue_curves(X, Y, x_query, grid, method, lam,
+                                              cfg.loss, cfg.kernel, base=base)
+                upper = region_from_curve(result.curve, cfg.alpha, "upper")
+                lower = region_from_curve(result.curve, cfg.alpha, "lower")
+                delta = thickness_gap(upper, lower)
+                bound = thickness_bound(method, base.problem.gram, constants,
+                                        lam, result.taus.sup_tau())
+                seconds = fit_seconds + time.perf_counter() - start
+                rows.append([n, rep, kind, lam, delta, bound.value,
+                             "" if bound.refined is None else str(bound.refined),
+                             seconds, "ok"])
     header = ["n", "rep", "method", "lam", "delta", "bound", "bound_refined",
               "seconds", "status"]
     write_table(out / "sweep.csv", header, rows, _file_meta(cfg))
@@ -379,28 +424,39 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     """Per-repetition region length, coverage, and time for every method,
-    with times normalized by the single-fit benchmark's."""
+    with times normalized by the single-fit benchmark's. The approximate
+    methods share one base fit per repetition; their seconds count that
+    fit plus their own work, and a failed fit fails all three."""
     rows = []
     for rep in range(cfg.compare_repetitions):
         ds = friedman1(cfg.n, cfg.noise_sd, seed=(cfg.seed, rep))
         X, Y, x_query, y_true = ds.split_query()
         grid = cfg.grid_for(Y)
         lam = cfg.lambda_for(Y.size + 1)
+        start = time.perf_counter()
+        try:
+            base, fit_error = base_fit(X, Y, x_query, cfg.z_anchor, lam,
+                                       cfg.loss, cfg.kernel), None
+        except SolverError as exc:
+            base, fit_error = None, exc
+        fit_seconds = time.perf_counter() - start
         rep_rows = {}
         for name, method in COMPARE_METHODS.items():
+            shared = method in APPROX_KINDS
             start = time.perf_counter()
             try:
+                if shared and fit_error is not None:
+                    raise fit_error
                 curve, _ = _pvalue_curve(cfg, method, X, Y, x_query, y_true,
-                                         grid, lam, (cfg.seed, rep, 1))
+                                         grid, lam, (cfg.seed, rep, 1), base)
                 region = region_from_curve(curve, cfg.alpha, "upper")
-                seconds = time.perf_counter() - start
-                rep_rows[name] = [rep, name, region.measure,
-                                  int(region.contains(y_true)), seconds,
-                                  float("nan"), "ok"]
+                length, covered, status = (region.measure,
+                                           int(region.contains(y_true)), "ok")
             except SolverError as exc:
-                seconds = time.perf_counter() - start
-                rep_rows[name] = [rep, name, float("nan"), 0, seconds,
-                                  float("nan"), f"solver_error: {exc}"]
+                length, covered, status = float("nan"), 0, f"solver_error: {exc}"
+            seconds = time.perf_counter() - start + (fit_seconds if shared else 0.0)
+            rep_rows[name] = [rep, name, length, covered, seconds, float("nan"),
+                              status]
         oracle_row = rep_rows["OracleCP"]
         if oracle_row[6] == "ok" and oracle_row[4] > 0:
             for name in COMPARE_METHODS:

@@ -54,8 +54,8 @@ def friedman1(n: int, noise_sd: float = 0.0, seed: int | None = None) -> Dataset
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    if not (noise_sd >= 0 and np.isfinite(noise_sd)):
+        raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, 10))
     Y = (10.0 * np.sin(np.pi * X[:, 0] * X[:, 1])

@@ -67,20 +67,9 @@ class KernelSpec:
 
     @classmethod
     def from_config(cls, obj: dict) -> "KernelSpec":
-        return cls(family=obj["family"], bandwidth=obj["bandwidth"])
-
-
-def eval_kernel(spec: KernelSpec, x, x2) -> float:
-    """Evaluate k(x, x2) for a single pair of points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape or x.ndim != 1:
-        raise ValueError(f"points must be vectors of equal dimension, got shapes {x.shape} and {x2.shape}")
-    gamma = spec.resolve_bandwidth(x.size)
-    diff = x - x2
-    if spec.family == "laplacian":
-        return float(np.exp(-gamma * np.abs(diff).sum()))
-    return float(np.exp(-gamma * (diff ** 2).sum()))
+        """Spec from its JSON object: a missing key takes its default, an
+        unknown key raises TypeError."""
+        return cls(**obj)
 
 
 def _retained(w: np.ndarray) -> np.ndarray:
@@ -154,15 +143,6 @@ class GramMatrix:
                         )
                     self._eig = (w, V)
         return self._eig
-
-    @property
-    def mu_star(self) -> float:
-        """Smallest nonzero eigenvalue of K/n (zero = below the cutoff)."""
-        w, _ = self.eigenpairs
-        keep = _retained(w)
-        if not keep.any():
-            return 0.0
-        return float(w[keep].min()) / self.n
 
     def project_onto_range(self, vec: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of retained eigenvectors."""

@@ -47,7 +47,9 @@ class LossSpec:
 
     @classmethod
     def from_config(cls, obj: dict) -> "LossSpec":
-        return cls(family=obj["family"], a=obj.get("a", 1.0), t=obj.get("t", 0.5))
+        """Spec from its JSON object: a missing key takes its default, an
+        unknown key raises TypeError."""
+        return cls(**obj)
 
 
 @dataclass(frozen=True)

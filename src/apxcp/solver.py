@@ -236,15 +236,6 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         a, grad_norm)
 
 
-def predict(p: Predictor, kernel_row: np.ndarray) -> float:
-    """Evaluate the fitted function at a point given its kernel row
-    (k(X_1, x), ..., k(X_query, x))."""
-    row = np.asarray(kernel_row, dtype=float)
-    if row.shape != p.coeffs.shape:
-        raise ValueError(f"kernel row must have length {p.coeffs.size}, got {row.shape}")
-    return float(p.coeffs @ row)
-
-
 def rkhs_norm_diff(a1: np.ndarray, a2: np.ndarray, gram: GramMatrix) -> float:
     """RKHS norm of the difference of two coefficient vectors,
     sqrt((a1 - a2)^T K (a1 - a2)), clamped at zero."""

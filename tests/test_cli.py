@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apxcp.approx import ApproxMethod, approx_pvalue_curves
+from apxcp import approx
+from apxcp.approx import APPROX_KINDS, ApproxMethod, approx_pvalue_curves
 from apxcp.cli import (COMPARE_METHODS, DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE,
                        DESK_SCHEDULE, REGION_METHODS, ExperimentConfig,
                        _ols_slope, build_parser, cmd_compare, cmd_gen_data,
@@ -19,6 +20,7 @@ from apxcp.conformal import (cross_pvalues, full_conformal_pvalues,
 from apxcp.data_io import friedman1, load_csv
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
+from apxcp.solver import SolverError
 
 
 # --- config plumbing ---
@@ -54,6 +56,11 @@ def test_config_unknown_keys_rejected():
         ExperimentConfig.from_dict({"grid": {"cells": 100}})
     with pytest.raises(ValueError, match="lambda_rule"):
         ExperimentConfig.from_dict({"lambda_rule": {"exponent": 0.33}})
+    # a misspelt key must not fall back to the default silently
+    with pytest.raises(TypeError, match="famly"):
+        ExperimentConfig.from_dict({"kernel": {"famly": "gaussian_rbf"}})
+    with pytest.raises(TypeError, match="scale"):
+        ExperimentConfig.from_dict({"loss": {"scale": 2.0}})
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -74,10 +81,60 @@ def test_config_unknown_keys_rejected():
     {"noise_sd": -0.5},
     {"sweep_repetitions": 0},
     {"compare_repetitions": 0},
+    {"n": True},
+    {"seed": None},
+    {"method": 3},
+    {"kernel": "laplacian"},
+    {"n_schedule": (8, 12.0, 16, 24)},
+    {"noise_sd": math.nan},
+    {"lambda_c": math.nan},
+    {"lambda_fixed": math.inf},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"n": "20"}, "n must be an integer, got '20'"),
+    ({"alpha": "0.1"}, "alpha must be a finite number"),
+    ({"lambda_grid": 0.5}, "lambda_grid must be a list"),
+    ({"lambda_grid": [0.5, math.inf]}, r"lambda_grid\[1\] must be a finite number"),
+    ({"grid": {"m": 2.5}}, "grid.m must be an integer"),
+    ({"lambda_rule": {"fixed": math.nan}}, "lambda_rule.fixed must be a finite"),
+    ({"z_anchor": math.nan}, "z_anchor must be a finite"),
+    ({"grid": 5}, "grid must be an object"),
+    ({"kernel": "laplacian"}, "kernel must be an object"),
+])
+def test_config_type_errors_name_the_key(raw, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, want", [
+    ({"kernel": {"family": "gaussian_rbf"}}, KernelSpec("gaussian_rbf", "auto")),
+    ({"kernel": {"bandwidth": 0.5}}, KernelSpec("laplacian", 0.5)),
+    ({"kernel": {}}, KernelSpec()),
+    ({"loss": {"a": 2.0, "t": 0.25}}, LossSpec("logcosh", 2.0, 0.25)),
+    ({"loss": {"family": "pseudo_huber"}}, LossSpec("pseudo_huber")),
+    ({"loss": {}}, LossSpec()),
+])
+def test_config_spec_keys_default(raw, want):
+    cfg = ExperimentConfig.from_dict(raw)
+    assert (cfg.kernel if "kernel" in raw else cfg.loss) == want
+
+
+def test_config_numbers_are_normalized():
+    cfg = ExperimentConfig.from_dict({"lambda_grid": [1, 2.5],
+                                      "n_schedule": [8, 12, 16, 24],
+                                      "noise_sd": 0, "n": np.int64(30)})
+    assert cfg.lambda_grid == (1.0, 2.5)
+    assert all(type(v) is float for v in cfg.lambda_grid)
+    assert cfg.n_schedule == (8, 12, 16, 24)
+    assert type(cfg.noise_sd) is float and type(cfg.n) is int
+    # an integer where a float is expected hashes like the float
+    assert (ExperimentConfig(noise_sd=0).config_hash()
+            == ExperimentConfig(noise_sd=0.0).config_hash())
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -304,6 +361,66 @@ def test_sweep_small_schedule(tmp_path):
     slope_lines = (tmp_path / "sweep_slopes.csv").read_text().splitlines()
     assert slope_lines[0].startswith("# config_hash=")
     assert slope_lines[1] == "method,quantity,slope,intercept,points"
+
+
+def _count_fits(monkeypatch, fail_on=None):
+    """Record every fit the approximate methods make; call number fail_on
+    (1-based) raises SolverError instead."""
+    calls = []
+    real_fit = approx.fit
+
+    def counted(problem, *args, **kwargs):
+        calls.append(problem)
+        if len(calls) == fail_on:
+            raise SolverError("injected failure", np.zeros(problem.gram.n), 1.0)
+        return real_fit(problem, *args, **kwargs)
+
+    monkeypatch.setattr(approx, "fit", counted)
+    return calls
+
+
+SWEEP_CFG = ExperimentConfig(n_schedule=(8, 12, 16, 24), sweep_repetitions=1,
+                             sweep_grid_m=2001, seed=0)
+COMPARE_CFG = ExperimentConfig(n=30, compare_repetitions=2, grid_m=201, seed=1)
+
+
+@pytest.mark.parametrize("command, cfg, problems", [
+    (cmd_sweep, SWEEP_CFG, 4),      # one per n of the schedule
+    (cmd_compare, COMPARE_CFG, 2),  # one per repetition
+])
+def test_one_base_fit_per_problem(tmp_path, monkeypatch, command, cfg, problems):
+    calls = _count_fits(monkeypatch)
+    command(cfg, tmp_path)
+    assert len(calls) == problems
+
+
+def test_sweep_failed_base_fit_fails_its_three_rows(tmp_path, monkeypatch):
+    _count_fits(monkeypatch, fail_on=2)  # the n=12 problem
+    result = cmd_sweep(SWEEP_CFG, tmp_path)
+    rows = result["rows"]
+    assert len(rows) == 4 * 3
+    for n, _, kind, _, delta, bound, _, seconds, status in rows:
+        if n == 12:
+            assert status == "solver_error: injected failure", kind
+            assert math.isnan(delta) and math.isnan(bound)
+        else:
+            assert status == "ok", (n, kind)
+        assert seconds >= 0.0
+    assert {r[0] for r in result["summary"]} == {8, 16, 24}
+
+
+def test_compare_failed_base_fit_fails_the_approximate_rows(tmp_path, monkeypatch):
+    _count_fits(monkeypatch, fail_on=2)  # repetition 1
+    result = cmd_compare(COMPARE_CFG, tmp_path)
+    for rep, name, length, _, _, rel_time, status in result["rows"]:
+        if rep == 1 and COMPARE_METHODS[name] in APPROX_KINDS:
+            assert status == "solver_error: injected failure", name
+            assert math.isnan(length) and math.isnan(rel_time)
+        else:
+            assert status == "ok", (rep, name)
+    reps_ok = {name: rec["reps_ok"] for name, rec in result["stats"].items()}
+    assert reps_ok == {"SplitCP": 2, "UStableCP": 1, "LocStableCP": 1,
+                       "InfluenceFunctionCP": 1, "OracleCP": 2}
 
 
 def test_sweep_requires_four_schedule_points(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,13 @@ def test_generator_validation():
         friedman1(0)
     with pytest.raises(ValueError, match="noise_sd"):
         friedman1(5, noise_sd=-1.0)
+
+
+@pytest.mark.parametrize("noise_sd", [math.nan, math.inf])
+def test_generator_rejects_nonfinite_noise(noise_sd):
+    # a nan noise_sd used to skip the noise draw and return noiseless data
+    with pytest.raises(ValueError, match="noise_sd must be finite"):
+        friedman1(5, noise_sd=noise_sd)
 
 
 def test_generator_metadata():

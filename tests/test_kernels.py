@@ -7,31 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apxcp.kernels import (DEFAULT_CUTOFF, GramMatrix, KernelSpec, eval_kernel,
-                           gram, gram_between, pseudo_inverse_apply)
+from apxcp.kernels import (DEFAULT_CUTOFF, GramMatrix, KernelSpec, gram,
+                           gram_between, pseudo_inverse_apply)
 
 from oracles import laplacian_gram
 
 
+def _k(spec, x, x2):
+    """k(x, x2), read off the Gram matrix of the two points."""
+    return gram(spec, [x, x2]).entries[0, 1]
+
+
 def test_eval_kernel_same_point_is_one():
     spec = KernelSpec("laplacian", 1.0)
-    assert eval_kernel(spec, [0.3, -2.0], [0.3, -2.0]) == 1.0
+    assert _k(spec, [0.3, -2.0], [0.3, -2.0]) == 1.0
 
 
 def test_eval_kernel_laplacian_unit_distance():
     spec = KernelSpec("laplacian", 1.0)
-    assert eval_kernel(spec, [0.0], [1.0]) == pytest.approx(math.exp(-1), rel=1e-15)
+    assert _k(spec, [0.0], [1.0]) == pytest.approx(math.exp(-1), rel=1e-15)
 
 
 def test_eval_kernel_gaussian():
     spec = KernelSpec("gaussian_rbf", 0.5)
     # squared euclidean distance 2, times bandwidth 0.5
-    assert eval_kernel(spec, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(math.exp(-1), rel=1e-15)
-
-
-def test_eval_kernel_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        eval_kernel(KernelSpec(), [0.0], [0.0, 1.0])
+    assert _k(spec, [0.0, 0.0], [1.0, 1.0]) == pytest.approx(math.exp(-1), rel=1e-15)
 
 
 def test_bandwidth_auto_resolves_to_reciprocal_dim():
@@ -65,8 +65,8 @@ def test_gram_single_point():
 def test_gram_two_identical_points():
     G = gram(KernelSpec(), [[0.2, 0.4], [0.2, 0.4]])
     assert np.array_equal(G.entries, np.ones((2, 2)))
-    # rank one: single nonzero eigenvalue 2, so min nonzero of K/2 is 1
-    assert G.mu_star == pytest.approx(1.0)
+    # rank one: a single nonzero eigenvalue, 2
+    np.testing.assert_allclose(G.eigenpairs[0], [0.0, 2.0], atol=1e-15)
 
 
 def test_gram_empty_rejected():
@@ -140,12 +140,6 @@ def test_pseudo_inverse_reconstruction_property(k, seed):
         H @ pseudo_inverse_apply(H, H[:, j]) for j in range(n)])
     scale = max(np.linalg.norm(H), 1.0)
     assert np.linalg.norm(recon - H) <= 1e-9 * scale
-
-
-def test_mu_star_of_scaled_identity_like():
-    # two far-apart points: K approx identity, eigenvalues approx 1, mu* approx 1/2
-    G = gram(KernelSpec("laplacian", 1.0), [[0.0], [60.0]])
-    assert G.mu_star == pytest.approx(0.5, rel=1e-6)
 
 
 def test_project_onto_range_idempotent():

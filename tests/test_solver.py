@@ -3,10 +3,9 @@ import pytest
 
 from apxcp.kernels import GramMatrix, KernelSpec, gram
 from apxcp.losses import LossSpec
-from apxcp.solver import (Predictor, SolverError, WeightedProblem,
-                          anchor_y_weights, anchor_z_weights,
-                          augmented_problem, fit, gradient, hessian, predict,
-                          risk, rkhs_norm_diff)
+from apxcp.solver import (SolverError, WeightedProblem, anchor_y_weights,
+                          anchor_z_weights, augmented_problem, fit, gradient,
+                          hessian, risk, rkhs_norm_diff)
 
 from oracles import central_difference, ridge_closed_form
 
@@ -143,7 +142,8 @@ def test_strong_convexity_witness():
             keep = w > 1e-12 * w.max()
             Vr = V[:, keep]
             restricted = Vr.T @ H @ Vr
-            floor = 2 * lam * problem.gram.mu_star * (n + 1)
+            # mu* is the smallest retained eigenvalue of K/(n+1)
+            floor = 2 * lam * w[keep].min()
             assert np.linalg.eigvalsh(restricted).min() >= floor - 1e-8
 
 
@@ -224,18 +224,6 @@ def test_anchor_weights_drive_targets():
     np.testing.assert_allclose(fit(pu).coeffs, fit(pw).coeffs, atol=1e-12)
 
 
-def test_predict_examples():
-    G = gram(KERNEL, [[0.0], [1.5]])
-    problem = WeightedProblem(G, np.array([1.0]), (0.0, 0.0),
-                              anchor_z_weights(1), 1.0, LossSpec())
-    p = Predictor(np.array([1.0, 0.0]), problem, True, 0.0, 0)
-    np.testing.assert_allclose(predict(p, G.entries[:, 0]), G.entries[0, 0])
-    assert predict(Predictor(np.zeros(2), problem, True, 0.0, 0),
-                   np.array([3.0, 4.0])) == 0.0
-    with pytest.raises(ValueError, match="length"):
-        predict(p, np.ones(3))
-
-
 def test_rkhs_norm_diff_examples():
     G2 = GramMatrix(np.eye(2))
     assert rkhs_norm_diff(np.array([1.0, 2.0]), np.array([1.0, 2.0]), G2) == 0.0
@@ -250,7 +238,7 @@ def test_query_prediction_matches_predict():
     problem = _random_problem(rng, n=5)
     pred = fit(problem)
     assert pred.query_prediction() == pytest.approx(
-        predict(pred, problem.gram.query_column), rel=1e-14)
+        float(pred.coeffs @ problem.gram.query_column), rel=1e-14)
 
 
 def test_coeffs_live_in_range_of_gram():
