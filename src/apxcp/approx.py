@@ -15,10 +15,11 @@ envelopes tau are provided:
 Every envelope factors as tau_i(y) = scale[i] * radial(y), where scale
 carries the kernel diagonal and the levels differ only in the stability
 radius radial(y); tau_profile builds a level's envelope in that form, and
-if_error_bound reuses the level-2 radius. Upper and lower p-value curves
-built from the envelopes sandwich the exact full conformal region; the
-grid measure of their difference is the thickness gap diagnostic, with
-closed-form theoretical bounds alongside.
+if_error_bound reads the level-2 radius from it. One loss-derivative gap
+at the query prediction gives the local radius and the influence update.
+Upper and lower p-value curves built from the envelopes sandwich the
+exact full conformal region; the grid measure of their difference is the
+thickness gap diagnostic, with closed-form theoretical bounds alongside.
 
 The curves of all three levels come from one scan over the data scores
 sorted once: a grid point decides every data index by its sorted base
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import PredictionRegion, PValueCurve, YGrid
+from .conformal import PredictionRegion, PValueCurve, YGrid, _rank_pvalues
 from .kernels import GramMatrix, KernelSpec, pseudo_inverse_apply
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
 from .solver import (Predictor, anchor_z_weights, augmented_problem, fit,
@@ -107,11 +108,18 @@ class TauProfile:
         return float(self.scale.max() * self.radial.max())
 
 
+def _derivative_gap(y, z, base: Predictor, loss: LossSpec):
+    """Loss-derivative gap d1(z) - d1(y) at the base fit's query
+    prediction: the local radius is half its size, and it scales the
+    influence-function coefficient update."""
+    m_q = base.query_prediction()
+    return loss_d(loss, 1, z, m_q) - loss_d(loss, 1, y, m_q)
+
+
 def rho1(y, z: float, base: Predictor, loss: LossSpec):
     """Local stability radius: half the derivative gap between the two
     anchor outputs at the base fit's query prediction. Never exceeds rho."""
-    m_q = base.query_prediction()
-    return 0.5 * np.abs(loss_d(loss, 1, y, m_q) - loss_d(loss, 1, z, m_q))
+    return 0.5 * np.abs(_derivative_gap(y, z, base, loss))
 
 
 def influence_direction(base: Predictor) -> np.ndarray:
@@ -142,9 +150,7 @@ def if_predictor(y: float, z: float, base: Predictor,
     """
     if direction is None:
         direction = influence_direction(base)
-    m_q = base.query_prediction()
-    loss = base.problem.loss
-    c = loss_d(loss, 1, float(z), m_q) - loss_d(loss, 1, float(y), m_q)
+    c = _derivative_gap(float(y), float(z), base, base.problem.loss)
     return base.coeffs + (c / base.problem.gram.n) * direction
 
 
@@ -161,11 +167,6 @@ def rho2(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_tild
     curvature = float(np.mean(gram.diagonal ** 1.5))
     return (0.5 * constants.xi * np.sqrt(kqq) * curvature * rho1_tilde ** 2
             + 2.0 * lam * kqq * constants.beta2 * rho1_tilde)
-
-
-def _if_radius(np1: int, lam: float, r1, r2):
-    """min(rho2/(lam^3 (n+1)^2), 2*rho1/(lam (n+1)))."""
-    return np.minimum(r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1))
 
 
 def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
@@ -188,16 +189,16 @@ def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
         return TauProfile(scale, r1 / (lam * np1), rho1=r1)
     rt = rho_tilde1(gram, constants, lam, r1)
     r2 = rho2(gram, constants, lam, rt)
-    return TauProfile(scale, _if_radius(np1, lam, r1, r2), rho1=r1,
-                      rho1_tilde=rt, rho2=r2)
+    radial = np.minimum(r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1))
+    return TauProfile(scale, radial, rho1=r1, rho1_tilde=rt, rho2=r2)
 
 
 def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
     """RKHS-norm bound on exact refit minus influence-function predictor:
-    sqrt(K_qq) * min(rho2/(lam^3 (n+1)^2), 2*rho1/(lam (n+1)))."""
+    sqrt(K_qq) times tau_profile's level-2 radius, shaped like rho1_val."""
     r1 = np.asarray(rho1_val, dtype=float)
-    r2 = rho2(gram, constants, lam, rho_tilde1(gram, constants, lam, r1))
-    return np.sqrt(gram.diagonal[-1]) * _if_radius(gram.n, lam, r1, r2)
+    radius = tau_profile(2, gram, constants, lam, r1.size, r1).radial
+    return np.sqrt(gram.diagonal[-1]) * radius.reshape(r1.shape)
 
 
 def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
@@ -257,9 +258,7 @@ def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
 
     upper_counts = count_at_least(data_taus, test_scores - test_taus)
     lower_counts = count_at_least(-data_taus, test_scores + test_taus)
-    upper = (1.0 + upper_counts) / (n + 1.0)
-    lower = (1.0 + lower_counts) / (n + 1.0)
-    return upper, lower
+    return _rank_pvalues(upper_counts, n), _rank_pvalues(lower_counts, n)
 
 
 @dataclass(frozen=True)
@@ -280,6 +279,19 @@ def base_fit(X, Y, x_query, z: float, lam: float, loss: LossSpec,
     return fit(problem)
 
 
+def _check_base(base: Predictor, Y, z: float, lam: float, loss: LossSpec) -> None:
+    """Raise ValueError naming the first field in which the base fit's
+    problem differs from the z-anchored problem on Y."""
+    p, n = base.problem, Y.size
+    for field, same in (("Gram size", p.gram.n == n + 1),
+                        ("targets", np.array_equal(p.targets, Y)),
+                        ("lam", p.lam == lam), ("loss", p.loss == loss),
+                        ("anchors", p.anchors == (z, z)),
+                        ("weights", np.array_equal(p.weights, anchor_z_weights(n)))):
+        if not same:
+            raise ValueError(f"base fit belongs to another problem (mismatch in {field})")
+
+
 def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
                          lam: float, loss: LossSpec, kernel: KernelSpec,
                          base: Predictor | None = None) -> ApproxCurveResult:
@@ -290,7 +302,9 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     update per candidate. The data scores are sorted once and counted per
     grid point in O(log n) plus a short band scored exactly. The kernel
     must have a constant diagonal over the data inputs, as both families
-    do.
+    do. A supplied base fit with another Gram size, targets, lam, loss,
+    anchors or weights raises ValueError; other inputs X or another
+    kernel at the same size go undetected.
     """
     Y = np.asarray(Y, dtype=float)
     if not np.isfinite(Y).all():
@@ -299,24 +313,23 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     z = method.z_anchor
     if base is None:
         base = base_fit(X, Y, x_query, z, lam, loss, kernel)
+    else:
+        _check_base(base, Y, z, lam, loss)
     gram = base.problem.gram
-    preds = base.predictions()
-    m_q = float(preds[n])
     ys = grid.values
     level = method.level
+    gap = None if level == 0 else _derivative_gap(ys, z, base, loss)
     taus = tau_profile(level, gram, smoothness_constants(loss), lam, grid.m,
-                       None if level == 0 else rho1(ys, z, base, loss))
+                       None if gap is None else 0.5 * np.abs(gap))
     if level == 2:
-        direction = influence_direction(base)
-        k_dir = gram.entries @ direction
-        d1_z = loss_d(loss, 1, float(z), m_q)
-        coeff_shift = (d1_z - loss_d(loss, 1, ys, m_q)) / gram.n
+        k_dir = gram.entries @ influence_direction(base)
+        coeff_shift = gap / gram.n
     else:
         # levels 0 and 1 score every candidate with the base predictions
         k_dir = np.zeros(n + 1)
         coeff_shift = np.zeros(grid.m)
-    upper, lower = _sandwich_scan(Y, preds, k_dir, coeff_shift, taus.radial,
-                                  taus.scale, ys, DEFAULT_CHUNK)
+    upper, lower = _sandwich_scan(Y, base.predictions(), k_dir, coeff_shift,
+                                  taus.radial, taus.scale, ys, DEFAULT_CHUNK)
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
     return ApproxCurveResult(curve=curve, taus=taus, base=base)
 

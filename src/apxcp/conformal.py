@@ -9,7 +9,7 @@ Lebesgue measures of the discretized set (step times cell count).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from .data_io import write_json, write_table
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
-from .solver import (Predictor, SolverError, WeightedProblem, anchor_y_weights,
-                     anchor_z_weights, augmented_problem, fit)
+from .solver import (SolverError, anchor_y_weights, anchor_z_weights,
+                     augmented_problem, fit)
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,15 @@ def region_from_curve(curve: PValueCurve, alpha: float,
     return PredictionRegion.from_mask(curve.grid, pvals > alpha)
 
 
-def conformal_pvalue(train_scores, test_score: float) -> float:
-    """Rank-based p-value (1 + #{scores >= test}) / (n + 1), ties counted."""
-    scores = np.asarray(train_scores, dtype=float)
-    return (1.0 + int(np.sum(scores >= test_score))) / (scores.size + 1.0)
-
-
-def _count_at_least(sorted_scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _count_at_least(sorted_scores: np.ndarray, thresholds) -> np.ndarray:
     """#{s in scores : s >= t} for each threshold t, via binary search."""
     return sorted_scores.size - np.searchsorted(sorted_scores, thresholds, side="left")
+
+
+def _rank_pvalues(counts, n: int) -> np.ndarray:
+    """Rank p-values (1 + count) / (n + 1), count being the number of the
+    n calibration scores at least the test score (ties counted)."""
+    return (1.0 + counts) / (n + 1.0)
 
 
 def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
@@ -151,30 +151,24 @@ def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     Y = np.asarray(Y, dtype=float)
     n = Y.size
     weights = anchor_y_weights(n)
-    pvals = np.empty(grid.m)
+    counts = np.empty(grid.m, dtype=np.int64)
     init = None
     problem = None
     for j, y in enumerate(grid.values):
         y = float(y)
         problem = augmented_problem(X, Y, x_query, (y, y), weights, lam, loss, kernel) \
-            if problem is None else _with_anchors(problem, (y, y))
+            if problem is None else replace(problem, anchors=(y, y))
         try:
             pred = fit(problem, init=init)
         except SolverError as err:
             raise SolverError(f"refit failed at grid index {j} (y={y}): {err}",
                               err.coeffs, err.grad_norm) from err
         preds = pred.predictions()
-        scores = np.abs(Y - preds[:n])
-        pvals[j] = conformal_pvalue(scores, abs(y - preds[n]))
+        scores = np.sort(np.abs(Y - preds[:n]))
+        counts[j] = _count_at_least(scores, abs(y - preds[n]))
         init = pred.coeffs
+    pvals = _rank_pvalues(counts, n)
     return PValueCurve(grid=grid, upper=pvals, lower=pvals.copy())
-
-
-def _with_anchors(problem, anchors):
-    """Same problem, new anchor pair; reuses the Gram matrix and its cache."""
-    return WeightedProblem(gram=problem.gram, targets=problem.targets,
-                           anchors=anchors, weights=problem.weights,
-                           lam=problem.lam, loss=problem.loss)
 
 
 def full_region_bruteforce(X, Y, x_query, grid: YGrid, alpha: float, lam: float,
@@ -200,7 +194,7 @@ def oracle_pvalues(X, Y, x_query, y_true: float, grid: YGrid, lam: float,
     preds = pred.predictions()
     scores_sorted = np.sort(np.abs(Y - preds[:n]))
     test = np.abs(grid.values - preds[n])
-    pvals = (1.0 + _count_at_least(scores_sorted, test)) / (n + 1.0)
+    pvals = _rank_pvalues(_count_at_least(scores_sorted, test), n)
     return PValueCurve(grid, pvals, pvals.copy())
 
 
@@ -211,23 +205,19 @@ def oracle_region(X, Y, x_query, y_true: float, grid: YGrid, alpha: float,
         oracle_pvalues(X, Y, x_query, y_true, grid, lam, loss, kernel), alpha)
 
 
-def _subsample_fit(X, Y, keep_idx, x_query, lam: float, loss: LossSpec,
-                   kernel: KernelSpec) -> Predictor:
-    """Fit on a subset of the data (both anchors switched off)."""
-    X_keep = np.atleast_2d(np.asarray(X, dtype=float))[keep_idx]
-    Y_keep = np.asarray(Y, dtype=float)[keep_idx]
-    weights = np.r_[np.ones(Y_keep.size), 0.0, 0.0]
-    problem = augmented_problem(X_keep, Y_keep, x_query, (0.0, 0.0),
-                                weights, lam, loss, kernel)
-    return fit(problem)
-
-
-def _holdout_scores(pred: Predictor, X_keep, x_query, X_out, Y_out,
-                    kernel: KernelSpec) -> np.ndarray:
-    """Absolute residuals of a subset fit on held-out points."""
-    pts = np.vstack([np.atleast_2d(X_keep), np.atleast_2d(x_query)])
-    rows = gram_between(kernel, pts, np.atleast_2d(X_out))
-    return np.abs(np.asarray(Y_out, dtype=float) - pred.coeffs @ rows)
+def _holdout_counts(X, Y, keep, held_out, x_query, grid: YGrid, lam: float,
+                    loss: LossSpec, kernel: KernelSpec) -> np.ndarray:
+    """Fit the kept rows (both anchors switched off), score the held-out
+    rows by absolute residual, and count per grid point the held-out
+    scores at least |y - query prediction|."""
+    X_keep = X[keep]
+    weights = np.r_[np.ones(keep.size), 0.0, 0.0]
+    pred = fit(augmented_problem(X_keep, Y[keep], x_query, (0.0, 0.0), weights,
+                                 lam, loss, kernel))
+    pts = np.vstack([X_keep, np.atleast_2d(x_query)])
+    rows = gram_between(kernel, pts, X[held_out])
+    scores = np.sort(np.abs(Y[held_out] - pred.coeffs @ rows))
+    return _count_at_least(scores, np.abs(grid.values - pred.query_prediction()))
 
 
 def split_pvalues(X, Y, x_query, grid: YGrid, lam: float,
@@ -244,11 +234,8 @@ def split_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     n_train = min(max(int(round(split_fraction * n)), 1), n - 1)
     perm = np.random.default_rng(seed).permutation(n)
     train_idx, cal_idx = perm[:n_train], perm[n_train:]
-    pred = _subsample_fit(X, Y, train_idx, x_query, lam, loss, kernel)
-    cal_scores = np.sort(_holdout_scores(pred, X[train_idx], x_query,
-                                         X[cal_idx], Y[cal_idx], kernel))
-    test = np.abs(grid.values - pred.query_prediction())
-    pvals = (1.0 + _count_at_least(cal_scores, test)) / (cal_scores.size + 1.0)
+    counts = _holdout_counts(X, Y, train_idx, cal_idx, x_query, grid, lam, loss, kernel)
+    pvals = _rank_pvalues(counts, cal_idx.size)
     return PValueCurve(grid, pvals, pvals.copy())
 
 
@@ -279,12 +266,8 @@ def cross_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     counts = np.zeros(grid.m, dtype=np.int64)
     for fold in folds:
         keep = np.setdiff1d(perm, fold, assume_unique=True)
-        pred = _subsample_fit(X, Y, keep, x_query, lam, loss, kernel)
-        fold_scores = np.sort(_holdout_scores(pred, X[keep], x_query,
-                                              X[fold], Y[fold], kernel))
-        test = np.abs(grid.values - pred.query_prediction())
-        counts += _count_at_least(fold_scores, test)
-    pvals = (1.0 + counts) / (n + 1.0)
+        counts += _holdout_counts(X, Y, keep, fold, x_query, grid, lam, loss, kernel)
+    pvals = _rank_pvalues(counts, n)
     return PValueCurve(grid, pvals, pvals.copy())
 
 

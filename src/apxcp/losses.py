@@ -160,10 +160,3 @@ def smoothness_constants(spec: LossSpec) -> SmoothnessConstants:
         return SmoothnessConstants(rho=max(spec.t, 1.0 - spec.t), beta2=b, beta1=b, xi=xi)
     raise ValueError("the squared loss has unbounded first derivative; "
                      "no finite smoothness constants exist")
-
-
-def score(y, u):
-    """Non-conformity score s(y, u) = |y - u|, 1-Lipschitz in u."""
-    if np.isscalar(y) and np.isscalar(u):
-        return abs(float(y) - float(u))
-    return np.abs(np.asarray(y, dtype=float) - np.asarray(u, dtype=float))

@@ -73,6 +73,12 @@ def friedman1_mean(X: np.ndarray) -> np.ndarray:
             + 5.0 * X[:, 4])
 
 
+def conformal_pvalue(train_scores, test_score: float) -> float:
+    """Rank-based p-value (1 + #{scores >= test}) / (n + 1), ties counted."""
+    scores = np.asarray(train_scores, dtype=float)
+    return (1.0 + int(np.sum(scores >= test_score))) / (scores.size + 1.0)
+
+
 def pvalue_by_hand(train_scores, test_score) -> float:
     """Rank-based conformal p-value, spelled out with a python loop."""
     count = 0

@@ -11,7 +11,7 @@ from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
                           influence_direction, influence_vector, rho1, rho2,
                           rho_tilde1, tau_profile, thickness_bound,
                           thickness_gap)
-from apxcp.conformal import (PredictionRegion, YGrid, conformal_pvalue,
+from apxcp.conformal import (PredictionRegion, YGrid, full_conformal_pvalues,
                              region_from_curve)
 from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec
@@ -20,7 +20,8 @@ from apxcp.losses import (LossSpec, SmoothnessConstants, loss_d,
 from apxcp.solver import (WeightedProblem, anchor_y_weights, anchor_z_weights,
                           augmented_problem, fit, hessian, rkhs_norm_diff)
 
-from oracles import dense_sandwich_curves, laplacian_gram, sandwich_pvalues
+from oracles import (conformal_pvalue, dense_sandwich_curves, laplacian_gram,
+                     sandwich_pvalues)
 
 KERNEL = KernelSpec("laplacian", 0.5)
 LOGCOSH = LossSpec("logcosh")
@@ -309,7 +310,7 @@ def _scan_shift(res, kind, grid):
     if kind != "influence_function":
         return None, None
     n = res.base.problem.n
-    m_q = float(res.base.predictions()[n])
+    m_q = res.base.query_prediction()
     k_dir = res.base.problem.gram.entries @ influence_direction(res.base)
     shift = (loss_d(LOGCOSH, 1, 0.0, m_q)
              - loss_d(LOGCOSH, 1, grid.values, m_q)) / (n + 1)
@@ -441,6 +442,33 @@ def test_curves_reject_nonfinite_targets_with_supplied_base(bad):
                              KERNEL, base=base)
 
 
+_OTHER_BASES = {
+    # a fit of Y + 3 at lam 0.05 used to pass silently for a lam 0.5 call
+    # on Y, giving upper p-values off by up to 0.66
+    "targets": lambda X, Y, xq: base_fit(X, Y + 3.0, xq, 0.0, 0.05, LOGCOSH,
+                                         KERNEL),
+    "Gram size": lambda X, Y, xq: base_fit(X[:-1], Y[:-1], xq, 0.0, 0.5,
+                                           LOGCOSH, KERNEL),
+    "lam": lambda X, Y, xq: base_fit(X, Y, xq, 0.0, 0.05, LOGCOSH, KERNEL),
+    "loss": lambda X, Y, xq: base_fit(X, Y, xq, 0.0, 0.5,
+                                      LossSpec("pseudo_huber"), KERNEL),
+    "anchors": lambda X, Y, xq: base_fit(X, Y, xq, 1.0, 0.5, LOGCOSH, KERNEL),
+    "weights": lambda X, Y, xq: fit(augmented_problem(
+        X, Y, xq, (0.0, 0.0), anchor_y_weights(Y.size), 0.5, LOGCOSH, KERNEL)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_OTHER_BASES))
+def test_curves_name_the_field_a_supplied_base_fit_differs_in(field):
+    X, Y, xq, _ = _instance(16, 10)
+    base = _OTHER_BASES[field](X, Y, xq)
+    for kind in APPROX_KINDS:
+        with pytest.raises(ValueError, match=f"mismatch in {field}"):
+            approx_pvalue_curves(X, Y, xq, YGrid.from_targets(Y, m=21),
+                                 ApproxMethod(kind), 0.5, LOGCOSH, KERNEL,
+                                 base=base)
+
+
 def test_curves_reuse_supplied_base_fit():
     X, Y, xq, _ = _instance(16, 10)
     grid = YGrid.from_targets(Y, m=21)
@@ -495,6 +523,28 @@ def test_level_scores_are_sound_at_module_scale():
                 approx_scores[j, :n] = np.abs(Y - preds[:n])
                 approx_scores[j, n] = np.abs(y - preds[n])
         assert np.all(np.abs(exact_scores - approx_scores) <= taus + 1e-9), kind
+
+
+def test_every_level_brackets_exact_curve_where_regions_are_informative():
+    # at lam 0.01 with noisy targets the exact region is well inside the
+    # grid, unlike the default regime where every method covers ~30 units;
+    # no ordering between levels is asserted, since here the
+    # influence-function upper region can be longer than the uniform one
+    lam, alpha = 0.01, 0.1
+    kernel = KernelSpec("laplacian")  # bandwidth 1/d, as the CLI default
+    for seed in (0, 1, 2):
+        X, Y, xq, _ = friedman1(41, noise_sd=1.0, seed=seed).split_query()
+        grid = YGrid.from_targets(Y, m=200)
+        exact = full_conformal_pvalues(X, Y, xq, grid, lam, LOGCOSH, kernel)
+        region = region_from_curve(exact, alpha)
+        assert not (region.mask[0] or region.mask[-1]), seed
+        assert region.measure < 0.6 * (grid.hi - grid.lo), seed
+        base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
+        for kind in APPROX_KINDS:
+            res = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), lam,
+                                       LOGCOSH, kernel, base=base)
+            assert np.all(res.curve.lower <= exact.upper), (seed, kind)
+            assert np.all(exact.upper <= res.curve.upper), (seed, kind)
 
 
 # --- thickness ---

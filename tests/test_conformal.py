@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
-                             YGrid, conformal_pvalue, cross_pvalues,
-                             empirical_coverage,
+                             YGrid, _count_at_least, _rank_pvalues,
+                             cross_pvalues, empirical_coverage,
                              full_conformal_pvalues, full_region_bruteforce,
                              oracle_pvalues, oracle_region, region_from_curve,
                              split_region, write_region_csv, write_region_json)
@@ -17,7 +17,8 @@ from apxcp.data_io import friedman1
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
 
-from oracles import bruteforce_ridge_region, laplacian_gram, pvalue_by_hand
+from oracles import (bruteforce_ridge_region, conformal_pvalue, laplacian_gram,
+                     pvalue_by_hand)
 
 KERNEL = KernelSpec("laplacian", 0.5)
 LOGCOSH = LossSpec("logcosh")
@@ -67,22 +68,29 @@ def test_grid_nearest_index_clips():
 
 # --- p-values ---
 
+def _pvalue(scores, test: float) -> float:
+    """The package's rank p-value: one sorted count, one rank rule."""
+    scores = np.sort(np.asarray(scores, dtype=float))
+    return float(_rank_pvalues(_count_at_least(scores, test), scores.size))
+
+
 def test_pvalue_hand_example():
-    assert conformal_pvalue(np.array([0.5, 1.5, 2.5]), 1.0) == pytest.approx(0.75)
+    assert _pvalue([0.5, 1.5, 2.5], 1.0) == pytest.approx(0.75)
 
 
 def test_pvalue_all_ties():
-    assert conformal_pvalue(np.full(9, 2.0), 2.0) == 1.0
+    assert _pvalue(np.full(9, 2.0), 2.0) == 1.0
 
 
 def test_pvalue_empty_scores():
-    assert conformal_pvalue(np.zeros(0), 3.0) == 1.0
+    assert _pvalue(np.zeros(0), 3.0) == 1.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0, 100), max_size=20), st.floats(0, 100))
 def test_pvalue_matches_loop_oracle(scores, test):
-    p = conformal_pvalue(np.asarray(scores), test)
+    p = _pvalue(scores, test)
+    assert p == conformal_pvalue(scores, test)
     assert p == pytest.approx(pvalue_by_hand(scores, test))
     n = len(scores)
     assert round(p * (n + 1)) == pytest.approx(p * (n + 1))  # integer numerator

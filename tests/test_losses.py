@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apxcp.losses import (LOSS_FAMILIES, LossSpec, loss_d, loss_value, score,
+from apxcp.losses import (LOSS_FAMILIES, LossSpec, loss_d, loss_value,
                           smoothness_constants)
 
 from oracles import central_difference
@@ -206,19 +206,6 @@ def test_loss_minimum_at_equal_arguments():
     for spec in specs:
         y = 1.25
         assert loss_value(spec, y, y) <= np.min(loss_value(spec, y, y + u)) + 1e-15
-
-
-def test_score_examples():
-    assert score(3.0, 3.0) == 0.0
-    assert score(1.0, -2.0) == 3.0
-    assert score(0.5, 2.0) == 1.5
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
-def test_score_one_lipschitz_in_u(y, u1, u2):
-    slack = 1e-9 * (1 + abs(y) + abs(u1) + abs(u2))  # |y-u| cancellation noise
-    assert abs(score(y, u1) - score(y, u2)) <= abs(u1 - u2) + slack
 
 
 @settings(max_examples=100, deadline=None)
