@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import PredictionRegion, PValueCurve, YGrid, _rank_pvalues
-from .kernels import GramMatrix, KernelSpec, pseudo_inverse_apply
+from .kernels import GramMatrix, KernelSpec
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
-from .solver import (Predictor, anchor_z_weights, augmented_problem, fit,
-                     hessian)
+from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
+                     anchor_z_weights, augmented_problem, fit)
 
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
 _LEVEL = {"uniform_stability": 0, "local_stability": 1, "influence_function": 2}
@@ -124,16 +124,26 @@ def rho1(y, z: float, base: Predictor, loss: LossSpec):
 
 def influence_direction(base: Predictor) -> np.ndarray:
     """Pseudo-inverse of the base-fit risk Hessian applied to the query
-    kernel column. Computed once per base fit; every influence quantity
-    is a scalar multiple of this vector."""
-    H = hessian(base.problem, base.coeffs)
-    return pseudo_inverse_apply(H, base.problem.gram.query_column)
+    kernel column, H^+ K e_q. Computed once per base fit; every influence
+    quantity is a scalar multiple of this vector.
+
+    One solve in prediction space at the base fit's curvatures gives
+    (I + diag(W) K)^{-1} e_q / (2 lam), which H maps to K e_q; its
+    projection onto the range of K is H^+ K e_q.
+    """
+    problem = base.problem
+    e_q = np.zeros(problem.gram.n)
+    e_q[-1] = 1.0
+    d = _weighted_derivatives(problem, base.predictions(), 2)
+    x = _curvature_solve(problem, d, e_q) / (2.0 * problem.lam)
+    return problem.gram.project_onto_range(x)
 
 
 def influence_vector(z_prime: float, base: Predictor,
                      direction: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of the influence function at the perturbation output
-    z_prime: -(1/(n+1)) * d2loss(z_prime, query prediction) * direction."""
+    z_prime: -(1/(n+1)) * d1loss(z_prime, query prediction) * direction,
+    with d1loss the first derivative of the loss in its second argument."""
     if direction is None:
         direction = influence_direction(base)
     m_q = base.query_prediction()

@@ -2,8 +2,10 @@
 
 Two bounded translation-invariant kernel families are provided, both
 normalized so that k(x, x) = 1. The Gram matrix caches its symmetric
-eigendecomposition because the same spectrum is reused by the solver,
-the influence-function update, and the range projection.
+eigendecomposition, which serves only the projection onto its range: the
+solver's Newton steps and the influence-function solve factor the
+positive definite I + W^1/2 K W^1/2 instead (see solver._curvature_solve).
+pseudo_inverse_apply remains as a general spectral helper.
 """
 
 from __future__ import annotations

@@ -140,3 +140,63 @@ def dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir=None, shift=None,
             test_scores = np.abs(ys[sl] - shifted[:, n])
         upper[sl], lower[sl] = sandwich_pvalues(scores, test_scores, taus, test_taus)
     return upper, lower
+
+
+def eigh_newton_fit(problem, risk, gradient, hessian, init=None, max_iters=100):
+    """Damped Newton with the spectral pseudo-inverse step, the fit the
+    package's Newton step in prediction space replaces.
+
+    `problem` is read through its `gram.entries`, `n` and
+    `effective_targets()`; risk, gradient and hessian are the objective
+    and its derivatives, called as f(problem, a). Each step applies the
+    pseudo-inverse of the Hessian from a full eigendecomposition
+    (relative eigenvalue cutoff 1e-12), falls back to the gradient when
+    that fails to descend, backtracks by Armijo (constant 1e-4, at most 60
+    halvings) and projects onto the range of K. Returns (coeffs, n_iters,
+    grad_norm); raises RuntimeError when the line search stalls or the
+    iterations run out.
+    """
+    def retained_basis(matrix):
+        w, V = np.linalg.eigh(matrix)
+        return w, V, w > 1e-12 * max(float(w[-1]), 0.0)
+
+    K = problem.gram.entries
+    n = problem.n
+    _, VK, keepK = retained_basis(K)
+    Vr = VK[:, keepK]
+
+    def project(vec):
+        return Vr @ (Vr.T @ vec)
+
+    tol = 1e-10 * (1.0 + float(np.linalg.norm(problem.effective_targets())) / (n + 1))
+    a = np.zeros(n + 1) if init is None else project(np.asarray(init, dtype=float))
+    current = risk(problem, a)
+    grad_norm = np.inf
+    for it in range(1, max_iters + 1):
+        grad = gradient(problem, a)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= tol:
+            return a, it - 1, grad_norm
+        w, V, keep = retained_basis(hessian(problem, a))
+        direction = -(V[:, keep] @ ((V[:, keep].T @ grad) / w[keep])) if keep.any() \
+            else np.zeros_like(grad)
+        slope = float(grad @ direction)
+        if slope >= 0.0:
+            direction = -grad
+            slope = -grad_norm ** 2
+        noise = 32.0 * np.finfo(float).eps * (1.0 + abs(current))
+        step = 1.0
+        for _ in range(61):
+            candidate = project(a + step * direction)
+            value = risk(problem, candidate)
+            required = 1e-4 * step * slope
+            if value <= current + required or (-required <= noise
+                                               and value <= current + noise):
+                break
+            step *= 0.5
+        else:
+            raise RuntimeError(f"line search stalled at iteration {it} with "
+                               f"gradient norm {grad_norm:.3e}")
+        a, current = candidate, value
+    raise RuntimeError(f"no convergence after {max_iters} iterations, "
+                       f"gradient norm {grad_norm:.3e}")

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from apxcp import approx, conformal, kernels, solver
+from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec, gram
 from apxcp.losses import LossSpec
 from apxcp.solver import (SolverError, WeightedProblem, anchor_y_weights,
                           anchor_z_weights, augmented_problem, fit, gradient,
                           hessian, risk, rkhs_norm_diff)
 
-from oracles import central_difference, ridge_closed_form
+from oracles import central_difference, eigh_newton_fit, ridge_closed_form
 
 KERNEL = KernelSpec("laplacian", 1.0)
 
@@ -36,6 +40,17 @@ def test_problem_validation():
         WeightedProblem(G, Y, (0.0, 0.0), np.ones(4), 1.0, LossSpec())
     with pytest.raises(ValueError, match="targets"):
         WeightedProblem(G, np.ones(3), (0.0, 0.0), anchor_z_weights(3), 1.0, LossSpec())
+
+
+def test_problem_rejects_negative_weight_naming_its_index():
+    # a negative weight could make a curvature negative and the Newton
+    # system indefinite, so it is refused where the problem is built
+    G = gram(KERNEL, [[0.0], [1.0], [2.0]])
+    weights = np.array([1.0, -0.25, 1.0, 0.0])
+    with pytest.raises(ValueError, match=r"nonnegative, got -0\.25 at index 1"):
+        WeightedProblem(G, np.zeros(2), (0.0, 0.0), weights, 1.0, LossSpec())
+    weights = np.array([1.0, 1.0, 0.0, -0.0])
+    WeightedProblem(G, np.zeros(2), (0.0, 0.0), weights, 1.0, LossSpec())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -252,3 +267,97 @@ def test_coeffs_live_in_range_of_gram():
     pred = fit(problem)
     projected = problem.gram.project_onto_range(pred.coeffs)
     np.testing.assert_allclose(pred.coeffs, projected, atol=1e-10)
+
+
+def _oracle_fit(problem, init=None):
+    return eigh_newton_fit(problem, risk, gradient, hessian, init=init)
+
+
+def _assert_agrees_with_oracle(problem, pred, oracle_coeffs):
+    """Coefficients within 1e-10 relative; where K's eigenvalue ratio
+    exceeds 1e8 the coefficients are ill-determined in the last bits, so
+    predictions K a within 1e-10 relative instead."""
+    K = problem.gram.entries
+    w = np.linalg.eigvalsh(K)
+    if w[0] > 1e-8 * w[-1]:
+        rel = (np.linalg.norm(pred.coeffs - oracle_coeffs)
+               / np.linalg.norm(oracle_coeffs))
+    else:
+        rel = (np.linalg.norm(K @ (pred.coeffs - oracle_coeffs))
+               / np.linalg.norm(K @ oracle_coeffs))
+    assert rel <= 1e-10
+
+
+_LOSSES = (LossSpec("logcosh"), LossSpec("pseudo_huber"),
+           LossSpec("smoothed_pinball", a=0.5, t=0.3))
+
+
+@pytest.mark.parametrize("family", ["laplacian", "gaussian_rbf"])
+@pytest.mark.parametrize("loss", _LOSSES, ids=lambda loss: loss.family)
+def test_fit_agrees_with_eigh_newton_oracle(family, loss):
+    kernel = KernelSpec(family, "auto")
+    for n, seed in ((12, 0), (100, 1)):
+        X, Y, xq, _ = friedman1(n + 1, noise_sd=1.0, seed=seed).split_query()
+        for lam in (1e-4, 1e-2, 1.0, 10.0):
+            for anchors, weights in (((1.5, -40.0), anchor_z_weights(n)),
+                                     ((40.0, -1.5), anchor_y_weights(n))):
+                problem = augmented_problem(X, Y, xq, anchors, weights, lam,
+                                            loss, kernel)
+                pred = fit(problem)
+                oracle_coeffs, oracle_iters, _ = _oracle_fit(problem)
+                _assert_agrees_with_oracle(problem, pred, oracle_coeffs)
+                assert abs(pred.n_iters - oracle_iters) <= 1
+
+
+def test_fit_agrees_with_oracle_on_duplicate_rows():
+    # repeated inputs make K rank-deficient; B = I + W^1/2 K W^1/2 stays
+    # positive definite and the iterate stays in range(K)
+    rng = np.random.default_rng(14)
+    X = rng.uniform(size=(20, 3))
+    X = np.vstack([X, X[:6]])
+    Y = rng.normal(scale=3.0, size=26)
+    for loss in _LOSSES:
+        problem = augmented_problem(X, Y, X[2], (0.5, 0.5), anchor_z_weights(26),
+                                    0.05, loss, KERNEL)
+        w = np.linalg.eigvalsh(problem.gram.entries)
+        assert np.sum(w < 1e-12 * w[-1]) == 7  # six repeated rows and the query
+        pred = fit(problem)
+        oracle_coeffs, _, _ = _oracle_fit(problem)
+        K = problem.gram.entries
+        np.testing.assert_allclose(K @ pred.coeffs, K @ oracle_coeffs,
+                                   rtol=0, atol=1e-10 * np.abs(K @ oracle_coeffs).max())
+        np.testing.assert_allclose(pred.coeffs, problem.gram.project_onto_range(pred.coeffs),
+                                   atol=1e-12)
+
+
+def test_fit_converges_where_the_pseudo_inverse_step_stalls():
+    # the Hessian K diag(d) K/(n+1) + 2 lam K squares K's conditioning
+    # (eigenvalue ratio 4e11 at the optimum here, lam = 1e-6), and the eigh
+    # step loses the accuracy the line search needs near the optimum;
+    # B = I + W^1/2 K W^1/2 keeps every eigenvalue >= 1
+    X, Y, xq, _ = friedman1(101, seed=0).split_query()
+    problem = augmented_problem(X, Y, xq, (0.0, 0.0), anchor_z_weights(100), 1e-6,
+                                LossSpec("logcosh"), KernelSpec("gaussian_rbf", "auto"))
+    with pytest.raises(RuntimeError, match="line search stalled at iteration 21"):
+        _oracle_fit(problem)
+    pred = fit(problem)
+    assert pred.converged and pred.n_iters <= 20
+
+
+def test_fit_and_influence_solve_without_a_hessian_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(15)
+    problem = _random_problem(rng, n=30, lam=0.01)
+    problem.gram.eigenpairs  # the cached Gram spectrum serves the range projection
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no Hessian or pseudo-inverse on the fit path")
+
+    for module in (solver, approx, conformal, kernels):
+        for name in ("hessian", "pseudo_inverse_apply"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "pinv", forbidden)
+    pred = fit(problem)
+    approx.influence_direction(pred)
+    fit(replace(problem, anchors=(2.0, 2.0)), init=pred.coeffs)
