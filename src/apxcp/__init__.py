@@ -7,10 +7,11 @@ the exact one, with diagnostics quantifying the gap.
 """
 
 from .approx import (APPROX_KINDS, ApproxCurveResult, ApproxMethod,
-                     TauProfile, ThicknessBound, approx_pvalue_curves,
-                     base_fit, if_error_bound, if_predictor,
-                     influence_direction, influence_vector, rho1, rho2,
-                     rho_tilde1, tau_profile, thickness_bound, thickness_gap)
+                     ApproxRegionResult, TauProfile, ThicknessBound,
+                     approx_pvalue_curves, approx_regions, base_fit,
+                     if_error_bound, if_predictor, influence_direction,
+                     influence_vector, rho1, rho2, rho_tilde1, tau_profile,
+                     thickness_bound, thickness_gap)
 from .conformal import (CoverageResult, PredictionRegion, PValueCurve, YGrid,
                         cross_pvalues, empirical_coverage, full_conformal_pvalues,
                         full_region_bruteforce, oracle_pvalues, oracle_region,
@@ -26,12 +27,13 @@ from .solver import (Predictor, SolverError, WeightedProblem,
                      fit, gradient, hessian, rkhs_norm_diff, risk)
 
 __all__ = [
-    "APPROX_KINDS", "ApproxCurveResult", "ApproxMethod", "CoverageResult",
+    "APPROX_KINDS", "ApproxCurveResult", "ApproxMethod", "ApproxRegionResult",
+    "CoverageResult",
     "Dataset", "GramMatrix", "KERNEL_FAMILIES", "KernelSpec", "LOSS_FAMILIES",
     "LossSpec", "PredictionRegion", "Predictor", "PValueCurve",
     "SmoothnessConstants", "SolverError", "TauProfile", "ThicknessBound",
     "WeightedProblem", "YGrid", "anchor_y_weights", "anchor_z_weights",
-    "approx_pvalue_curves", "augmented_problem", "base_fit",
+    "approx_pvalue_curves", "approx_regions", "augmented_problem", "base_fit",
     "cross_pvalues", "empirical_coverage", "fit",
     "friedman1", "full_conformal_pvalues", "full_region_bruteforce",
     "gradient", "gram", "gram_between", "hessian", "if_error_bound",

@@ -21,12 +21,18 @@ Upper and lower p-value curves built from the envelopes sandwich the
 exact full conformal region; the grid measure of their difference is the
 thickness gap diagnostic, with closed-form theoretical bounds alongside.
 
-The curves of all three levels come from one scan over the data scores
-sorted once: a grid point decides every data index by its sorted base
-score except those in a short band around its threshold, which it scores
-exactly. A curve over m grid points costs one fit, one linear solve and
-O((m + n) log n) counting, and gives bit for bit the p-values of scoring
-all m * (n+1) pairs.
+Every level runs one scan over the data scores sorted once, with two
+reductions. approx_pvalue_curves counts, per grid point, the data
+indices passing the score comparison: a data index is decided by its
+sorted base score unless it lies in a short band around the threshold,
+where it is scored exactly. A curve over m grid points costs one fit,
+one linear solve and O((m + n) log n) counting, and gives bit for bit
+the p-values of scoring all m * (n+1) pairs. approx_regions needs only
+whether that count reaches c*, the least count whose p-value exceeds
+alpha, which one order statistic of the base scores decides: O(m)
+comparisons, plus an exact score of all n indices at the few
+influence-function grid points the shift leaves open. Its masks equal
+the thresholded curves.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import PredictionRegion, PValueCurve, YGrid, _rank_pvalues
+from .conformal import (PredictionRegion, PValueCurve, YGrid, _min_count,
+                        _rank_pvalues)
 from .kernels import GramMatrix, KernelSpec
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
 from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
@@ -211,47 +218,78 @@ def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float,
     return np.sqrt(gram.diagonal[-1]) * radius.reshape(r1.shape)
 
 
-def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
-    """Upper and lower sandwich p-values at every grid point.
+class _SortedScan:
+    """The comparisons of one sandwich scan, with the data sorted once.
 
     Grid point j scores data index i as |Y_i - (preds_i + shift_j k_dir_i)|
     and itself as |ys_j - (preds_n + shift_j k_dir_n)|, with envelopes
-    radial_j * scale_i. The upper count takes every comparison in the
-    direction favorable to inclusion (data score + tau >= test score -
-    tau), the lower count the opposite.
+    radial_j * scale_i. Each side compares score_i + offset_j >=
+    threshold_j: the upper side takes every comparison in the direction
+    favorable to inclusion (data score + tau >= test score - tau), the
+    lower side the opposite.
 
-    Rather than score all m * n pairs, the data indices are sorted once
-    by base score |Y_i - preds_i|. The shift moves a data score by at most
-    reach_j = |shift_j| * max|k_dir|, so an index whose base score lies
-    more than reach_j (plus a rounding slack) past grid point j's
-    threshold is decided by its base score alone; only the contiguous
-    band of sorted indices within that distance is scored, with the exact
-    float predicate. This needs one tau for every data index, i.e. a
-    constant scale[:n].
+    The data indices are sorted by base score |Y_i - preds_i|. The shift
+    moves a data score by at most reach_j = |shift_j| * max|k_dir|, so an
+    index whose base score lies more than reach_j (plus a rounding slack)
+    past grid point j's threshold is decided by its base score alone;
+    bracket gives those limits, and passing applies the exact float
+    predicate to the indices between them. This needs one tau for every
+    data index, i.e. a constant scale[:n].
     """
-    n = Y.size
-    if np.any(scale[:n] != scale[0]):
-        raise ValueError("the sandwich scan needs a kernel with a constant "
-                         "diagonal k(x, x) over the data inputs (the unit "
-                         "diagonal of the laplacian and gaussian_rbf kernels)")
-    data_taus = radial * scale[0]
-    test_taus = radial * scale[n]
-    test_scores = np.abs(ys - (preds[n] + shift * k_dir[n]))
-    base_scores = np.abs(Y - preds[:n])
-    order = np.argsort(base_scores)
-    sorted_scores = base_scores[order]
-    Ys, ps, ks = Y[order], preds[order], k_dir[order]
-    reach = np.abs(shift) * np.max(np.abs(k_dir[:n]))
-    # a few ulps of every magnitude entering a score or a comparison
-    magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n])) + reach
-    eps = np.finfo(float).eps
+
+    def __init__(self, Y, preds, k_dir, shift, radial, scale, ys):
+        n = self.n = Y.size
+        if np.any(scale[:n] != scale[0]):
+            raise ValueError("the sandwich scan needs a kernel with a constant "
+                             "diagonal k(x, x) over the data inputs (the unit "
+                             "diagonal of the laplacian and gaussian_rbf kernels)")
+        data_taus = radial * scale[0]
+        test_taus = radial * scale[n]
+        test_scores = np.abs(ys - (preds[n] + shift * k_dir[n]))
+        # (offsets, thresholds) of the upper and the lower side
+        self.sides = ((data_taus, test_scores - test_taus),
+                      (-data_taus, test_scores + test_taus))
+        base_scores = np.abs(Y - preds[:n])
+        order = np.argsort(base_scores)
+        self.sorted_scores = base_scores[order]
+        self.Ys, self.ps, self.ks = Y[order], preds[order], k_dir[order]
+        self.shift = shift
+        self.reach = np.abs(shift) * np.max(np.abs(k_dir[:n]))
+        # a few ulps of every magnitude entering a score or a comparison
+        self.magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n])) + self.reach
+
+    def bracket(self, offsets, thresholds):
+        """Per grid point, limits (lo, hi): a sorted index whose base score
+        is below lo fails the comparison, one above hi passes it."""
+        centers = thresholds - offsets
+        eps = np.finfo(float).eps
+        half = self.reach + 32.0 * eps * (self.magnitude + np.abs(thresholds)
+                                          + np.abs(offsets))
+        return centers - half, centers + half
+
+    def passing(self, rows, idx, offsets, thresholds):
+        """The exact comparison of grid points `rows` against the sorted
+        indices idx, one row of idx per grid point."""
+        scores = np.abs(self.Ys[idx] - (self.ps[idx] + self.shift[rows, None]
+                                        * self.ks[idx]))
+        return scores + offsets[rows, None] >= thresholds[rows, None]
+
+
+def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
+    """Upper and lower sandwich p-values at every grid point.
+
+    Per grid point, a binary search counts the indices the bracket
+    decides, and only the contiguous band of sorted indices between its
+    limits is scored (see _SortedScan).
+    """
+    scan = _SortedScan(Y, preds, k_dir, shift, radial, scale, ys)
+    n = scan.n
 
     def count_at_least(offsets, thresholds):
         """Per grid point, the number of i with score_i + offset >= threshold."""
-        centers = thresholds - offsets
-        half = reach + 32.0 * eps * (magnitude + np.abs(thresholds) + np.abs(offsets))
-        first = np.searchsorted(sorted_scores, centers - half, side="left")
-        last = np.searchsorted(sorted_scores, centers + half, side="right")
+        lo, hi = scan.bracket(offsets, thresholds)
+        first = np.searchsorted(scan.sorted_scores, lo, side="left")
+        last = np.searchsorted(scan.sorted_scores, hi, side="right")
         counts = n - last
         for start in range(0, ys.size, chunk):
             sl = slice(start, start + chunk)
@@ -261,14 +299,46 @@ def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
             idx = first[sl, None] + np.arange(width)
             inside = idx < last[sl, None]
             idx = np.minimum(idx, n - 1)
-            scores = np.abs(Ys[idx] - (ps[idx] + shift[sl, None] * ks[idx]))
-            passing = scores + offsets[sl, None] >= thresholds[sl, None]
+            passing = scan.passing(sl, idx, offsets, thresholds)
             counts[sl] += (passing & inside).sum(axis=1)
         return counts
 
-    upper_counts = count_at_least(data_taus, test_scores - test_taus)
-    lower_counts = count_at_least(-data_taus, test_scores + test_taus)
-    return _rank_pvalues(upper_counts, n), _rank_pvalues(lower_counts, n)
+    return tuple(_rank_pvalues(count_at_least(*side), n) for side in scan.sides)
+
+
+def _sandwich_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star, chunk):
+    """Upper and lower sandwich masks: the grid points whose count in
+    _sandwich_scan is at least c_star, i.e. whose p-value exceeds alpha
+    for c_star = conformal._min_count(n, alpha).
+
+    The comparison is monotone in the data score, since float addition
+    is, so at zero shift a count reaches c_star exactly when the sorted
+    index n - c_star passes: one comparison per grid point with that
+    index's base score s. With a shift, a grid point whose bracket puts s
+    below lo (fewer than c_star can pass) or above hi (at least c_star
+    pass) is decided the same way; the few in between are scored exactly
+    against all n indices.
+    """
+    scan = _SortedScan(Y, preds, k_dir, shift, radial, scale, ys)
+    n = scan.n
+    if c_star == 0:
+        return np.ones(ys.size, dtype=bool), np.ones(ys.size, dtype=bool)
+    s = scan.sorted_scores[n - c_star]
+    every = np.arange(n)[None, :]
+
+    def reaches_c_star(offsets, thresholds):
+        if not scan.reach.any():  # every score is its base score
+            return s + offsets >= thresholds
+        lo, hi = scan.bracket(offsets, thresholds)
+        mask = s > hi
+        undecided = np.flatnonzero(~mask & (s >= lo))
+        for start in range(0, undecided.size, chunk):
+            rows = undecided[start:start + chunk]
+            passing = scan.passing(rows, every, offsets, thresholds)
+            mask[rows] = passing.sum(axis=1) >= c_star
+        return mask
+
+    return tuple(reaches_c_star(*side) for side in scan.sides)
 
 
 @dataclass(frozen=True)
@@ -302,20 +372,11 @@ def _check_base(base: Predictor, Y, z: float, lam: float, loss: LossSpec) -> Non
             raise ValueError(f"base fit belongs to another problem (mismatch in {field})")
 
 
-def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
-                         lam: float, loss: LossSpec, kernel: KernelSpec,
-                         base: Predictor | None = None) -> ApproxCurveResult:
-    """Upper and lower approximate p-value curves over the grid.
-
-    Levels 0 and 1 score every grid candidate with the base fit's
-    predictions; level 2 applies the influence-function coefficient
-    update per candidate. The data scores are sorted once and counted per
-    grid point in O(log n) plus a short band scored exactly. The kernel
-    must have a constant diagonal over the data inputs, as both families
-    do. A supplied base fit with another Gram size, targets, lam, loss,
-    anchors or weights raises ValueError; other inputs X or another
-    kernel at the same size go undetected.
-    """
+def _scan_setup(X, Y, x_query, grid: YGrid, method: ApproxMethod, lam: float,
+                loss: LossSpec, kernel: KernelSpec, base: Predictor | None):
+    """Checked inputs of one level's scan: (base fit, envelope, scan
+    arguments up to the grid values). Makes the base fit, or checks a
+    supplied one."""
     Y = np.asarray(Y, dtype=float)
     if not np.isfinite(Y).all():
         raise ValueError("Y must be finite")
@@ -338,10 +399,60 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
         # levels 0 and 1 score every candidate with the base predictions
         k_dir = np.zeros(n + 1)
         coeff_shift = np.zeros(grid.m)
-    upper, lower = _sandwich_scan(Y, base.predictions(), k_dir, coeff_shift,
-                                  taus.radial, taus.scale, ys, DEFAULT_CHUNK)
+    scan = (Y, base.predictions(), k_dir, coeff_shift, taus.radial, taus.scale, ys)
+    return base, taus, scan
+
+
+def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
+                         lam: float, loss: LossSpec, kernel: KernelSpec,
+                         base: Predictor | None = None) -> ApproxCurveResult:
+    """Upper and lower approximate p-value curves over the grid.
+
+    Levels 0 and 1 score every grid candidate with the base fit's
+    predictions; level 2 applies the influence-function coefficient
+    update per candidate. The data scores are sorted once and counted per
+    grid point in O(log n) plus a short band scored exactly. The kernel
+    must have a constant diagonal over the data inputs, as both families
+    do. A supplied base fit with another Gram size, targets, lam, loss,
+    anchors or weights raises ValueError; other inputs X or another
+    kernel at the same size go undetected.
+    """
+    base, taus, scan = _scan_setup(X, Y, x_query, grid, method, lam, loss,
+                                   kernel, base)
+    upper, lower = _sandwich_scan(*scan, DEFAULT_CHUNK)
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
     return ApproxCurveResult(curve=curve, taus=taus, base=base)
+
+
+@dataclass(frozen=True)
+class ApproxRegionResult:
+    """Upper and lower sandwich regions plus the envelopes and base fit
+    behind them."""
+
+    upper: PredictionRegion
+    lower: PredictionRegion
+    taus: TauProfile
+    base: Predictor
+
+
+def approx_regions(X, Y, x_query, grid: YGrid, method: ApproxMethod,
+                   lam: float, loss: LossSpec, kernel: KernelSpec, alpha: float,
+                   base: Predictor | None = None) -> ApproxRegionResult:
+    """Upper and lower sandwich regions {y : p(y) > alpha} over the grid,
+    without the p-value curves.
+
+    The masks equal region_from_curve of approx_pvalue_curves' curve on
+    each side, with the same inputs, checks and errors, but each grid
+    point compares its scores with one order statistic of the base scores
+    instead of counting them. alpha must lie in (0, 1).
+    """
+    c_star = _min_count(np.size(Y), alpha)
+    base, taus, scan = _scan_setup(X, Y, x_query, grid, method, lam, loss,
+                                   kernel, base)
+    upper, lower = _sandwich_masks(*scan, c_star, DEFAULT_CHUNK)
+    return ApproxRegionResult(upper=PredictionRegion.from_mask(grid, upper),
+                              lower=PredictionRegion.from_mask(grid, lower),
+                              taus=taus, base=base)
 
 
 def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
-                     base_fit, thickness_bound, thickness_gap)
+                     approx_regions, base_fit, thickness_bound, thickness_gap)
 from .conformal import (YGrid, cross_pvalues, full_conformal_pvalues,
                         oracle_pvalues, region_from_curve, split_pvalues,
                         write_region_csv, write_region_json)
@@ -308,10 +308,9 @@ def _approx_extras(profile) -> dict:
 
 
 def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
-                  grid, lam, seed, base=None):
+                  grid, lam, seed):
     """Dispatch a method name to its p-value curve (plus tau columns when
-    the method carries envelopes); seed draws the split and cross folds,
-    and an approximate method reuses base, the anchored fit, when given."""
+    the method carries envelopes); seed draws the split and cross folds."""
     if method == "full":
         return full_conformal_pvalues(X, Y, x_query, grid, lam, cfg.loss,
                                       cfg.kernel), None
@@ -326,7 +325,7 @@ def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
                              cfg.cross_folds, seed=seed), None
     approx = ApproxMethod(method, cfg.z_anchor)
     result = approx_pvalue_curves(X, Y, x_query, grid, approx, lam,
-                                  cfg.loss, cfg.kernel, base=base)
+                                  cfg.loss, cfg.kernel)
     return result.curve, _approx_extras(result.taus)
 
 
@@ -377,11 +376,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
             for kind in APPROX_KINDS:
                 start = time.perf_counter()
                 method = ApproxMethod(kind, cfg.z_anchor)
-                result = approx_pvalue_curves(X, Y, x_query, grid, method, lam,
-                                              cfg.loss, cfg.kernel, base=base)
-                upper = region_from_curve(result.curve, cfg.alpha, "upper")
-                lower = region_from_curve(result.curve, cfg.alpha, "lower")
-                delta = thickness_gap(upper, lower)
+                result = approx_regions(X, Y, x_query, grid, method, lam,
+                                        cfg.loss, cfg.kernel, cfg.alpha, base=base)
+                delta = thickness_gap(result.upper, result.lower)
                 bound = thickness_bound(method, base.problem.gram, constants,
                                         lam, result.taus.sup_tau())
                 seconds = fit_seconds + time.perf_counter() - start
@@ -445,11 +442,17 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
             shared = method in APPROX_KINDS
             start = time.perf_counter()
             try:
-                if shared and fit_error is not None:
+                if not shared:
+                    curve, _ = _pvalue_curve(cfg, method, X, Y, x_query, y_true,
+                                             grid, lam, (cfg.seed, rep, 1))
+                    region = region_from_curve(curve, cfg.alpha, "upper")
+                elif fit_error is not None:
                     raise fit_error
-                curve, _ = _pvalue_curve(cfg, method, X, Y, x_query, y_true,
-                                         grid, lam, (cfg.seed, rep, 1), base)
-                region = region_from_curve(curve, cfg.alpha, "upper")
+                else:
+                    region = approx_regions(X, Y, x_query, grid,
+                                            ApproxMethod(method, cfg.z_anchor),
+                                            lam, cfg.loss, cfg.kernel, cfg.alpha,
+                                            base=base).upper
                 length, covered, status = (region.measure,
                                            int(region.contains(y_true)), "ok")
             except SolverError as exc:
@@ -534,13 +537,16 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
         for j in range(n1):
             keep = np.delete(d1_idx, j)
             grid = cfg.grid_for(Y[keep])
-            result = approx_pvalue_curves(X[keep], Y[keep], X[d1_idx[j]], grid,
-                                          method, lam, cfg.loss, cfg.kernel)
+            base = base_fit(X[keep], Y[keep], X[d1_idx[j]], cfg.z_anchor, lam,
+                            cfg.loss, cfg.kernel)
             with warnings.catch_warnings():
                 # degenerate full-grid regions are expected while scanning
                 # oversized candidates; they surface in the summary instead
+                # (the fit stays outside, so its own warnings still show)
                 warnings.simplefilter("ignore", RuntimeWarning)
-                region = region_from_curve(result.curve, cfg.alpha, "upper")
+                region = approx_regions(X[keep], Y[keep], X[d1_idx[j]], grid,
+                                        method, lam, cfg.loss, cfg.kernel,
+                                        cfg.alpha, base=base).upper
             measures[j] = region.measure
             all_full &= bool(region.mask.all())
         full_flags[lam] = all_full

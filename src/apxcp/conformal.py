@@ -62,7 +62,10 @@ class YGrid:
 
     def nearest_index(self, y: float) -> int:
         """Index of the grid cell whose center is closest to y."""
-        idx = int(round((float(y) - self.lo) / self.step))
+        y = float(y)
+        if not np.isfinite(y):
+            raise ValueError(f"y must be finite to find its grid cell, got {y}")
+        idx = int(round((y - self.lo) / self.step))
         return min(max(idx, 0), self.m - 1)
 
 
@@ -122,6 +125,7 @@ class PredictionRegion:
 def region_from_curve(curve: PValueCurve, alpha: float,
                       side: str = "upper") -> PredictionRegion:
     """Threshold a p-value curve at alpha: region = {y : p(y) > alpha}."""
+    _check_alpha(alpha)
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     pvals = curve.upper if side == "upper" else curve.lower
@@ -137,6 +141,19 @@ def _rank_pvalues(counts, n: int) -> np.ndarray:
     """Rank p-values (1 + count) / (n + 1), count being the number of the
     n calibration scores at least the test score (ties counted)."""
     return (1.0 + counts) / (n + 1.0)
+
+
+def _check_alpha(alpha) -> None:
+    if not 0.0 < alpha < 1.0:  # a NaN fails here too
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _min_count(n: int, alpha: float) -> int:
+    """c*, the least count c in 0..n whose rank p-value exceeds alpha: a
+    rank p-value exceeds alpha exactly when its count is at least c*. The
+    count n has p-value 1, so c* exists for every alpha in (0, 1)."""
+    _check_alpha(alpha)
+    return int(np.argmax(_rank_pvalues(np.arange(n + 1), n) > alpha))
 
 
 def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,

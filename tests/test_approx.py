@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
-                          TauProfile, _sandwich_scan, approx_pvalue_curves,
-                          base_fit, if_error_bound, if_predictor,
-                          influence_direction, influence_vector, rho1, rho2,
-                          rho_tilde1, tau_profile, thickness_bound,
-                          thickness_gap)
-from apxcp.conformal import (PredictionRegion, YGrid, full_conformal_pvalues,
-                             region_from_curve)
+                          TauProfile, _sandwich_masks, _sandwich_scan,
+                          approx_pvalue_curves, approx_regions, base_fit,
+                          if_error_bound, if_predictor, influence_direction,
+                          influence_vector, rho1, rho2, rho_tilde1,
+                          tau_profile, thickness_bound, thickness_gap)
+from apxcp.conformal import (PredictionRegion, YGrid, _min_count,
+                             full_conformal_pvalues, region_from_curve)
 from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec, pseudo_inverse_apply
 from apxcp.losses import (LossSpec, SmoothnessConstants, loss_d,
@@ -421,6 +421,36 @@ def test_sorted_scan_matches_dense_oracle(inputs, chunk):
     np.testing.assert_array_equal(got_lower, lower)
 
 
+# alphas giving c* = 0 (below the least rank p-value), c* = 1 (on it, a
+# tie), c* = n (on the second largest) and alpha = 0.999
+_ALPHAS = {"c*=0": lambda n: 0.5 / (n + 1), "c*=1": lambda n: 1.0 / (n + 1),
+           "c*=n": lambda n: n / (n + 1.0), "0.999": lambda n: 0.999}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_inputs(), st.one_of(st.sampled_from(sorted(_ALPHAS)),
+                                 st.floats(0.01, 0.99)),
+       st.sampled_from([1, 7, DEFAULT_CHUNK]))
+@example((np.array([0.1]), np.zeros(2), None, None, np.array([0.2]),
+          np.array([1.0, 0.0]), np.array([0.1 + 0.2])), "c*=1", 1)
+def test_order_statistic_masks_match_counted_curves(inputs, alpha, chunk):
+    Y, preds, k_dir, shift, radial, scale, ys = inputs
+    n = Y.size
+    if isinstance(alpha, str):
+        alpha = _ALPHAS[alpha](n)
+    c_star = _min_count(n, alpha)
+    dense = dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir, shift)
+    if k_dir is None:  # levels 0 and 1 are the zero shift
+        k_dir, shift = np.zeros(n + 1), np.zeros(ys.size)
+    counted = _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk)
+    masks = _sandwich_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star,
+                            chunk)
+    for mask, pvals, dense_pvals in zip(masks, counted, dense):
+        counts = np.rint(pvals * (n + 1)) - 1
+        np.testing.assert_array_equal(mask, counts >= c_star)
+        np.testing.assert_array_equal(mask, dense_pvals > alpha)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(4, 14), m=st.integers(2, 80),
        log_lam=st.floats(-6.0, 2.0), kind=st.sampled_from(APPROX_KINDS),
@@ -442,6 +472,43 @@ def test_curves_match_dense_oracle(seed, n, m, log_lam, kind, family, ties):
     np.testing.assert_array_equal(res.curve.lower, lower)
 
 
+@pytest.mark.parametrize("family", ["laplacian", "gaussian_rbf"])
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 10.0])
+def test_regions_match_thresholded_curves(family, lam):
+    kernel = KernelSpec(family, 0.5)
+    for seed, n, alpha in ((30, 25, 0.1), (31, 40, 0.3), (32, 12, 0.999)):
+        X, Y, xq, _ = _instance(seed, n)
+        grid = YGrid.from_targets(Y, m=301)
+        base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
+        # the last problem leaves the base fit to approx_regions
+        supplied = None if seed == 32 else base
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # full regions
+            for kind in APPROX_KINDS:
+                method = ApproxMethod(kind)
+                res = approx_regions(X, Y, xq, grid, method, lam, LOGCOSH,
+                                     kernel, alpha, base=supplied)
+                curves = approx_pvalue_curves(X, Y, xq, grid, method, lam,
+                                              LOGCOSH, kernel, base=base)
+                np.testing.assert_array_equal(res.base.coeffs, base.coeffs)
+                np.testing.assert_array_equal(res.taus.radial, curves.taus.radial)
+                for side in ("upper", "lower"):
+                    got = getattr(res, side)
+                    want = region_from_curve(curves.curve, alpha, side)
+                    np.testing.assert_array_equal(got.mask, want.mask)
+                    assert got.intervals == want.intervals, (seed, kind, side)
+                    assert got.measure == want.measure, (seed, kind, side)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, np.nan])
+def test_regions_reject_alpha_outside_unit_interval(alpha):
+    X, Y, xq, _ = _instance(34, 8)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        approx_regions(X, Y, xq, YGrid(-1.0, 1.0, 5),
+                       ApproxMethod("local_stability"), 0.5, LOGCOSH, KERNEL,
+                       alpha)
+
+
 @pytest.mark.parametrize("kind", APPROX_KINDS)
 def test_curves_reject_nonconstant_kernel_diagonal(kind):
     X, Y, xq, _ = _instance(20, 8)
@@ -453,6 +520,9 @@ def test_curves_reject_nonconstant_kernel_diagonal(kind):
     with pytest.raises(ValueError, match="constant diagonal"):
         approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
                              KERNEL, base=base)
+    with pytest.raises(ValueError, match="constant diagonal"):
+        approx_regions(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH, KERNEL,
+                       0.1, base=base)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -465,6 +535,10 @@ def test_curves_reject_nonfinite_targets_with_supplied_base(bad):
         approx_pvalue_curves(X, Y, xq, YGrid(-1.0, 1.0, 5),
                              ApproxMethod("local_stability"), 0.5, LOGCOSH,
                              KERNEL, base=base)
+    with pytest.raises(ValueError, match="Y must be finite"):
+        approx_regions(X, Y, xq, YGrid(-1.0, 1.0, 5),
+                       ApproxMethod("local_stability"), 0.5, LOGCOSH, KERNEL,
+                       0.1, base=base)
 
 
 _OTHER_BASES = {
@@ -487,11 +561,14 @@ _OTHER_BASES = {
 def test_curves_name_the_field_a_supplied_base_fit_differs_in(field):
     X, Y, xq, _ = _instance(16, 10)
     base = _OTHER_BASES[field](X, Y, xq)
+    grid = YGrid.from_targets(Y, m=21)
     for kind in APPROX_KINDS:
         with pytest.raises(ValueError, match=f"mismatch in {field}"):
-            approx_pvalue_curves(X, Y, xq, YGrid.from_targets(Y, m=21),
-                                 ApproxMethod(kind), 0.5, LOGCOSH, KERNEL,
-                                 base=base)
+            approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5,
+                                 LOGCOSH, KERNEL, base=base)
+        with pytest.raises(ValueError, match=f"mismatch in {field}"):
+            approx_regions(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
+                           KERNEL, 0.1, base=base)
 
 
 def test_curves_reuse_supplied_base_fit():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from apxcp import approx
-from apxcp.approx import APPROX_KINDS, ApproxMethod, approx_pvalue_curves
+from apxcp.approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
+                          thickness_gap)
 from apxcp.cli import (COMPARE_METHODS, DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE,
                        DESK_SCHEDULE, REGION_METHODS, ExperimentConfig,
                        _ols_slope, build_parser, cmd_compare, cmd_gen_data,
@@ -421,6 +422,56 @@ def test_compare_failed_base_fit_fails_the_approximate_rows(tmp_path, monkeypatc
     reps_ok = {name: rec["reps_ok"] for name, rec in result["stats"].items()}
     assert reps_ok == {"SplitCP": 2, "UStableCP": 1, "LocStableCP": 1,
                        "InfluenceFunctionCP": 1, "OracleCP": 2}
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+def test_sweep_deltas_match_library_curves(tmp_path, alpha):
+    cfg = replace(SWEEP_CFG, alpha=alpha)
+    rows = cmd_sweep(cfg, tmp_path)["rows"]
+    assert any(r[4] > 0 for r in rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for n, rep, kind, lam, delta, *_ in rows:
+            X, Y, xq, _ = friedman1(n + 1, cfg.noise_sd,
+                                    seed=(cfg.seed, n, rep)).split_query()
+            curve = approx_pvalue_curves(
+                X, Y, xq, cfg.grid_for(Y, m=cfg.sweep_grid_m),
+                ApproxMethod(kind, cfg.z_anchor), lam, cfg.loss, cfg.kernel).curve
+            want = thickness_gap(region_from_curve(curve, cfg.alpha, "upper"),
+                                 region_from_curve(curve, cfg.alpha, "lower"))
+            assert delta == want, (n, kind)
+
+
+def _count_scans(monkeypatch, refuse=False):
+    """Record every p-value count of a sandwich scan, or refuse them."""
+    calls = []
+    real_scan = approx._sandwich_scan
+
+    def counted(*args, **kwargs):
+        if refuse:
+            raise AssertionError("a sandwich p-value curve was counted")
+        calls.append(args)
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_sandwich_scan", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, cfg", [(cmd_sweep, SWEEP_CFG),
+                                          (cmd_compare, COMPARE_CFG)])
+def test_sweep_and_compare_count_no_pvalues(tmp_path, monkeypatch, command, cfg):
+    # their regions come from one order statistic per grid point
+    _count_scans(monkeypatch, refuse=True)
+    rows = command(cfg, tmp_path)["rows"]
+    assert all(r[-1] == "ok" for r in rows)
+
+
+def test_select_lambda_counts_pvalues_for_its_final_region_only(tmp_path, monkeypatch):
+    calls = _count_scans(monkeypatch)
+    cfg = ExperimentConfig(n=12, seed=3, grid_m=101, method="local_stability",
+                           lambda_grid=(0.5, 1.0))
+    cmd_select_lambda(cfg, tmp_path)
+    assert len(calls) == 1  # the leave-one-out regions count none
 
 
 def test_sweep_requires_four_schedule_points(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
-                             YGrid, _count_at_least, _rank_pvalues,
+                             YGrid, _count_at_least, _min_count, _rank_pvalues,
                              cross_pvalues, empirical_coverage,
                              full_conformal_pvalues, full_region_bruteforce,
                              oracle_pvalues, oracle_region, region_from_curve,
@@ -64,6 +64,16 @@ def test_grid_nearest_index_clips():
     assert g.nearest_index(0.51) == 5
     assert g.nearest_index(-99.0) == 0
     assert g.nearest_index(99.0) == 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_region_contains_rejects_nonfinite_y(bad):
+    g = YGrid(0.0, 1.0, 11)
+    region = PredictionRegion.from_mask(g, np.arange(11) == 5)
+    with pytest.raises(ValueError, match=f"y must be finite.*got {bad}"):
+        region.contains(bad)
+    with pytest.raises(ValueError, match="y must be finite"):
+        g.nearest_index(bad)
 
 
 # --- p-values ---
@@ -129,6 +139,34 @@ def test_region_contains_uses_nearest_cell():
     region = PredictionRegion.from_mask(g, mask)
     assert region.contains(0.52)
     assert not region.contains(0.56)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan, np.inf])
+def test_region_rejects_alpha_outside_unit_interval(alpha):
+    g = YGrid(0.0, 1.0, 5)
+    curve = PValueCurve(g, np.full(5, 0.5), np.full(5, 0.25))
+    for side in ("upper", "lower"):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            region_from_curve(curve, alpha, side)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        _min_count(10, alpha)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 20, 133, 999])
+def test_min_count_is_the_order_statistic_of_the_rank_rule(n):
+    # c* is the least count whose rank p-value exceeds alpha, so a p-value
+    # exceeds alpha exactly when its count reaches c*; alphas on a rank
+    # p-value exactly (a tie) need the next count
+    counts = np.arange(n + 1)
+    pvals = _rank_pvalues(counts, n)
+    alphas = [0.5 / (n + 1), 0.1, 0.5, 0.999, 1.0 - 1e-12,
+              *pvals[:-1], *np.nextafter(pvals[:-1], 0.0)]
+    for alpha in alphas:
+        c_star = _min_count(n, alpha)
+        np.testing.assert_array_equal(pvals > alpha, counts >= c_star)
+    assert _min_count(n, 0.5 / (n + 1)) == 0
+    assert _min_count(n, 1.0 / (n + 1)) == 1
+    assert _min_count(n, n / (n + 1.0)) == n
 
 
 def test_region_monotone_in_alpha():
