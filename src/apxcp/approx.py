@@ -30,14 +30,27 @@ one linear solve and O((m + n) log n) counting, and gives bit for bit
 the p-values of scoring all m * (n+1) pairs. approx_regions needs only
 whether that count reaches c*, the least count whose p-value exceeds
 alpha, which one order statistic of the base scores decides: O(m)
-comparisons, plus an exact score of all n indices at the few
-influence-function grid points the shift leaves open. Its masks equal
-the thresholded curves.
+comparisons, plus an exact count at the few influence-function grid
+points the shift leaves open. Its masks equal the thresholded curves.
+
+The per-problem work of a level runs once per call: the input checks,
+the base fit, the sort of the base scores and the influence direction.
+The grid is then evaluated in blocks of DEFAULT_CHUNK points, both
+reductions alike: each block's derivative gap, envelope, shift,
+thresholds and bracket, with the envelope and the p-values or masks
+written block by block into arrays allocated once for the whole grid.
+A block's float temporaries take 64 KiB each. At that size the C heap
+reuses them from block to block, and they stay in cache; grid-length
+temporaries would be mapped afresh by each call and page-faulted in on
+first touch, which took about 40% of the sweep workload's time at
+m = 100 000. Every float expression is the same elementwise as on the
+whole grid, so the blocks change no bit of any result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +64,11 @@ from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
 _LEVEL = {"uniform_stability": 0, "local_stability": 1, "influence_function": 2}
 
-# grid points whose threshold bands the scan scores together; bounds each
-# band temporary at DEFAULT_CHUNK * (widest band) floats, at most
-# DEFAULT_CHUNK * n
-DEFAULT_CHUNK = 16384
+# grid points the scan evaluates together, and (grid point, index) cells
+# it scores exactly together: each block temporary takes at most 64 KiB,
+# under glibc's 128 KiB mmap threshold, so it is reused from the heap and
+# stays in cache instead of being mapped and faulted in afresh
+DEFAULT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -186,6 +200,11 @@ def rho2(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_tild
             + 2.0 * lam * kqq * constants.beta2 * rho1_tilde)
 
 
+def _tau_scale(gram: GramMatrix) -> np.ndarray:
+    """The index factor sqrt(K_ii) * sqrt(K_qq) of every envelope."""
+    return np.sqrt(gram.diagonal) * np.sqrt(gram.diagonal[-1])
+
+
 def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
                 lam: float, m: int, rho1_val=None) -> TauProfile:
     """Envelope of one approximation level over m grid points.
@@ -198,7 +217,7 @@ def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
     needs none.
     """
     np1 = gram.n
-    scale = np.sqrt(gram.diagonal) * np.sqrt(gram.diagonal[-1])
+    scale = _tau_scale(gram)
     if level == 0:
         return TauProfile(scale, np.full(m, constants.rho / (lam * np1)))
     r1 = np.asarray(rho1_val, dtype=float)
@@ -219,7 +238,7 @@ def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float,
 
 
 class _SortedScan:
-    """The comparisons of one sandwich scan, with the data sorted once.
+    """The data side of one sandwich scan, sorted once per problem.
 
     Grid point j scores data index i as |Y_i - (preds_i + shift_j k_dir_i)|
     and itself as |ys_j - (preds_n + shift_j k_dir_n)|, with envelopes
@@ -228,117 +247,136 @@ class _SortedScan:
     favorable to inclusion (data score + tau >= test score - tau), the
     lower side the opposite.
 
-    The data indices are sorted by base score |Y_i - preds_i|. The shift
-    moves a data score by at most reach_j = |shift_j| * max|k_dir|, so an
-    index whose base score lies more than reach_j (plus a rounding slack)
-    past grid point j's threshold is decided by its base score alone;
-    bracket gives those limits, and passing applies the exact float
-    predicate to the indices between them. This needs one tau for every
-    data index, i.e. a constant scale[:n].
+    The data indices are sorted by base score |Y_i - preds_i|; a
+    _ScanBlock makes the comparisons of a block of grid points against
+    them. Deciding an index by its base score needs one tau for
+    every data index, i.e. a constant scale[:n].
     """
 
-    def __init__(self, Y, preds, k_dir, shift, radial, scale, ys):
+    def __init__(self, Y, preds, k_dir, scale):
         n = self.n = Y.size
         if np.any(scale[:n] != scale[0]):
             raise ValueError("the sandwich scan needs a kernel with a constant "
                              "diagonal k(x, x) over the data inputs (the unit "
                              "diagonal of the laplacian and gaussian_rbf kernels)")
-        data_taus = radial * scale[0]
-        test_taus = radial * scale[n]
-        test_scores = np.abs(ys - (preds[n] + shift * k_dir[n]))
-        # (offsets, thresholds) of the upper and the lower side
-        self.sides = ((data_taus, test_scores - test_taus),
-                      (-data_taus, test_scores + test_taus))
+        self.data_scale, self.test_scale = scale[0], scale[n]
+        self.test_pred, self.test_dir = preds[n], k_dir[n]
         base_scores = np.abs(Y - preds[:n])
         order = np.argsort(base_scores)
         self.sorted_scores = base_scores[order]
         self.Ys, self.ps, self.ks = Y[order], preds[order], k_dir[order]
-        self.shift = shift
-        self.reach = np.abs(shift) * np.max(np.abs(k_dir[:n]))
-        # a few ulps of every magnitude entering a score or a comparison
-        self.magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n])) + self.reach
+        self.k_max = np.max(np.abs(k_dir[:n]))
+        self.data_magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n]))
+
+
+class _ScanBlock:
+    """The comparisons of one block of grid points against the sorted data.
+
+    The shift moves a data score by at most reach_j = |shift_j| *
+    max|k_dir|, so an index whose base score lies more than reach_j (plus
+    a rounding slack) past grid point j's threshold is decided by its
+    base score alone; bracket gives those limits, and counts applies the
+    exact float predicate to the indices between them.
+    """
+
+    def __init__(self, scan: _SortedScan, ys, shift, radial):
+        self.scan, self.shift = scan, shift
+        data_taus = radial * scan.data_scale
+        test_taus = radial * scan.test_scale
+        test_scores = np.abs(ys - (scan.test_pred + shift * scan.test_dir))
+        # (offsets, thresholds) of the upper and the lower side
+        self.sides = ((data_taus, test_scores - test_taus),
+                      (-data_taus, test_scores + test_taus))
+
+    @cached_property
+    def reach(self):
+        return np.abs(self.shift) * self.scan.k_max
 
     def bracket(self, offsets, thresholds):
         """Per grid point, limits (lo, hi): a sorted index whose base score
         is below lo fails the comparison, one above hi passes it."""
         centers = thresholds - offsets
         eps = np.finfo(float).eps
-        half = self.reach + 32.0 * eps * (self.magnitude + np.abs(thresholds)
+        # a few ulps of every magnitude entering a score or a comparison
+        magnitude = self.scan.data_magnitude + self.reach
+        half = self.reach + 32.0 * eps * (magnitude + np.abs(thresholds)
                                           + np.abs(offsets))
         return centers - half, centers + half
 
-    def passing(self, rows, idx, offsets, thresholds):
-        """The exact comparison of grid points `rows` against the sorted
-        indices idx, one row of idx per grid point."""
-        scores = np.abs(self.Ys[idx] - (self.ps[idx] + self.shift[rows, None]
-                                        * self.ks[idx]))
-        return scores + offsets[rows, None] >= thresholds[rows, None]
-
-
-def _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk):
-    """Upper and lower sandwich p-values at every grid point.
-
-    Per grid point, a binary search counts the indices the bracket
-    decides, and only the contiguous band of sorted indices between its
-    limits is scored (see _SortedScan).
-    """
-    scan = _SortedScan(Y, preds, k_dir, shift, radial, scale, ys)
-    n = scan.n
-
-    def count_at_least(offsets, thresholds):
-        """Per grid point, the number of i with score_i + offset >= threshold."""
-        lo, hi = scan.bracket(offsets, thresholds)
-        first = np.searchsorted(scan.sorted_scores, lo, side="left")
-        last = np.searchsorted(scan.sorted_scores, hi, side="right")
+    def counts(self, rows, lo, hi, offsets, thresholds):
+        """Per grid point in rows (an index array or a slice of the block),
+        the number of data indices i with score_i + offset >= threshold:
+        a binary search counts the indices its bracket (lo, hi) decides,
+        and the contiguous band of sorted indices between the limits is
+        scored exactly."""
+        scan, n = self.scan, self.scan.n
+        first = np.searchsorted(scan.sorted_scores, lo[rows], side="left")
+        last = np.searchsorted(scan.sorted_scores, hi[rows], side="right")
         counts = n - last
-        for start in range(0, ys.size, chunk):
-            sl = slice(start, start + chunk)
-            width = int((last[sl] - first[sl]).max())
-            if width == 0:
-                continue
-            idx = first[sl, None] + np.arange(width)
-            inside = idx < last[sl, None]
+        width = int((last - first).max())
+        if not width:
+            return counts
+        shift, offsets, thresholds = self.shift[rows], offsets[rows], thresholds[rows]
+        step = max(1, DEFAULT_CHUNK // width)
+        for start in range(0, counts.size, step):
+            r = slice(start, start + step)
+            idx = first[r, None] + np.arange(width)
+            inside = idx < last[r, None]
             idx = np.minimum(idx, n - 1)
-            passing = scan.passing(sl, idx, offsets, thresholds)
-            counts[sl] += (passing & inside).sum(axis=1)
+            scores = np.abs(scan.Ys[idx] - (scan.ps[idx] + shift[r, None]
+                                            * scan.ks[idx]))
+            passing = scores + offsets[r, None] >= thresholds[r, None]
+            counts[r] += (passing & inside).sum(axis=1)
         return counts
 
-    return tuple(_rank_pvalues(count_at_least(*side), n) for side in scan.sides)
+
+def _sandwich_scan(scan: _SortedScan, blocks, upper, lower) -> None:
+    """Upper and lower sandwich p-values, written into upper and lower
+    block by block; blocks yields (grid slice, _ScanBlock) pairs. Each
+    grid point's count scores only the band of sorted indices its
+    bracket leaves open (see _ScanBlock.counts)."""
+
+    def pvalues(block, offsets, thresholds):
+        lo, hi = block.bracket(offsets, thresholds)
+        counts = block.counts(slice(None), lo, hi, offsets, thresholds)
+        return _rank_pvalues(counts, scan.n)
+
+    for sl, block in blocks:
+        upper[sl], lower[sl] = (pvalues(block, *side) for side in block.sides)
+        del block  # free its arrays before the next block's are made
 
 
-def _sandwich_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star, chunk):
-    """Upper and lower sandwich masks: the grid points whose count in
-    _sandwich_scan is at least c_star, i.e. whose p-value exceeds alpha
-    for c_star = conformal._min_count(n, alpha).
+def _sandwich_masks(scan: _SortedScan, blocks, c_star: int, upper, lower) -> None:
+    """Upper and lower sandwich masks, written into upper and lower block
+    by block: the grid points whose count in _sandwich_scan is at least
+    c_star, i.e. whose p-value exceeds alpha for c_star =
+    conformal._min_count(n, alpha).
 
     The comparison is monotone in the data score, since float addition
     is, so at zero shift a count reaches c_star exactly when the sorted
     index n - c_star passes: one comparison per grid point with that
     index's base score s. With a shift, a grid point whose bracket puts s
     below lo (fewer than c_star can pass) or above hi (at least c_star
-    pass) is decided the same way; the few in between are scored exactly
-    against all n indices.
+    pass) is decided the same way; only the few in between are counted.
     """
-    scan = _SortedScan(Y, preds, k_dir, shift, radial, scale, ys)
     n = scan.n
-    if c_star == 0:
-        return np.ones(ys.size, dtype=bool), np.ones(ys.size, dtype=bool)
-    s = scan.sorted_scores[n - c_star]
-    every = np.arange(n)[None, :]
+    # every count reaches c* = 0, as an infinite score passes every comparison
+    s = scan.sorted_scores[n - c_star] if c_star else np.inf
 
-    def reaches_c_star(offsets, thresholds):
-        if not scan.reach.any():  # every score is its base score
+    def reaches_c_star(block, offsets, thresholds):
+        if not block.reach.any():  # every score is its base score
             return s + offsets >= thresholds
-        lo, hi = scan.bracket(offsets, thresholds)
+        lo, hi = block.bracket(offsets, thresholds)
         mask = s > hi
         undecided = np.flatnonzero(~mask & (s >= lo))
-        for start in range(0, undecided.size, chunk):
-            rows = undecided[start:start + chunk]
-            passing = scan.passing(rows, every, offsets, thresholds)
-            mask[rows] = passing.sum(axis=1) >= c_star
+        if undecided.size:
+            counts = block.counts(undecided, lo, hi, offsets, thresholds)
+            mask[undecided] = counts >= c_star
         return mask
 
-    return tuple(reaches_c_star(*side) for side in scan.sides)
+    for sl, block in blocks:
+        upper[sl], lower[sl] = (reaches_c_star(block, *side) for side in block.sides)
+        del block  # free its arrays before the next block's are made
 
 
 @dataclass(frozen=True)
@@ -372,35 +410,67 @@ def _check_base(base: Predictor, Y, z: float, lam: float, loss: LossSpec) -> Non
             raise ValueError(f"base fit belongs to another problem (mismatch in {field})")
 
 
-def _scan_setup(X, Y, x_query, grid: YGrid, method: ApproxMethod, lam: float,
-                loss: LossSpec, kernel: KernelSpec, base: Predictor | None):
-    """Checked inputs of one level's scan: (base fit, envelope, scan
-    arguments up to the grid values). Makes the base fit, or checks a
-    supplied one."""
-    Y = np.asarray(Y, dtype=float)
-    if not np.isfinite(Y).all():
-        raise ValueError("Y must be finite")
-    n = Y.size
-    z = method.z_anchor
-    if base is None:
-        base = base_fit(X, Y, x_query, z, lam, loss, kernel)
-    else:
-        _check_base(base, Y, z, lam, loss)
-    gram = base.problem.gram
-    ys = grid.values
-    level = method.level
-    gap = None if level == 0 else _derivative_gap(ys, z, base, loss)
-    taus = tau_profile(level, gram, smoothness_constants(loss), lam, grid.m,
-                       None if gap is None else 0.5 * np.abs(gap))
-    if level == 2:
-        k_dir = gram.entries @ influence_direction(base)
-        coeff_shift = gap / gram.n
-    else:
-        # levels 0 and 1 score every candidate with the base predictions
-        k_dir = np.zeros(n + 1)
-        coeff_shift = np.zeros(grid.m)
-    scan = (Y, base.predictions(), k_dir, coeff_shift, taus.radial, taus.scale, ys)
-    return base, taus, scan
+class _LevelScan:
+    """One level's sandwich scan over a grid.
+
+    The constructor does the per-problem work, once per call: the input
+    checks, the base fit or the check of a supplied one, the sorted scan
+    with its constant-diagonal check, the influence direction, and the
+    loss's smoothness constants. blocks() then evaluates the grid
+    DEFAULT_CHUNK points at a time: each block's derivative gap, envelope
+    and shift, with the envelope written into grid-length arrays that
+    taus() returns.
+    """
+
+    def __init__(self, X, Y, x_query, grid: YGrid, method: ApproxMethod,
+                 lam: float, loss: LossSpec, kernel: KernelSpec,
+                 base: Predictor | None):
+        Y = np.asarray(Y, dtype=float)
+        if not np.isfinite(Y).all():
+            raise ValueError("Y must be finite")
+        z = method.z_anchor
+        if base is None:
+            base = base_fit(X, Y, x_query, z, lam, loss, kernel)
+        else:
+            _check_base(base, Y, z, lam, loss)
+        gram = base.problem.gram
+        if method.level == 2:
+            k_dir = gram.entries @ influence_direction(base)
+        else:
+            # levels 0 and 1 score every candidate with the base predictions
+            k_dir = np.zeros(Y.size + 1)
+        self.scale = _tau_scale(gram)
+        self.scan = _SortedScan(Y, base.predictions(), k_dir, self.scale)
+        self.base, self.grid, self.level, self.z = base, grid, method.level, z
+        self.lam, self.loss = lam, loss
+        self.constants = smoothness_constants(loss)
+        self.radii = {}
+
+    def blocks(self):
+        """Yield (grid slice, _ScanBlock) per block of DEFAULT_CHUNK grid
+        points, filling the envelope arrays as it goes."""
+        for start in range(0, self.grid.m, DEFAULT_CHUNK):
+            sl = slice(start, start + DEFAULT_CHUNK)
+            yield sl, self._block(sl)
+
+    def _block(self, sl: slice) -> _ScanBlock:
+        level, base, gram = self.level, self.base, self.base.problem.gram
+        ys = self.grid.values[sl]
+        gap = None if level == 0 else _derivative_gap(ys, self.z, base, self.loss)
+        taus = tau_profile(level, gram, self.constants, self.lam, ys.size,
+                           None if gap is None else 0.5 * np.abs(gap))
+        if sl.start == 0:
+            self.radii = {name: np.empty(self.grid.m)
+                          for name in ("radial", "rho1", "rho1_tilde", "rho2")
+                          if getattr(taus, name) is not None}
+        for name, out in self.radii.items():
+            out[sl] = getattr(taus, name)
+        shift = gap / gram.n if level == 2 else np.zeros(ys.size)
+        return _ScanBlock(self.scan, ys, shift, taus.radial)
+
+    def taus(self) -> TauProfile:
+        """The envelope over the whole grid, once blocks() has run."""
+        return TauProfile(self.scale, **self.radii)
 
 
 def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
@@ -417,11 +487,12 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     anchors or weights raises ValueError; other inputs X or another
     kernel at the same size go undetected.
     """
-    base, taus, scan = _scan_setup(X, Y, x_query, grid, method, lam, loss,
-                                   kernel, base)
-    upper, lower = _sandwich_scan(*scan, DEFAULT_CHUNK)
+    level_scan = _LevelScan(X, Y, x_query, grid, method, lam, loss, kernel, base)
+    upper, lower = np.empty(grid.m), np.empty(grid.m)
+    _sandwich_scan(level_scan.scan, level_scan.blocks(), upper, lower)
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
-    return ApproxCurveResult(curve=curve, taus=taus, base=base)
+    return ApproxCurveResult(curve=curve, taus=level_scan.taus(),
+                             base=level_scan.base)
 
 
 @dataclass(frozen=True)
@@ -447,12 +518,12 @@ def approx_regions(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     instead of counting them. alpha must lie in (0, 1).
     """
     c_star = _min_count(np.size(Y), alpha)
-    base, taus, scan = _scan_setup(X, Y, x_query, grid, method, lam, loss,
-                                   kernel, base)
-    upper, lower = _sandwich_masks(*scan, c_star, DEFAULT_CHUNK)
+    level_scan = _LevelScan(X, Y, x_query, grid, method, lam, loss, kernel, base)
+    upper, lower = np.empty(grid.m, dtype=bool), np.empty(grid.m, dtype=bool)
+    _sandwich_masks(level_scan.scan, level_scan.blocks(), c_star, upper, lower)
     return ApproxRegionResult(upper=PredictionRegion.from_mask(grid, upper),
                               lower=PredictionRegion.from_mask(grid, lower),
-                              taus=taus, base=base)
+                              taus=level_scan.taus(), base=level_scan.base)
 
 
 def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:

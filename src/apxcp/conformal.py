@@ -8,6 +8,8 @@ Lebesgue measures of the discretized set (step times cell count).
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -90,6 +92,21 @@ class PValueCurve:
         object.__setattr__(self, "lower", lo)
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The warnings.warn stacklevel, for the function calling this one,
+    of the innermost frame outside this package: a warning then names the
+    line of the code that called into the package, however deep inside it
+    the warning is raised, and the once-per-location filter keeps apart
+    the warnings of different callers."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @dataclass(frozen=True)
 class PredictionRegion:
     """Boolean mask over a grid plus its interval form and measure."""
@@ -106,7 +123,7 @@ class PredictionRegion:
             raise ValueError("mask must match the grid size")
         if mask.size and (mask[0] or mask[-1]):
             warnings.warn("prediction region touches the grid boundary and may be clipped",
-                          RuntimeWarning, stacklevel=2)
+                          RuntimeWarning, stacklevel=_caller_stacklevel())
         padded = np.r_[False, mask, False]
         starts = np.flatnonzero(padded[1:-1] & ~padded[:-2])
         ends = np.flatnonzero(padded[1:-1] & ~padded[2:])

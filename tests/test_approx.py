@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
                           TauProfile, _sandwich_masks, _sandwich_scan,
-                          approx_pvalue_curves, approx_regions, base_fit,
-                          if_error_bound, if_predictor, influence_direction,
+                          _ScanBlock, _SortedScan, approx_pvalue_curves,
+                          approx_regions, base_fit, if_error_bound,
+                          if_predictor, influence_direction,
                           influence_vector, rho1, rho2, rho_tilde1,
                           tau_profile, thickness_bound, thickness_gap)
 from apxcp.conformal import (PredictionRegion, YGrid, _min_count,
@@ -342,6 +344,32 @@ def _scan_shift(res, kind, grid):
     return k_dir, shift
 
 
+def _blocks(scan, ys, shift, radial, chunk):
+    """The (grid slice, scan block) pairs of a scan in blocks of chunk
+    grid points, from whole-grid shifts and radii."""
+    for start in range(0, ys.size, chunk):
+        sl = slice(start, start + chunk)
+        yield sl, _ScanBlock(scan, ys[sl], shift[sl], radial[sl])
+
+
+def _scan_curves(Y, preds, k_dir, shift, radial, scale, ys, chunk):
+    """Upper and lower p-values of the sorted scan in blocks of chunk."""
+    scan = _SortedScan(Y, preds, k_dir, scale)
+    upper, lower = np.empty(ys.size), np.empty(ys.size)
+    _sandwich_scan(scan, _blocks(scan, ys, shift, radial, chunk), upper, lower)
+    return upper, lower
+
+
+def _scan_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star, chunk):
+    """Upper and lower masks of the sorted scan in blocks of chunk."""
+    scan = _SortedScan(Y, preds, k_dir, scale)
+    upper = np.empty(ys.size, dtype=bool)
+    lower = np.empty(ys.size, dtype=bool)
+    _sandwich_masks(scan, _blocks(scan, ys, shift, radial, chunk), c_star,
+                    upper, lower)
+    return upper, lower
+
+
 def test_curves_chunking_is_invisible():
     X, Y, xq, _ = _instance(15, 12)
     grid = YGrid.from_targets(Y, m=53)
@@ -352,9 +380,9 @@ def test_curves_chunking_is_invisible():
         if k_dir is None:
             k_dir, shift = np.zeros(Y.size + 1), np.zeros(grid.m)
         for chunk in (1, 7):
-            upper, lower = _sandwich_scan(Y, res.base.predictions(), k_dir, shift,
-                                          res.taus.radial, res.taus.scale,
-                                          grid.values, chunk)
+            upper, lower = _scan_curves(Y, res.base.predictions(), k_dir, shift,
+                                        res.taus.radial, res.taus.scale,
+                                        grid.values, chunk)
             np.testing.assert_array_equal(res.curve.upper, upper)
             np.testing.assert_array_equal(res.curve.lower, lower)
 
@@ -415,8 +443,8 @@ def test_sorted_scan_matches_dense_oracle(inputs, chunk):
     upper, lower = dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir, shift)
     if k_dir is None:  # levels 0 and 1 are the zero shift
         k_dir, shift = np.zeros(Y.size + 1), np.zeros(ys.size)
-    got_upper, got_lower = _sandwich_scan(Y, preds, k_dir, shift, radial, scale,
-                                          ys, chunk)
+    got_upper, got_lower = _scan_curves(Y, preds, k_dir, shift, radial, scale,
+                                        ys, chunk)
     np.testing.assert_array_equal(got_upper, upper)
     np.testing.assert_array_equal(got_lower, lower)
 
@@ -442,9 +470,8 @@ def test_order_statistic_masks_match_counted_curves(inputs, alpha, chunk):
     dense = dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir, shift)
     if k_dir is None:  # levels 0 and 1 are the zero shift
         k_dir, shift = np.zeros(n + 1), np.zeros(ys.size)
-    counted = _sandwich_scan(Y, preds, k_dir, shift, radial, scale, ys, chunk)
-    masks = _sandwich_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star,
-                            chunk)
+    counted = _scan_curves(Y, preds, k_dir, shift, radial, scale, ys, chunk)
+    masks = _scan_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star, chunk)
     for mask, pvals, dense_pvals in zip(masks, counted, dense):
         counts = np.rint(pvals * (n + 1)) - 1
         np.testing.assert_array_equal(mask, counts >= c_star)
@@ -498,6 +525,97 @@ def test_regions_match_thresholded_curves(family, lam):
                     np.testing.assert_array_equal(got.mask, want.mask)
                     assert got.intervals == want.intervals, (seed, kind, side)
                     assert got.measure == want.measure, (seed, kind, side)
+
+
+def test_regions_warn_of_clipping_at_the_callers_line():
+    X, Y, xq, _ = _instance(33, 10)
+    with pytest.warns(RuntimeWarning, match="boundary") as caught:
+        approx_regions(X, Y, xq, YGrid(-1.0, 1.0, 5),
+                       ApproxMethod("uniform_stability"), 0.5, LOGCOSH, KERNEL,
+                       0.1)
+    assert caught and {w.filename for w in caught} == {__file__}
+
+
+def _assert_same_envelope(got: TauProfile, want: TauProfile):
+    for name in ("scale", "radial", "rho1", "rho1_tilde", "rho2"):
+        got_arr, want_arr = getattr(got, name), getattr(want, name)
+        assert (got_arr is None) == (want_arr is None), name
+        if want_arr is not None:
+            np.testing.assert_array_equal(got_arr, want_arr)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_CHUNK - 1, DEFAULT_CHUNK,
+                               DEFAULT_CHUNK + 1, 2 * DEFAULT_CHUNK + 3])
+def test_blocks_are_invisible_at_block_boundaries(m):
+    B = DEFAULT_CHUNK
+    X, Y, xq, _ = _instance(40, 12)
+    n, lam = Y.size, 0.05
+    base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, KERNEL)
+    alphas = {0: 0.5 / (n + 1), 1: 1.0 / (n + 1), n: n / (n + 1.0)}  # by c*
+    # a grid step that puts the upper end of the level-2 upper region for
+    # c* = 1 between grid points B - 1 and B
+    coarse = YGrid.from_targets(Y, m=2001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # full regions
+        edge = approx_regions(X, Y, xq, coarse, ApproxMethod("influence_function"),
+                              lam, LOGCOSH, KERNEL, alphas[1],
+                              base=base).upper.intervals[0][1]
+        step = (coarse.hi - coarse.lo) / (2 * B + 2)
+        lo = edge - (B - 0.5) * step
+        grid = YGrid(lo, lo + (m - 1) * step, m)
+        for kind in APPROX_KINDS:
+            method = ApproxMethod(kind)
+            res = approx_pvalue_curves(X, Y, xq, grid, method, lam, LOGCOSH,
+                                       KERNEL, base=base)
+            # the envelope and the scan of the whole grid at once
+            want = tau_profile(method.level, base.problem.gram, LOGCOSH_CONSTANTS,
+                               lam, m, None if method.level == 0
+                               else rho1(grid.values, 0.0, base, LOGCOSH))
+            _assert_same_envelope(res.taus, want)
+            k_dir, shift = _scan_shift(res, kind, grid)
+            dense = dense_sandwich_curves(Y, base.predictions(), want.radial,
+                                          want.scale, grid.values, k_dir, shift)
+            np.testing.assert_array_equal(res.curve.upper, dense[0])
+            np.testing.assert_array_equal(res.curve.lower, dense[1])
+            for c_star, alpha in alphas.items():
+                assert _min_count(n, alpha) == c_star
+                regions = approx_regions(X, Y, xq, grid, method, lam, LOGCOSH,
+                                         KERNEL, alpha, base=base)
+                _assert_same_envelope(regions.taus, want)
+                for side, pvals in zip(("upper", "lower"), dense):
+                    mask = getattr(regions, side).mask
+                    np.testing.assert_array_equal(mask, pvals > alpha)
+                    np.testing.assert_array_equal(
+                        mask, region_from_curve(res.curve, alpha, side).mask)
+            if kind == "influence_function" and m > B:
+                # the shift leaves the upper side undecided for c* = 1 on
+                # both sides of the boundary, so both blocks count exactly
+                scan = _SortedScan(Y, base.predictions(), k_dir, want.scale)
+                block = _ScanBlock(scan, grid.values, shift, want.radial)
+                lo, hi = block.bracket(*block.sides[0])
+                s = scan.sorted_scores[n - 1]
+                assert lo[B - 1] <= s <= hi[B - 1] and lo[B] <= s <= hi[B]
+
+
+@pytest.mark.parametrize("kind", ["uniform_stability", "local_stability"])
+def test_region_scan_holds_blocks_not_grids(kind):
+    # over 100 000 grid points, grid-length temporaries took 7 MB beyond
+    # the result; blocks of DEFAULT_CHUNK points take well under 1 MB
+    X, Y, xq, _ = _instance(35, 120)
+    grid = YGrid.from_targets(Y, m=100_000)
+    grid.values  # cached by the grid, before the measurement
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = approx_regions(X, Y, xq, grid, ApproxMethod(kind), 0.5,
+                                    LOGCOSH, KERNEL, 0.1, base=base)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.upper.mask.size == grid.m
+    assert peak - retained < 1e6, (peak - retained) / 1e6
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, np.nan])
@@ -594,37 +712,52 @@ def test_curve_profile_carries_radii_per_level():
     assert np.all(res2.taus.rho1_tilde >= res2.taus.rho1)
 
 
-def test_level_scores_are_sound_at_module_scale():
-    # per-index exact-refit scores stay inside every envelope
-    X, Y, xq, _ = _instance(18, 10)
+def _assert_scores_within_envelopes(X, Y, xq, grid, lam, kernel, every, slack):
+    """Per-index exact-refit scores at every `every`-th grid point stay
+    within each level's envelope of the approximate scores, up to slack."""
     n = Y.size
-    lam = 1.0
-    grid = YGrid.from_targets(Y, m=21)
-    exact_scores = np.empty((grid.m, n + 1))
-    for j, y in enumerate(grid.values):
+    ys = grid.values[::every]
+    exact_scores = np.empty((ys.size, n + 1))
+    for j, y in enumerate(ys):
         refit = fit(augmented_problem(X, Y, xq, (0.0, y), anchor_y_weights(n),
-                                      lam, LOGCOSH, KERNEL))
+                                      lam, LOGCOSH, kernel))
         preds = refit.predictions()
         exact_scores[j, :n] = np.abs(Y - preds[:n])
         exact_scores[j, n] = np.abs(y - preds[n])
+    base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
+    direction = influence_direction(base)
     for kind in APPROX_KINDS:
         res = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), lam,
-                                   LOGCOSH, KERNEL)
-        taus = res.taus.tau_matrix()
-        if res.base.problem is not None and res.taus.rho2 is None:
-            base_preds = res.base.predictions()
-            approx_scores = np.empty_like(exact_scores)
-            approx_scores[:, :n] = np.abs(Y - base_preds[:n])[None, :]
-            approx_scores[:, n] = np.abs(grid.values - base_preds[n])
-        else:
-            direction = influence_direction(res.base)
-            approx_scores = np.empty_like(exact_scores)
-            for j, y in enumerate(grid.values):
-                coeffs = if_predictor(y, 0.0, res.base, direction)
-                preds = res.base.problem.gram.entries @ coeffs
-                approx_scores[j, :n] = np.abs(Y - preds[:n])
-                approx_scores[j, n] = np.abs(y - preds[n])
-        assert np.all(np.abs(exact_scores - approx_scores) <= taus + 1e-9), kind
+                                   LOGCOSH, kernel, base=base)
+        taus = res.taus.tau_matrix()[::every]
+        approx_scores = np.empty_like(exact_scores)
+        for j, y in enumerate(ys):
+            # levels 0 and 1 score with the base fit itself
+            coeffs = (if_predictor(y, 0.0, base, direction)
+                      if kind == "influence_function" else base.coeffs)
+            preds = base.problem.gram.entries @ coeffs
+            approx_scores[j, :n] = np.abs(Y - preds[:n])
+            approx_scores[j, n] = np.abs(y - preds[n])
+        assert np.all(np.abs(exact_scores - approx_scores) <= taus + slack), kind
+
+
+def test_level_scores_are_sound_at_module_scale():
+    # per-index exact-refit scores stay inside every envelope
+    X, Y, xq, _ = _instance(18, 10)
+    grid = YGrid.from_targets(Y, m=21)
+    _assert_scores_within_envelopes(X, Y, xq, grid, 1.0, KERNEL, 1, 1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_level_scores_are_sound_where_regions_are_informative(seed):
+    # lam 0.01 with noisy targets, as below, at 25 of 200 grid points. Near
+    # the z anchor the envelopes of levels 1 and 2 fall to ~1e-10, the
+    # size of the refit's own error within its gradient tolerance, which
+    # the slack covers
+    X, Y, xq, _ = friedman1(41, noise_sd=1.0, seed=seed).split_query()
+    grid = YGrid.from_targets(Y, m=200)
+    _assert_scores_within_envelopes(X, Y, xq, grid, 0.01, KernelSpec("laplacian"),
+                                    8, 1e-8)
 
 
 def test_every_level_brackets_exact_curve_where_regions_are_informative():

@@ -127,9 +127,14 @@ def test_region_mask_interval_round_trip():
 
 
 def test_region_boundary_warning():
+    # a warning naming a library line would show once per run under the
+    # default once-per-location filter, whoever clips a region later
     g = YGrid(0.0, 1.0, 5)
-    with pytest.warns(RuntimeWarning, match="boundary"):
+    pvals = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+    with pytest.warns(RuntimeWarning, match="boundary") as caught:
         PredictionRegion.from_mask(g, np.array([1, 1, 0, 0, 0], dtype=bool))
+        region_from_curve(PValueCurve(g, pvals, pvals), 0.1)
+    assert [w.filename for w in caught] == [__file__, __file__]
 
 
 def test_region_contains_uses_nearest_cell():
