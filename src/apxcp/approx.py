@@ -37,14 +37,16 @@ The per-problem work of a level runs once per call: the input checks,
 the base fit, the sort of the base scores and the influence direction.
 The grid is then evaluated in blocks of DEFAULT_CHUNK points, both
 reductions alike: each block's derivative gap, envelope, shift,
-thresholds and bracket, with the envelope and the p-values or masks
-written block by block into arrays allocated once for the whole grid.
-A block's float temporaries take 64 KiB each. At that size the C heap
-reuses them from block to block, and they stay in cache; grid-length
-temporaries would be mapped afresh by each call and page-faulted in on
-first touch, which took about 40% of the sweep workload's time at
-m = 100 000. Every float expression is the same elementwise as on the
-whole grid, so the blocks change no bit of any result.
+thresholds and bracket, with the p-values or masks written into arrays
+allocated once for the whole grid. Of the envelope, approx_regions keeps
+only its grid supremum; approx_pvalue_curves, whose callers print the
+envelope, builds it once over the whole grid. A block's float
+temporaries take 64 KiB each. At that size the C heap reuses them from
+block to block, and they stay in cache; grid-length temporaries would
+be mapped afresh by each call and page-faulted in on first touch, which
+took about 40% of the sweep workload's time at m = 100 000. Every float
+expression is the same elementwise as on the whole grid, so the blocks
+change no bit of any result.
 """
 
 from __future__ import annotations
@@ -95,14 +97,13 @@ class TauProfile:
 
     Every envelope here separates as tau_i(y) = scale[i] * radial[y]:
     scale carries the kernel diagonal geometry, radial the y-dependent
-    stability radius. rho1, rho1_tilde, and rho2 cache the per-grid-point
-    stability quantities when the level uses them.
+    stability radius. rho1 and rho2 cache the per-grid-point stability
+    radii when the level uses them.
     """
 
     scale: np.ndarray
     radial: np.ndarray
     rho1: np.ndarray | None = None
-    rho1_tilde: np.ndarray | None = None
     rho2: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -226,7 +227,7 @@ def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
     rt = rho_tilde1(gram, constants, lam, r1)
     r2 = rho2(gram, constants, lam, rt)
     radial = np.minimum(r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1))
-    return TauProfile(scale, radial, rho1=r1, rho1_tilde=rt, rho2=r2)
+    return TauProfile(scale, radial, rho1=r1, rho2=r2)
 
 
 def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
@@ -418,8 +419,7 @@ class _LevelScan:
     with its constant-diagonal check, the influence direction, and the
     loss's smoothness constants. blocks() then evaluates the grid
     DEFAULT_CHUNK points at a time: each block's derivative gap, envelope
-    and shift, with the envelope written into grid-length arrays that
-    taus() returns.
+    and shift, keeping of the envelope only the largest radius seen.
     """
 
     def __init__(self, X, Y, x_query, grid: YGrid, method: ApproxMethod,
@@ -441,36 +441,35 @@ class _LevelScan:
             k_dir = np.zeros(Y.size + 1)
         self.scale = _tau_scale(gram)
         self.scan = _SortedScan(Y, base.predictions(), k_dir, self.scale)
-        self.base, self.grid, self.level, self.z = base, grid, method.level, z
-        self.lam, self.loss = lam, loss
+        self.base, self.gram, self.grid, self.level = base, gram, grid, method.level
+        self.z, self.lam, self.loss = z, lam, loss
         self.constants = smoothness_constants(loss)
-        self.radii = {}
+        self.radial_max = -np.inf
+
+    def envelope(self, ys):
+        """The derivative gap at the grid values ys (None at level 0) and
+        the level's envelope there."""
+        gap = None if self.level == 0 else _derivative_gap(ys, self.z, self.base, self.loss)
+        return gap, tau_profile(self.level, self.gram, self.constants, self.lam, ys.size,
+                                None if gap is None else 0.5 * np.abs(gap))
 
     def blocks(self):
         """Yield (grid slice, _ScanBlock) per block of DEFAULT_CHUNK grid
-        points, filling the envelope arrays as it goes."""
+        points, raising radial_max to each block's largest radius."""
         for start in range(0, self.grid.m, DEFAULT_CHUNK):
             sl = slice(start, start + DEFAULT_CHUNK)
-            yield sl, self._block(sl)
+            yield sl, self._block(self.grid.values[sl])
 
-    def _block(self, sl: slice) -> _ScanBlock:
-        level, base, gram = self.level, self.base, self.base.problem.gram
-        ys = self.grid.values[sl]
-        gap = None if level == 0 else _derivative_gap(ys, self.z, base, self.loss)
-        taus = tau_profile(level, gram, self.constants, self.lam, ys.size,
-                           None if gap is None else 0.5 * np.abs(gap))
-        if sl.start == 0:
-            self.radii = {name: np.empty(self.grid.m)
-                          for name in ("radial", "rho1", "rho1_tilde", "rho2")
-                          if getattr(taus, name) is not None}
-        for name, out in self.radii.items():
-            out[sl] = getattr(taus, name)
-        shift = gap / gram.n if level == 2 else np.zeros(ys.size)
+    def _block(self, ys) -> _ScanBlock:
+        gap, taus = self.envelope(ys)
+        self.radial_max = max(self.radial_max, taus.radial.max())
+        shift = gap / self.gram.n if self.level == 2 else np.zeros(ys.size)
         return _ScanBlock(self.scan, ys, shift, taus.radial)
 
-    def taus(self) -> TauProfile:
-        """The envelope over the whole grid, once blocks() has run."""
-        return TauProfile(self.scale, **self.radii)
+    def sup_tau(self) -> float:
+        """The envelope's supremum over indices and the grid, once blocks()
+        has run; the largest block maximum is the grid maximum exactly."""
+        return float(self.scale.max() * self.radial_max)
 
 
 def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
@@ -491,18 +490,18 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     upper, lower = np.empty(grid.m), np.empty(grid.m)
     _sandwich_scan(level_scan.scan, level_scan.blocks(), upper, lower)
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
-    return ApproxCurveResult(curve=curve, taus=level_scan.taus(),
+    return ApproxCurveResult(curve=curve, taus=level_scan.envelope(grid.values)[1],
                              base=level_scan.base)
 
 
 @dataclass(frozen=True)
 class ApproxRegionResult:
-    """Upper and lower sandwich regions plus the envelopes and base fit
-    behind them."""
+    """Upper and lower sandwich regions plus the grid supremum of their
+    envelope and the base fit behind them."""
 
     upper: PredictionRegion
     lower: PredictionRegion
-    taus: TauProfile
+    sup_tau: float
     base: Predictor
 
 
@@ -523,7 +522,7 @@ def approx_regions(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     _sandwich_masks(level_scan.scan, level_scan.blocks(), c_star, upper, lower)
     return ApproxRegionResult(upper=PredictionRegion.from_mask(grid, upper),
                               lower=PredictionRegion.from_mask(grid, lower),
-                              taus=level_scan.taus(), base=level_scan.base)
+                              sup_tau=level_scan.sup_tau(), base=level_scan.base)
 
 
 def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:

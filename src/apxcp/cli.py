@@ -380,7 +380,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
                                         cfg.loss, cfg.kernel, cfg.alpha, base=base)
                 delta = thickness_gap(result.upper, result.lower)
                 bound = thickness_bound(method, base.problem.gram, constants,
-                                        lam, result.taus.sup_tau())
+                                        lam, result.sup_tau)
                 seconds = fit_seconds + time.perf_counter() - start
                 rows.append([n, rep, kind, lam, delta, bound.value,
                              "" if bound.refined is None else str(bound.refined),

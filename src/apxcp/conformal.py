@@ -124,9 +124,9 @@ class PredictionRegion:
         if mask.size and (mask[0] or mask[-1]):
             warnings.warn("prediction region touches the grid boundary and may be clipped",
                           RuntimeWarning, stacklevel=_caller_stacklevel())
-        padded = np.r_[False, mask, False]
-        starts = np.flatnonzero(padded[1:-1] & ~padded[:-2])
-        ends = np.flatnonzero(padded[1:-1] & ~padded[2:])
+        # the mask changes at each run's first cell and one past its last
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+        starts, ends = edges[::2], edges[1::2] - 1
         vals = grid.values
         intervals = tuple((float(vals[s]), float(vals[e])) for s, e in zip(starts, ends))
         measure = grid.step * int(mask.sum())

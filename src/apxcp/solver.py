@@ -22,7 +22,7 @@ from .losses import LossSpec, loss_d, loss_value
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
-DEFAULT_MAX_ITERS = 100
+DEFAULT_MAX_ITERS = 2000
 BASE_TOL = 1e-10
 
 

@@ -126,7 +126,7 @@ def test_tau1_shapes_and_golden_value():
     assert arr.shape == (3, 10)
     np.testing.assert_allclose(arr[:, 0], [0.5, 0.0, 1.0])
     np.testing.assert_array_equal(profile.rho1, r1)
-    assert profile.rho1_tilde is None and profile.rho2 is None
+    assert profile.rho2 is None
 
 
 def test_tau1_below_tau0():
@@ -170,7 +170,6 @@ def test_tau2_vanishes_at_anchor_and_caps_at_twice_tau1():
     # the radii are the standalone ones, and the influence-function error
     # bound is the level-2 radius on the query's kernel scale
     rt = rho_tilde1(gram, LOGCOSH_CONSTANTS, 0.5, r1)
-    np.testing.assert_array_equal(profile.rho1_tilde, rt)
     np.testing.assert_array_equal(profile.rho2, rho2(gram, LOGCOSH_CONSTANTS, 0.5, rt))
     np.testing.assert_array_equal(if_error_bound(gram, LOGCOSH_CONSTANTS, 0.5, r1),
                                   np.sqrt(gram.diagonal[-1]) * profile.radial)
@@ -483,6 +482,14 @@ def test_order_statistic_masks_match_counted_curves(inputs, alpha, chunk):
        log_lam=st.floats(-6.0, 2.0), kind=st.sampled_from(APPROX_KINDS),
        family=st.sampled_from(["laplacian", "gaussian_rbf"]),
        ties=st.booleans())
+# fits that need hundreds of damped Newton steps at the smallest lam
+# (371, 166 and 480 of them)
+@example(seed=69, n=14, m=2, log_lam=-6.0, kind="uniform_stability",
+         family="gaussian_rbf", ties=False)
+@example(seed=2, n=14, m=2, log_lam=-5.560546875, kind="uniform_stability",
+         family="gaussian_rbf", ties=False)
+@example(seed=5593, n=14, m=2, log_lam=-5.78125, kind="uniform_stability",
+         family="laplacian", ties=False)
 def test_curves_match_dense_oracle(seed, n, m, log_lam, kind, family, ties):
     X, Y, xq, _ = _instance(seed, n)
     if ties:
@@ -518,7 +525,7 @@ def test_regions_match_thresholded_curves(family, lam):
                 curves = approx_pvalue_curves(X, Y, xq, grid, method, lam,
                                               LOGCOSH, kernel, base=base)
                 np.testing.assert_array_equal(res.base.coeffs, base.coeffs)
-                np.testing.assert_array_equal(res.taus.radial, curves.taus.radial)
+                assert res.sup_tau == curves.taus.sup_tau()
                 for side in ("upper", "lower"):
                     got = getattr(res, side)
                     want = region_from_curve(curves.curve, alpha, side)
@@ -537,7 +544,7 @@ def test_regions_warn_of_clipping_at_the_callers_line():
 
 
 def _assert_same_envelope(got: TauProfile, want: TauProfile):
-    for name in ("scale", "radial", "rho1", "rho1_tilde", "rho2"):
+    for name in ("scale", "radial", "rho1", "rho2"):
         got_arr, want_arr = getattr(got, name), getattr(want, name)
         assert (got_arr is None) == (want_arr is None), name
         if want_arr is not None:
@@ -581,7 +588,7 @@ def test_blocks_are_invisible_at_block_boundaries(m):
                 assert _min_count(n, alpha) == c_star
                 regions = approx_regions(X, Y, xq, grid, method, lam, LOGCOSH,
                                          KERNEL, alpha, base=base)
-                _assert_same_envelope(regions.taus, want)
+                assert regions.sup_tau == want.sup_tau()
                 for side, pvals in zip(("upper", "lower"), dense):
                     mask = getattr(regions, side).mask
                     np.testing.assert_array_equal(mask, pvals > alpha)
@@ -597,10 +604,12 @@ def test_blocks_are_invisible_at_block_boundaries(m):
                 assert lo[B - 1] <= s <= hi[B - 1] and lo[B] <= s <= hi[B]
 
 
-@pytest.mark.parametrize("kind", ["uniform_stability", "local_stability"])
+@pytest.mark.parametrize("kind", APPROX_KINDS)
 def test_region_scan_holds_blocks_not_grids(kind):
     # over 100 000 grid points, grid-length temporaries took 7 MB beyond
-    # the result; blocks of DEFAULT_CHUNK points take well under 1 MB
+    # the result; blocks of DEFAULT_CHUNK points take well under 1 MB.
+    # The result holds the two masks (0.1 MB each) and no envelope, which
+    # took 0.8 MB per radius kept
     X, Y, xq, _ = _instance(35, 120)
     grid = YGrid.from_targets(Y, m=100_000)
     grid.values  # cached by the grid, before the measurement
@@ -615,6 +624,7 @@ def test_region_scan_holds_blocks_not_grids(kind):
     finally:
         tracemalloc.stop()
     assert result.upper.mask.size == grid.m
+    assert retained < 0.5e6, retained / 1e6
     assert peak - retained < 1e6, (peak - retained) / 1e6
 
 
@@ -709,7 +719,9 @@ def test_curve_profile_carries_radii_per_level():
                                 0.5, LOGCOSH, KERNEL, base=res0.base)
     assert res2.taus.rho1.shape == (grid.m,)
     assert res2.taus.rho2.shape == (grid.m,)
-    assert np.all(res2.taus.rho1_tilde >= res2.taus.rho1)
+    gram = res2.base.problem.gram
+    assert np.all(rho_tilde1(gram, LOGCOSH_CONSTANTS, 0.5, res2.taus.rho1)
+                  >= res2.taus.rho1)
 
 
 def _assert_scores_within_envelopes(X, Y, xq, grid, lam, kernel, every, slack):

@@ -126,6 +126,40 @@ def test_region_mask_interval_round_trip():
     np.testing.assert_array_equal(rebuilt, mask)
 
 
+def _runs_by_loop(mask):
+    """(first, last) cell index of each run of True cells, one cell at a
+    time."""
+    runs, start = [], None
+    for i, cell in enumerate(mask):
+        if cell and start is None:
+            start = i
+        if not cell and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask) - 1))
+    return runs
+
+
+_MASKS = {"all False": [False] * 7, "all True": [True] * 7,
+          "first cell": [True] + [False] * 6, "last cell": [False] * 6 + [True],
+          "alternating": [True, False] * 4, "alternating from False": [False, True] * 4}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(_MASKS)).map(_MASKS.get),
+                 st.lists(st.booleans(), min_size=2, max_size=60)))
+def test_region_intervals_match_run_length_loop(cells):
+    g = YGrid(-1.0, 2.0, len(cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # runs at the edges
+        region = PredictionRegion.from_mask(g, np.array(cells, dtype=bool))
+    runs = _runs_by_loop(cells)
+    assert region.intervals == tuple((float(g.values[a]), float(g.values[b]))
+                                     for a, b in runs)
+    assert region.measure == g.step * sum(b - a + 1 for a, b in runs)
+
+
 def test_region_boundary_warning():
     # a warning naming a library line would show once per run under the
     # default once-per-location filter, whoever clips a region later
