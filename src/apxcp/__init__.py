@@ -24,7 +24,8 @@ from .losses import (LOSS_FAMILIES, LossSpec, SmoothnessConstants, loss_d,
                      loss_value, smoothness_constants)
 from .solver import (Predictor, SolverError, WeightedProblem,
                      anchor_y_weights, anchor_z_weights, augmented_problem,
-                     fit, gradient, hessian, rkhs_norm_diff, risk)
+                     fit, gradient, hessian, rkhs_norm_diff, risk,
+                     z_anchored_problem)
 
 __all__ = [
     "APPROX_KINDS", "ApproxCurveResult", "ApproxMethod", "ApproxRegionResult",
@@ -43,5 +44,5 @@ __all__ = [
     "rho_tilde1", "risk", "rkhs_norm_diff", "save_csv",
     "smoothness_constants", "split_pvalues", "split_region",
     "tau_profile", "thickness_bound", "thickness_gap",
-    "write_region_csv", "write_region_json",
+    "write_region_csv", "write_region_json", "z_anchored_problem",
 ]

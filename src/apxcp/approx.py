@@ -61,7 +61,7 @@ from .conformal import (PredictionRegion, PValueCurve, YGrid, _min_count,
 from .kernels import GramMatrix, KernelSpec
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
 from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
-                     anchor_z_weights, augmented_problem, fit)
+                     check_z_anchored, fit, z_anchored_problem)
 
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
 _LEVEL = {"uniform_stability": 0, "local_stability": 1, "influence_function": 2}
@@ -392,23 +392,7 @@ class ApproxCurveResult:
 def base_fit(X, Y, x_query, z: float, lam: float, loss: LossSpec,
              kernel: KernelSpec) -> Predictor:
     """Single fit on the data plus the query input anchored at output z."""
-    Y = np.asarray(Y, dtype=float)
-    problem = augmented_problem(X, Y, x_query, (z, z), anchor_z_weights(Y.size),
-                                lam, loss, kernel)
-    return fit(problem)
-
-
-def _check_base(base: Predictor, Y, z: float, lam: float, loss: LossSpec) -> None:
-    """Raise ValueError naming the first field in which the base fit's
-    problem differs from the z-anchored problem on Y."""
-    p, n = base.problem, Y.size
-    for field, same in (("Gram size", p.gram.n == n + 1),
-                        ("targets", np.array_equal(p.targets, Y)),
-                        ("lam", p.lam == lam), ("loss", p.loss == loss),
-                        ("anchors", p.anchors == (z, z)),
-                        ("weights", np.array_equal(p.weights, anchor_z_weights(n)))):
-        if not same:
-            raise ValueError(f"base fit belongs to another problem (mismatch in {field})")
+    return fit(z_anchored_problem(X, Y, x_query, z, lam, loss, kernel))
 
 
 class _LevelScan:
@@ -432,7 +416,7 @@ class _LevelScan:
         if base is None:
             base = base_fit(X, Y, x_query, z, lam, loss, kernel)
         else:
-            _check_base(base, Y, z, lam, loss)
+            check_z_anchored(base.problem, Y, lam, loss, z, "base fit")
         gram = base.problem.gram
         if method.level == 2:
             k_dir = gram.entries @ influence_direction(base)

@@ -19,8 +19,9 @@ import numpy as np
 from .data_io import write_json, write_table
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
-from .solver import (SolverError, anchor_y_weights, anchor_z_weights,
-                     augmented_problem, fit)
+from .solver import (SolverError, WeightedProblem, anchor_y_weights,
+                     augmented_problem, check_z_anchored, fit,
+                     z_anchored_problem)
 
 
 @dataclass(frozen=True)
@@ -213,17 +214,26 @@ def full_region_bruteforce(X, Y, x_query, grid: YGrid, alpha: float, lam: float,
 
 
 def oracle_pvalues(X, Y, x_query, y_true: float, grid: YGrid, lam: float,
-                   loss: LossSpec, kernel: KernelSpec) -> PValueCurve:
+                   loss: LossSpec, kernel: KernelSpec,
+                   problem: WeightedProblem | None = None) -> PValueCurve:
     """Benchmark p-value curve from a single fit that uses the true output.
 
     The augmented sample with the true (x_query, y_true) pair is fit
     once; the training scores stay fixed while the test score varies
-    over the grid.
+    over the grid. A supplied problem, z_anchored_problem on the same
+    sample at any z, is re-anchored at y_true, so the fit reuses its Gram
+    matrix and cached eigendecomposition. One with another Gram size,
+    targets, lam, loss or weights raises ValueError; other inputs X or
+    another kernel at the same size go undetected.
     """
     Y = np.asarray(Y, dtype=float)
     n = Y.size
-    problem = augmented_problem(X, Y, x_query, (float(y_true), float(y_true)),
-                                anchor_z_weights(n), lam, loss, kernel)
+    y_true = float(y_true)
+    if problem is None:
+        problem = z_anchored_problem(X, Y, x_query, y_true, lam, loss, kernel)
+    else:
+        check_z_anchored(problem, Y, lam, loss, None, "oracle problem")
+        problem = replace(problem, anchors=(y_true, y_true))
     pred = fit(problem)
     preds = pred.predictions()
     scores_sorted = np.sort(np.abs(Y - preds[:n]))

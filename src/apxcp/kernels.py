@@ -83,8 +83,9 @@ class GramMatrix:
     """Symmetric PSD kernel matrix over a point set.
 
     The last row/column conventionally corresponds to the query input
-    when the matrix covers an augmented sample. The eigendecomposition
-    is computed lazily, at most once, under a lock, so a constructed
+    when the matrix covers an augmented sample. The eigendecomposition,
+    and the retained eigenvectors the range projection reads, are
+    computed lazily, at most once, under a lock, so a constructed
     instance can be shared read-only across threads.
     """
 
@@ -102,6 +103,7 @@ class GramMatrix:
         self._diagonal = diag
         self._eig_lock = threading.Lock()
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._range_basis: np.ndarray | None = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -149,8 +151,14 @@ class GramMatrix:
     def project_onto_range(self, vec: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of retained eigenvectors."""
         vec = np.asarray(vec, dtype=float)
-        w, V = self.eigenpairs
-        Vr = V[:, _retained(w)]
+        if self._range_basis is None:
+            w, V = self.eigenpairs
+            with self._eig_lock:
+                if self._range_basis is None:
+                    basis = V[:, _retained(w)]
+                    basis.setflags(write=False)
+                    self._range_basis = basis
+        Vr = self._range_basis
         return Vr @ (Vr.T @ vec)
 
 

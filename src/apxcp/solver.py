@@ -99,16 +99,15 @@ class WeightedProblem:
 
 
 def _anchor_terms(problem: WeightedProblem, query_pred: float, order: int) -> float:
-    z, y = problem.anchors
-    v = problem.weights
-    n = problem.n
-    if order == 0:
-        fz = loss_value(problem.loss, z, query_pred)
-        fy = loss_value(problem.loss, y, query_pred)
-    else:
-        fz = loss_d(problem.loss, order, z, query_pred)
-        fy = loss_d(problem.loss, order, y, query_pred)
-    return v[n] * fz + v[n + 1] * fy
+    """Weighted loss values (order 0) or derivatives of the two anchors at
+    the query prediction. An anchor of weight 0 is skipped, since
+    x + 0 * f equals x: a z- or y-anchored problem evaluates one anchor."""
+    total = 0.0
+    for weight, anchor in zip(problem.weights[problem.n:], problem.anchors):
+        if weight != 0.0:
+            total += weight * (loss_value(problem.loss, anchor, query_pred) if order == 0
+                               else loss_d(problem.loss, order, anchor, query_pred))
+    return total
 
 
 def _weighted_derivatives(problem: WeightedProblem, preds: np.ndarray,
@@ -299,3 +298,28 @@ def augmented_problem(X, Y, x_query, anchors: tuple[float, float],
     G = gram(kernel, np.vstack([X, xq]))
     return WeightedProblem(gram=G, targets=np.asarray(Y, dtype=float),
                            anchors=anchors, weights=weights, lam=lam, loss=loss)
+
+
+def z_anchored_problem(X, Y, x_query, z: float, lam: float, loss: LossSpec,
+                       kernel: KernelSpec) -> WeightedProblem:
+    """The data plus the query input anchored at output z: anchors (z, z),
+    weights anchor_z_weights."""
+    Y = np.asarray(Y, dtype=float)
+    return augmented_problem(X, Y, x_query, (z, z), anchor_z_weights(Y.size),
+                             lam, loss, kernel)
+
+
+def check_z_anchored(problem: WeightedProblem, Y, lam: float, loss: LossSpec,
+                     z: float | None, owner: str) -> None:
+    """Raise ValueError, naming owner and the first field that differs,
+    unless problem is z_anchored_problem on targets Y with this lam and
+    loss (the anchors are checked only when z is given)."""
+    n = Y.size
+    for field_name, same in (("Gram size", problem.gram.n == n + 1),
+                             ("targets", np.array_equal(problem.targets, Y)),
+                             ("lam", problem.lam == lam), ("loss", problem.loss == loss),
+                             ("anchors", z is None or problem.anchors == (z, z)),
+                             ("weights", np.array_equal(problem.weights,
+                                                        anchor_z_weights(n)))):
+        if not same:
+            raise ValueError(f"{owner} belongs to another problem (mismatch in {field_name})")

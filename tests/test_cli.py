@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apxcp import approx
+from apxcp import approx, cli, kernels, solver
 from apxcp.approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
                           thickness_gap)
 from apxcp.cli import (COMPARE_METHODS, DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE,
@@ -365,8 +365,9 @@ def test_sweep_small_schedule(tmp_path):
 
 
 def _count_fits(monkeypatch, fail_on=None):
-    """Record every fit the approximate methods make; call number fail_on
-    (1-based) raises SolverError instead."""
+    """Record every fit the approximate methods make, through base_fit or
+    from the command's shared problem; call number fail_on (1-based)
+    raises SolverError instead."""
     calls = []
     real_fit = approx.fit
 
@@ -377,6 +378,7 @@ def _count_fits(monkeypatch, fail_on=None):
         return real_fit(problem, *args, **kwargs)
 
     monkeypatch.setattr(approx, "fit", counted)
+    monkeypatch.setattr(cli, "fit", counted)
     return calls
 
 
@@ -422,6 +424,56 @@ def test_compare_failed_base_fit_fails_the_approximate_rows(tmp_path, monkeypatc
     reps_ok = {name: rec["reps_ok"] for name, rec in result["stats"].items()}
     assert reps_ok == {"SplitCP": 2, "UStableCP": 1, "LocStableCP": 1,
                        "InfluenceFunctionCP": 1, "OracleCP": 2}
+
+
+
+def _count_grams(monkeypatch):
+    """Count the Gram matrices built and the eigendecompositions run."""
+    counts = {"gram": 0, "eigh": 0}
+
+    def counting(key, real):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(solver, "gram", counting("gram", kernels.gram))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    return counts
+
+
+def test_compare_builds_one_gram_for_the_base_and_oracle_fits(tmp_path, monkeypatch):
+    counts = _count_grams(monkeypatch)
+    cmd_compare(COMPARE_CFG, tmp_path)
+    # per repetition: the approximate and oracle methods' shared problem,
+    # and the split method's training fit
+    reps = COMPARE_CFG.compare_repetitions
+    assert counts == {"gram": 2 * reps, "eigh": 2 * reps}
+
+
+def test_select_lambda_builds_one_gram_per_leave_one_out_problem(tmp_path, monkeypatch):
+    counts = _count_grams(monkeypatch)
+    cfg = ExperimentConfig(n=12, seed=3, grid_m=101, method="local_stability",
+                           lambda_grid=(0.25, 0.5, 1.0))
+    cmd_select_lambda(cfg, tmp_path)
+    n1 = 6  # half of the 11 rows left after the query row
+    # one per leave-one-out problem, whatever the number of candidates,
+    # and one for the final region
+    assert counts == {"gram": n1 + 1, "eigh": n1 + 1}
+
+
+def test_compare_oracle_rows_match_the_oracle_from_scratch(tmp_path):
+    rows = cmd_compare(COMPARE_CFG, tmp_path)["rows"]
+    oracle_rows = [r for r in rows if r[1] == "OracleCP"]
+    assert len(oracle_rows) == COMPARE_CFG.compare_repetitions
+    for rep, _, length, covered, *_ in oracle_rows:
+        X, Y, xq, y_true = friedman1(COMPARE_CFG.n, COMPARE_CFG.noise_sd,
+                                     seed=(COMPARE_CFG.seed, rep)).split_query()
+        region = region_from_curve(
+            oracle_pvalues(X, Y, xq, y_true, COMPARE_CFG.grid_for(Y),
+                           COMPARE_CFG.lambda_for(Y.size + 1), COMPARE_CFG.loss,
+                           COMPARE_CFG.kernel), COMPARE_CFG.alpha, "upper")
+        assert (length, covered) == (region.measure, int(region.contains(y_true)))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3])

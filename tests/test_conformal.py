@@ -16,6 +16,8 @@ from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
 from apxcp.data_io import friedman1
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
+from apxcp.solver import (anchor_y_weights, augmented_problem,
+                           z_anchored_problem)
 
 from oracles import (bruteforce_ridge_region, conformal_pvalue, laplacian_gram,
                      pvalue_by_hand)
@@ -319,6 +321,42 @@ def test_oracle_region_grid_refinement_stability():
     r1 = oracle_region(X, Y, xq, ytrue, g1, 0.1, 0.5, LOGCOSH, KERNEL)
     r2 = oracle_region(X, Y, xq, ytrue, g2, 0.1, 0.5, LOGCOSH, KERNEL)
     assert abs(r1.measure - r2.measure) <= 2 * g1.step + 1e-12
+
+
+
+def test_oracle_reuses_a_supplied_problem_bit_for_bit():
+    X, Y, xq, ytrue = _instance(8, 16)
+    grid = YGrid.from_targets(Y, m=101)
+    want = oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL)
+    for z in (0.0, 2.5):  # the supplied anchors are replaced by y_true
+        problem = z_anchored_problem(X, Y, xq, z, 0.5, LOGCOSH, KERNEL)
+        got = oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL,
+                             problem=problem)
+        np.testing.assert_array_equal(got.upper, want.upper)
+        np.testing.assert_array_equal(got.lower, want.lower)
+        assert problem.anchors == (z, z)  # the supplied problem is untouched
+
+
+_OTHER_PROBLEMS = {
+    "Gram size": lambda X, Y, xq: z_anchored_problem(X[:-1], Y[:-1], xq, 0.0, 0.5,
+                                                     LOGCOSH, KERNEL),
+    "targets": lambda X, Y, xq: z_anchored_problem(X, Y + 3.0, xq, 0.0, 0.5,
+                                                   LOGCOSH, KERNEL),
+    "lam": lambda X, Y, xq: z_anchored_problem(X, Y, xq, 0.0, 0.05, LOGCOSH, KERNEL),
+    "loss": lambda X, Y, xq: z_anchored_problem(X, Y, xq, 0.0, 0.5,
+                                                LossSpec("pseudo_huber"), KERNEL),
+    "weights": lambda X, Y, xq: augmented_problem(
+        X, Y, xq, (0.0, 0.0), anchor_y_weights(Y.size), 0.5, LOGCOSH, KERNEL),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_OTHER_PROBLEMS))
+def test_oracle_names_the_field_a_supplied_problem_differs_in(field):
+    X, Y, xq, ytrue = _instance(8, 16)
+    grid = YGrid.from_targets(Y, m=21)
+    problem = _OTHER_PROBLEMS[field](X, Y, xq)
+    with pytest.raises(ValueError, match=f"oracle problem .*mismatch in {field}"):
+        oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL, problem=problem)
 
 
 # --- split conformal ---

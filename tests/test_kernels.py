@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import warnings
 
@@ -151,6 +152,23 @@ def test_project_onto_range_idempotent():
     np.testing.assert_allclose(G.project_onto_range(p1), p1, atol=1e-12)
 
 
+
+def test_project_onto_range_reads_one_cached_basis():
+    rng = np.random.default_rng(22)
+    pts = np.vstack([rng.uniform(size=(7, 2)), rng.uniform(size=(1, 2))])
+    pts[3] = pts[5]  # a repeated point leaves K rank-deficient
+    G = gram(KernelSpec(), pts)
+    w, V = G.eigenpairs
+    Vr = V[:, w > DEFAULT_CUTOFF * w[-1]]
+    assert Vr.shape[1] < G.n
+    for _ in range(3):
+        v = rng.normal(size=G.n)
+        np.testing.assert_array_equal(G.project_onto_range(v), Vr @ (Vr.T @ v))
+    basis = G._range_basis
+    G.project_onto_range(v)
+    assert G._range_basis is basis and not basis.flags.writeable
+
+
 def test_psd_warning_on_indefinite_matrix():
     M = np.array([[1.0, 0.0], [0.0, -1.0]])
     G = GramMatrix(M)
@@ -173,6 +191,38 @@ def test_eigen_cache_thread_safety():
         t.join()
     first = results[0]
     assert all(r is first for r in results)  # one shared decomposition
+
+
+
+def test_range_basis_cache_thread_safety(monkeypatch):
+    # more threads than cores and a short switch interval, so racing
+    # first calls overlap; every caller must see one basis from one eigh
+    eighs = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or real_eigh(a))
+    rng = np.random.default_rng(3)
+    G = gram(KernelSpec(), rng.uniform(size=(40, 2)))
+    v = rng.normal(size=G.n)
+    results, bases = [], []
+
+    def project():
+        results.append(G.project_onto_range(v))
+        bases.append(G._range_basis)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=project) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(eighs) == 1 and len(results) == 16
+    assert all(b is bases[0] for b in bases)
+    assert all(np.array_equal(r, results[0]) for r in results)
 
 
 def test_entries_read_only():

@@ -9,7 +9,8 @@ checkout) and OUT a scratch directory for the outputs. The script runs
 ``sha256  path`` line per output file. Timing columns are dropped from
 the CSVs before hashing, so two checkouts whose numeric outputs agree
 print the same lines: diff the output of two runs to check that a
-refactor left the CLI outputs byte-identical.
+refactor left the CLI outputs byte-identical. Each run's wall seconds go
+to stderr, one ``seconds  name`` line per run, so stdout stays comparable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -83,11 +85,13 @@ def main(argv=None) -> int:
                 open(run_dir / "stdout.txt", "w") as log:
             warnings.simplefilter("ignore", RuntimeWarning)
             stdout, sys.stdout = sys.stdout, log
+            start = time.perf_counter()
             try:
                 cli.main(command + ["--config", str(cfg_path),
                                     "--out", str(run_dir / "out")])
             finally:
                 sys.stdout = stdout
+        print(f"{time.perf_counter() - start:8.3f}  {name}", file=sys.stderr)
         for path in sorted((run_dir / "out").iterdir()):
             digest = hashlib.sha256(canonical(path)).hexdigest()
             print(f"{digest}  {name}/{path.name}")
