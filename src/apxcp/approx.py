@@ -32,9 +32,12 @@ whether that count reaches c*, the least count whose p-value exceeds
 alpha, which one order statistic of the base scores decides: O(m)
 comparisons, plus an exact count at the few influence-function grid
 points the shift leaves open. Its masks equal the thresholded curves.
+It takes only the base fit, whose problem holds the targets, Gram
+matrix, lam and loss; approx_pvalue_curves takes the inputs and fits
+them, or checks a supplied fit against them.
 
-The per-problem work of a level runs once per call: the input checks,
-the base fit, the sort of the base scores and the influence direction.
+The per-problem work of a level runs once per call: the checks, the
+sort of the base scores and the influence direction.
 The grid is then evaluated in blocks of DEFAULT_CHUNK points, both
 reductions alike: each block's derivative gap, envelope, shift,
 thresholds and bracket, with the p-values or masks written into arrays
@@ -396,38 +399,30 @@ def base_fit(X, Y, x_query, z: float, lam: float, loss: LossSpec,
 
 
 class _LevelScan:
-    """One level's sandwich scan over a grid.
+    """One level's sandwich scan of a base fit over a grid.
 
-    The constructor does the per-problem work, once per call: the input
-    checks, the base fit or the check of a supplied one, the sorted scan
-    with its constant-diagonal check, the influence direction, and the
-    loss's smoothness constants. blocks() then evaluates the grid
-    DEFAULT_CHUNK points at a time: each block's derivative gap, envelope
-    and shift, keeping of the envelope only the largest radius seen.
+    The constructor does the per-problem work, once per call: the check
+    that the fit is anchored at the method's z, the sorted scan with its
+    constant-diagonal check, the influence direction, and the loss's
+    smoothness constants. blocks() then evaluates the grid DEFAULT_CHUNK
+    points at a time: each block's derivative gap, envelope and shift,
+    keeping of the envelope only the largest radius seen.
     """
 
-    def __init__(self, X, Y, x_query, grid: YGrid, method: ApproxMethod,
-                 lam: float, loss: LossSpec, kernel: KernelSpec,
-                 base: Predictor | None):
-        Y = np.asarray(Y, dtype=float)
-        if not np.isfinite(Y).all():
-            raise ValueError("Y must be finite")
-        z = method.z_anchor
-        if base is None:
-            base = base_fit(X, Y, x_query, z, lam, loss, kernel)
-        else:
-            check_z_anchored(base.problem, Y, lam, loss, z, "base fit")
-        gram = base.problem.gram
+    def __init__(self, base: Predictor, grid: YGrid, method: ApproxMethod):
+        problem, z = base.problem, method.z_anchor
+        check_z_anchored(problem, z, "base fit")
+        gram = problem.gram
         if method.level == 2:
             k_dir = gram.entries @ influence_direction(base)
         else:
             # levels 0 and 1 score every candidate with the base predictions
-            k_dir = np.zeros(Y.size + 1)
+            k_dir = np.zeros(gram.n)
         self.scale = _tau_scale(gram)
-        self.scan = _SortedScan(Y, base.predictions(), k_dir, self.scale)
+        self.scan = _SortedScan(problem.targets, base.predictions(), k_dir, self.scale)
         self.base, self.gram, self.grid, self.level = base, gram, grid, method.level
-        self.z, self.lam, self.loss = z, lam, loss
-        self.constants = smoothness_constants(loss)
+        self.z, self.lam, self.loss = z, problem.lam, problem.loss
+        self.constants = smoothness_constants(problem.loss)
         self.radial_max = -np.inf
 
     def envelope(self, ys):
@@ -470,43 +465,55 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     anchors or weights raises ValueError; other inputs X or another
     kernel at the same size go undetected.
     """
-    level_scan = _LevelScan(X, Y, x_query, grid, method, lam, loss, kernel, base)
+    Y = np.asarray(Y, dtype=float)
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must be finite")
+    if base is None:
+        base = base_fit(X, Y, x_query, method.z_anchor, lam, loss, kernel)
+    problem = base.problem
+    for field_name, same in (("Gram size", problem.gram.n == Y.size + 1),
+                             ("targets", np.array_equal(problem.targets, Y)),
+                             ("lam", problem.lam == lam), ("loss", problem.loss == loss)):
+        if not same:
+            raise ValueError(f"base fit belongs to another problem (mismatch in {field_name})")
+    level_scan = _LevelScan(base, grid, method)
     upper, lower = np.empty(grid.m), np.empty(grid.m)
     _sandwich_scan(level_scan.scan, level_scan.blocks(), upper, lower)
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
     return ApproxCurveResult(curve=curve, taus=level_scan.envelope(grid.values)[1],
-                             base=level_scan.base)
+                             base=base)
 
 
 @dataclass(frozen=True)
 class ApproxRegionResult:
     """Upper and lower sandwich regions plus the grid supremum of their
-    envelope and the base fit behind them."""
+    envelope."""
 
     upper: PredictionRegion
     lower: PredictionRegion
     sup_tau: float
-    base: Predictor
 
 
-def approx_regions(X, Y, x_query, grid: YGrid, method: ApproxMethod,
-                   lam: float, loss: LossSpec, kernel: KernelSpec, alpha: float,
-                   base: Predictor | None = None) -> ApproxRegionResult:
+def approx_regions(base: Predictor, grid: YGrid, method: ApproxMethod,
+                   alpha: float) -> ApproxRegionResult:
     """Upper and lower sandwich regions {y : p(y) > alpha} over the grid,
-    without the p-value curves.
+    from a base fit anchored at method.z_anchor, without the p-value
+    curves.
 
-    The masks equal region_from_curve of approx_pvalue_curves' curve on
-    each side, with the same inputs, checks and errors, but each grid
-    point compares its scores with one order statistic of the base scores
-    instead of counting them. alpha must lie in (0, 1).
+    The targets, Gram matrix, lam and loss are those of base.problem. The
+    masks equal region_from_curve of approx_pvalue_curves' curve with
+    base=base on each side, but each grid point compares its scores with
+    one order statistic of the base scores instead of counting them. A
+    fit anchored elsewhere, an alpha outside (0, 1) or a kernel diagonal
+    that is not constant raises ValueError.
     """
-    c_star = _min_count(np.size(Y), alpha)
-    level_scan = _LevelScan(X, Y, x_query, grid, method, lam, loss, kernel, base)
+    c_star = _min_count(base.problem.n, alpha)
+    level_scan = _LevelScan(base, grid, method)
     upper, lower = np.empty(grid.m, dtype=bool), np.empty(grid.m, dtype=bool)
     _sandwich_masks(level_scan.scan, level_scan.blocks(), c_star, upper, lower)
     return ApproxRegionResult(upper=PredictionRegion.from_mask(grid, upper),
                               lower=PredictionRegion.from_mask(grid, lower),
-                              sup_tau=level_scan.sup_tau(), base=level_scan.base)
+                              sup_tau=level_scan.sup_tau())
 
 
 def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:

@@ -96,19 +96,29 @@ _FIELDS = {name: (key if group is None else f"{group}.{key}", kind)
            for key, (name, kind) in keys.items()}
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                dict: "an object"}
-# the types stored in the file as a JSON object, via from_config/to_config
-_SPECS = (KernelSpec, LossSpec)
+# the types stored in the file as a JSON object, via from_config/to_config:
+# key -> type of each field; a kernel bandwidth may also be "auto"
+_SPECS = {KernelSpec: {"family": str, "bandwidth": float},
+          LossSpec: {"family": str, "a": float, "t": float}}
 
 
 def _checked(label: str, kind, value):
     """value if it has the given type, else a ValueError naming label.
     Numbers come back as float or int, so equal configs hash equally; a
-    list type gives a tuple of its items."""
+    list type gives a tuple of its items. A spec type takes the spec or
+    its JSON object and rebuilds the spec from the object's checked
+    fields (label.field), leaving an unknown field to from_config."""
     if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{label} must be a list, got {value!r}")
         return tuple(_checked(f"{label}[{i}]", kind[0], v)
                      for i, v in enumerate(value))
+    if kind in _SPECS:
+        obj = value.to_config() if isinstance(value, kind) else _checked(label, dict, value)
+        types = _SPECS[kind]
+        return kind.from_config({
+            key: v if key not in types or (key, v) == ("bandwidth", "auto")
+            else _checked(f"{label}.{key}", types[key], v) for key, v in obj.items()})
     if kind is float:
         ok = isinstance(value, numbers.Real) and math.isfinite(value)
     elif kind is int:
@@ -199,11 +209,8 @@ class ExperimentConfig:
             if unknown:
                 where = "config keys" if group is None else f"keys in {group!r}"
                 raise ValueError(f"unknown {where}: {sorted(unknown)}")
-            for key, (name, kind) in keys.items():
-                if key in block:
-                    value = block[key]
-                    kw[name] = (kind.from_config(_checked(key, dict, value))
-                                if kind in _SPECS else value)
+            kw.update((name, block[key]) for key, (name, _) in keys.items()
+                      if key in block)
         return cls(**kw)
 
     def to_dict(self) -> dict:
@@ -212,7 +219,7 @@ class ExperimentConfig:
             block = out if group is None else out.setdefault(group, {})
             for key, (name, _) in keys.items():
                 value = getattr(self, name)
-                block[key] = value.to_config() if isinstance(value, _SPECS) else value
+                block[key] = value.to_config() if type(value) in _SPECS else value
         rule = out["lambda_rule"]
         # a fixed lambda replaces the c * (n+1)^(-r) rule in the file
         if self.lambda_fixed is not None:
@@ -308,16 +315,15 @@ def _approx_extras(profile) -> dict:
 
 
 def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
-                  grid, lam, seed, problem=None):
+                  grid, lam, seed):
     """Dispatch a method name to its p-value curve (plus tau columns when
-    the method carries envelopes); seed draws the split and cross folds,
-    and the oracle re-anchors problem, the z-anchored one, when given."""
+    the method carries envelopes); seed draws the split and cross folds."""
     if method == "full":
         return full_conformal_pvalues(X, Y, x_query, grid, lam, cfg.loss,
                                       cfg.kernel), None
     if method == "oracle":
-        return oracle_pvalues(X, Y, x_query, y_true, grid, lam, cfg.loss,
-                              cfg.kernel, problem=problem), None
+        problem = z_anchored_problem(X, Y, x_query, y_true, lam, cfg.loss, cfg.kernel)
+        return oracle_pvalues(problem, y_true, grid), None
     if method == "split":
         return split_pvalues(X, Y, x_query, grid, lam, cfg.loss, cfg.kernel,
                              cfg.split_fraction, seed=seed), None
@@ -331,6 +337,8 @@ def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
 
 
 def cmd_region(cfg: ExperimentConfig, out: Path) -> dict:
+    if cfg.method in APPROX_KINDS:
+        smoothness_constants(cfg.loss)  # a loss without them fails before any work
     X, Y, x_query, y_true = _dataset(cfg, cfg.seed)
     grid = cfg.grid_for(Y)
     lam = cfg.lambda_for(Y.size + 1)
@@ -377,8 +385,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
             for kind in APPROX_KINDS:
                 start = time.perf_counter()
                 method = ApproxMethod(kind, cfg.z_anchor)
-                result = approx_regions(X, Y, x_query, grid, method, lam,
-                                        cfg.loss, cfg.kernel, cfg.alpha, base=base)
+                result = approx_regions(base, grid, method, cfg.alpha)
                 delta = thickness_gap(result.upper, result.lower)
                 bound = thickness_bound(method, base.problem.gram, constants,
                                         lam, result.sup_tau)
@@ -427,6 +434,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     three; the oracle fit re-anchors the base fit's problem at the true
     output, sharing its Gram matrix and eigendecomposition. Each row's
     seconds count the shared work it uses plus its own."""
+    smoothness_constants(cfg.loss)  # a loss without them fails before any work
     rows = []
     for rep in range(cfg.compare_repetitions):
         ds = friedman1(cfg.n, cfg.noise_sd, seed=(cfg.seed, rep))
@@ -450,18 +458,16 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
         for name, method in COMPARE_METHODS.items():
             start = time.perf_counter()
             try:
-                if method not in APPROX_KINDS:
-                    curve, _ = _pvalue_curve(cfg, method, X, Y, x_query, y_true,
-                                             grid, lam, (cfg.seed, rep, 1),
-                                             problem=problem)
-                    region = region_from_curve(curve, cfg.alpha, "upper")
-                elif fit_error is not None:
-                    raise fit_error
+                if method in APPROX_KINDS:
+                    if fit_error is not None:
+                        raise fit_error
+                    region = approx_regions(base, grid, ApproxMethod(method, cfg.z_anchor),
+                                            cfg.alpha).upper
                 else:
-                    region = approx_regions(X, Y, x_query, grid,
-                                            ApproxMethod(method, cfg.z_anchor),
-                                            lam, cfg.loss, cfg.kernel, cfg.alpha,
-                                            base=base).upper
+                    curve = (oracle_pvalues(problem, y_true, grid) if method == "oracle"
+                             else _pvalue_curve(cfg, method, X, Y, x_query, y_true, grid,
+                                                lam, (cfg.seed, rep, 1))[0])
+                    region = region_from_curve(curve, cfg.alpha, "upper")
                 length, covered, status = (region.measure,
                                            int(region.contains(y_true)), "ok")
             except SolverError as exc:
@@ -529,6 +535,7 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     """
     if cfg.method not in APPROX_KINDS:
         raise ValueError(f"select-lambda needs an approximate method, got {cfg.method!r}")
+    smoothness_constants(cfg.loss)  # a loss without them fails before any work
     X, Y, x_query, y_true = _dataset(cfg, cfg.seed)
     n = Y.size
     if n < 4:
@@ -555,9 +562,7 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
                 # oversized candidates; they surface in the summary instead
                 # (the fit stays outside, so its own warnings still show)
                 warnings.simplefilter("ignore", RuntimeWarning)
-                region = approx_regions(X_keep, Y_keep, x_j, grid, method, lam,
-                                        cfg.loss, cfg.kernel, cfg.alpha,
-                                        base=base).upper
+                region = approx_regions(base, grid, method, cfg.alpha).upper
             measures[i, j] = region.measure
             all_full[i] &= bool(region.mask.all())
     loo_average = dict(zip(lambdas, (float(row.mean()) for row in measures)))

@@ -20,7 +20,7 @@ from .data_io import write_json, write_table
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
 from .solver import (SolverError, WeightedProblem, anchor_y_weights,
-                     augmented_problem, check_z_anchored, fit,
+                     anchor_z_weights, augmented_problem, fit,
                      z_anchored_problem)
 
 
@@ -213,40 +213,32 @@ def full_region_bruteforce(X, Y, x_query, grid: YGrid, alpha: float, lam: float,
     return region_from_curve(curve, alpha)
 
 
-def oracle_pvalues(X, Y, x_query, y_true: float, grid: YGrid, lam: float,
-                   loss: LossSpec, kernel: KernelSpec,
-                   problem: WeightedProblem | None = None) -> PValueCurve:
+def oracle_pvalues(problem: WeightedProblem, y_true: float,
+                   grid: YGrid) -> PValueCurve:
     """Benchmark p-value curve from a single fit that uses the true output.
 
-    The augmented sample with the true (x_query, y_true) pair is fit
-    once; the training scores stay fixed while the test score varies
-    over the grid. A supplied problem, z_anchored_problem on the same
-    sample at any z, is re-anchored at y_true, so the fit reuses its Gram
-    matrix and cached eigendecomposition. One with another Gram size,
-    targets, lam, loss or weights raises ValueError; other inputs X or
-    another kernel at the same size go undetected.
+    problem, z_anchored_problem on the sample at any z, is re-anchored at
+    y_true and fit once, reusing its Gram matrix and cached
+    eigendecomposition; the training scores stay fixed while the test
+    score varies over the grid. A problem with other weights raises
+    ValueError.
     """
-    Y = np.asarray(Y, dtype=float)
-    n = Y.size
+    if not np.array_equal(problem.weights, anchor_z_weights(problem.n)):
+        raise ValueError("oracle problem is not z-anchored (mismatch in weights)")
     y_true = float(y_true)
-    if problem is None:
-        problem = z_anchored_problem(X, Y, x_query, y_true, lam, loss, kernel)
-    else:
-        check_z_anchored(problem, Y, lam, loss, None, "oracle problem")
-        problem = replace(problem, anchors=(y_true, y_true))
-    pred = fit(problem)
+    pred = fit(replace(problem, anchors=(y_true, y_true)))
     preds = pred.predictions()
-    scores_sorted = np.sort(np.abs(Y - preds[:n]))
-    test = np.abs(grid.values - preds[n])
-    pvals = _rank_pvalues(_count_at_least(scores_sorted, test), n)
+    scores_sorted = np.sort(np.abs(problem.targets - preds[:problem.n]))
+    test = np.abs(grid.values - preds[problem.n])
+    pvals = _rank_pvalues(_count_at_least(scores_sorted, test), problem.n)
     return PValueCurve(grid, pvals, pvals.copy())
 
 
 def oracle_region(X, Y, x_query, y_true: float, grid: YGrid, alpha: float,
                   lam: float, loss: LossSpec, kernel: KernelSpec) -> PredictionRegion:
     """Region of the single-fit benchmark that uses the true output."""
-    return region_from_curve(
-        oracle_pvalues(X, Y, x_query, y_true, grid, lam, loss, kernel), alpha)
+    problem = z_anchored_problem(X, Y, x_query, y_true, lam, loss, kernel)
+    return region_from_curve(oracle_pvalues(problem, y_true, grid), alpha)
 
 
 def _holdout_counts(X, Y, keep, held_out, x_query, grid: YGrid, lam: float,

@@ -158,5 +158,5 @@ def smoothness_constants(spec: LossSpec) -> SmoothnessConstants:
         xi = float((5.0 + 3.0 * s3) / ((s3 + 3.0) ** 3 * a * a))
         b = 1.0 / (4.0 * a)
         return SmoothnessConstants(rho=max(spec.t, 1.0 - spec.t), beta2=b, beta1=b, xi=xi)
-    raise ValueError("the squared loss has unbounded first derivative; "
-                     "no finite smoothness constants exist")
+    raise ValueError(f"loss.family {spec.family!r} has an unbounded first "
+                     "derivative; no finite smoothness constants exist")

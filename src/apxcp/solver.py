@@ -185,12 +185,12 @@ class Predictor:
     """Fitted coefficient vector with convergence diagnostics.
 
     coeffs lies in the range of the Gram matrix; risk_path records the
-    objective after every accepted step (monotone by construction).
+    objective after every accepted step (monotone by construction). fit
+    returns one only on convergence.
     """
 
     coeffs: np.ndarray
     problem: WeightedProblem
-    converged: bool
     grad_norm: float
     n_iters: int
     risk_path: tuple = field(repr=False, default=())
@@ -238,7 +238,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         if grad_norm <= tol:
             a = np.ascontiguousarray(a)
             a.setflags(write=False)
-            return Predictor(a, problem, True, grad_norm, it - 1, tuple(path))
+            return Predictor(a, problem, grad_norm, it - 1, tuple(path))
         d = _weighted_derivatives(problem, preds, 2)
         direction = _curvature_solve(problem, d, -(g / (two_lam * (n + 1)) + a))
         slope = float(grad @ direction)
@@ -309,17 +309,12 @@ def z_anchored_problem(X, Y, x_query, z: float, lam: float, loss: LossSpec,
                              lam, loss, kernel)
 
 
-def check_z_anchored(problem: WeightedProblem, Y, lam: float, loss: LossSpec,
-                     z: float | None, owner: str) -> None:
-    """Raise ValueError, naming owner and the first field that differs,
-    unless problem is z_anchored_problem on targets Y with this lam and
-    loss (the anchors are checked only when z is given)."""
-    n = Y.size
-    for field_name, same in (("Gram size", problem.gram.n == n + 1),
-                             ("targets", np.array_equal(problem.targets, Y)),
-                             ("lam", problem.lam == lam), ("loss", problem.loss == loss),
-                             ("anchors", z is None or problem.anchors == (z, z)),
+def check_z_anchored(problem: WeightedProblem, z: float, owner: str) -> None:
+    """Raise ValueError, naming owner and the field that differs, unless
+    problem is anchored at z as z_anchored_problem anchors it: anchors
+    (z, z) and weights anchor_z_weights."""
+    for field_name, same in (("anchors", problem.anchors == (z, z)),
                              ("weights", np.array_equal(problem.weights,
-                                                        anchor_z_weights(n)))):
+                                                        anchor_z_weights(problem.n)))):
         if not same:
-            raise ValueError(f"{owner} belongs to another problem (mismatch in {field_name})")
+            raise ValueError(f"{owner} is not anchored at z = {z} (mismatch in {field_name})")

@@ -14,7 +14,8 @@ from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
                           influence_vector, rho1, rho2, rho_tilde1,
                           tau_profile, thickness_bound, thickness_gap)
 from apxcp.conformal import (PredictionRegion, YGrid, _min_count,
-                             full_conformal_pvalues, region_from_curve)
+                             empirical_coverage, full_conformal_pvalues,
+                             region_from_curve)
 from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec, pseudo_inverse_apply
 from apxcp.losses import (LossSpec, SmoothnessConstants, loss_d,
@@ -514,17 +515,13 @@ def test_regions_match_thresholded_curves(family, lam):
         X, Y, xq, _ = _instance(seed, n)
         grid = YGrid.from_targets(Y, m=301)
         base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
-        # the last problem leaves the base fit to approx_regions
-        supplied = None if seed == 32 else base
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # full regions
             for kind in APPROX_KINDS:
                 method = ApproxMethod(kind)
-                res = approx_regions(X, Y, xq, grid, method, lam, LOGCOSH,
-                                     kernel, alpha, base=supplied)
+                res = approx_regions(base, grid, method, alpha)
                 curves = approx_pvalue_curves(X, Y, xq, grid, method, lam,
                                               LOGCOSH, kernel, base=base)
-                np.testing.assert_array_equal(res.base.coeffs, base.coeffs)
                 assert res.sup_tau == curves.taus.sup_tau()
                 for side in ("upper", "lower"):
                     got = getattr(res, side)
@@ -536,10 +533,10 @@ def test_regions_match_thresholded_curves(family, lam):
 
 def test_regions_warn_of_clipping_at_the_callers_line():
     X, Y, xq, _ = _instance(33, 10)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     with pytest.warns(RuntimeWarning, match="boundary") as caught:
-        approx_regions(X, Y, xq, YGrid(-1.0, 1.0, 5),
-                       ApproxMethod("uniform_stability"), 0.5, LOGCOSH, KERNEL,
-                       0.1)
+        approx_regions(base, YGrid(-1.0, 1.0, 5),
+                       ApproxMethod("uniform_stability"), 0.1)
     assert caught and {w.filename for w in caught} == {__file__}
 
 
@@ -564,9 +561,8 @@ def test_blocks_are_invisible_at_block_boundaries(m):
     coarse = YGrid.from_targets(Y, m=2001)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # full regions
-        edge = approx_regions(X, Y, xq, coarse, ApproxMethod("influence_function"),
-                              lam, LOGCOSH, KERNEL, alphas[1],
-                              base=base).upper.intervals[0][1]
+        edge = approx_regions(base, coarse, ApproxMethod("influence_function"),
+                              alphas[1]).upper.intervals[0][1]
         step = (coarse.hi - coarse.lo) / (2 * B + 2)
         lo = edge - (B - 0.5) * step
         grid = YGrid(lo, lo + (m - 1) * step, m)
@@ -586,8 +582,7 @@ def test_blocks_are_invisible_at_block_boundaries(m):
             np.testing.assert_array_equal(res.curve.lower, dense[1])
             for c_star, alpha in alphas.items():
                 assert _min_count(n, alpha) == c_star
-                regions = approx_regions(X, Y, xq, grid, method, lam, LOGCOSH,
-                                         KERNEL, alpha, base=base)
+                regions = approx_regions(base, grid, method, alpha)
                 assert regions.sup_tau == want.sup_tau()
                 for side, pvals in zip(("upper", "lower"), dense):
                     mask = getattr(regions, side).mask
@@ -618,8 +613,7 @@ def test_region_scan_holds_blocks_not_grids(kind):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = approx_regions(X, Y, xq, grid, ApproxMethod(kind), 0.5,
-                                    LOGCOSH, KERNEL, 0.1, base=base)
+            result = approx_regions(base, grid, ApproxMethod(kind), 0.1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -631,9 +625,9 @@ def test_region_scan_holds_blocks_not_grids(kind):
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, np.nan])
 def test_regions_reject_alpha_outside_unit_interval(alpha):
     X, Y, xq, _ = _instance(34, 8)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     with pytest.raises(ValueError, match="alpha must lie in"):
-        approx_regions(X, Y, xq, YGrid(-1.0, 1.0, 5),
-                       ApproxMethod("local_stability"), 0.5, LOGCOSH, KERNEL,
+        approx_regions(base, YGrid(-1.0, 1.0, 5), ApproxMethod("local_stability"),
                        alpha)
 
 
@@ -649,8 +643,7 @@ def test_curves_reject_nonconstant_kernel_diagonal(kind):
         approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
                              KERNEL, base=base)
     with pytest.raises(ValueError, match="constant diagonal"):
-        approx_regions(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH, KERNEL,
-                       0.1, base=base)
+        approx_regions(base, grid, ApproxMethod(kind), 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -663,10 +656,6 @@ def test_curves_reject_nonfinite_targets_with_supplied_base(bad):
         approx_pvalue_curves(X, Y, xq, YGrid(-1.0, 1.0, 5),
                              ApproxMethod("local_stability"), 0.5, LOGCOSH,
                              KERNEL, base=base)
-    with pytest.raises(ValueError, match="Y must be finite"):
-        approx_regions(X, Y, xq, YGrid(-1.0, 1.0, 5),
-                       ApproxMethod("local_stability"), 0.5, LOGCOSH, KERNEL,
-                       0.1, base=base)
 
 
 _OTHER_BASES = {
@@ -694,9 +683,10 @@ def test_curves_name_the_field_a_supplied_base_fit_differs_in(field):
         with pytest.raises(ValueError, match=f"mismatch in {field}"):
             approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5,
                                  LOGCOSH, KERNEL, base=base)
-        with pytest.raises(ValueError, match=f"mismatch in {field}"):
-            approx_regions(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
-                           KERNEL, 0.1, base=base)
+        # the regions read the rest of the problem from the fit itself
+        if field in ("anchors", "weights"):
+            with pytest.raises(ValueError, match=f"mismatch in {field}"):
+                approx_regions(base, grid, ApproxMethod(kind), 0.1)
 
 
 def test_curves_reuse_supplied_base_fit():
@@ -792,6 +782,33 @@ def test_every_level_brackets_exact_curve_where_regions_are_informative():
                                        LOGCOSH, kernel, base=base)
             assert np.all(res.curve.lower <= exact.upper), (seed, kind)
             assert np.all(exact.upper <= res.curve.upper), (seed, kind)
+
+
+def test_upper_regions_cover_where_regions_are_informative():
+    # lam 0.01 with noisy targets, as above, over 300 seeded draws: the
+    # regions from approx_regions mostly stay inside the grid, and each
+    # level's upper region covers at the nominal rate
+    lam, alpha, reps = 0.01, 0.1, 300
+    kernel = KernelSpec("laplacian")
+
+    def generator(rng):
+        return friedman1(41, noise_sd=1.0, seed=rng.integers(2**32)).split_query()
+
+    for kind in APPROX_KINDS:
+        clipped = []
+
+        def builder(X, Y, xq):
+            base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
+            upper = approx_regions(base, YGrid.from_targets(Y, m=200),
+                                   ApproxMethod(kind), alpha).upper
+            clipped.append(bool(upper.mask[0] or upper.mask[-1]))
+            return upper
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # clipped regions
+            result = empirical_coverage(builder, generator, reps, alpha, seed=0)
+        assert result.ci_hi >= 1.0 - alpha, (kind, result)
+        assert sum(clipped) < 0.1 * reps, kind
 
 
 # --- thickness ---

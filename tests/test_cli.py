@@ -21,7 +21,7 @@ from apxcp.conformal import (cross_pvalues, full_conformal_pvalues,
 from apxcp.data_io import friedman1, load_csv
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
-from apxcp.solver import SolverError
+from apxcp.solver import SolverError, z_anchored_problem
 
 
 # --- config plumbing ---
@@ -90,6 +90,8 @@ def test_config_unknown_keys_rejected():
     {"noise_sd": math.nan},
     {"lambda_c": math.nan},
     {"lambda_fixed": math.inf},
+    {"kernel": KernelSpec("laplacian", True)},
+    {"loss": LossSpec("logcosh", True)},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -106,6 +108,14 @@ def test_config_validation(kwargs):
     ({"z_anchor": math.nan}, "z_anchor must be a finite"),
     ({"grid": 5}, "grid must be an object"),
     ({"kernel": "laplacian"}, "kernel must be an object"),
+    ({"kernel": {"bandwidth": True}}, "kernel.bandwidth must be a finite number, got True"),
+    ({"kernel": {"bandwidth": "1"}}, "kernel.bandwidth must be a finite number, got '1'"),
+    ({"kernel": {"bandwidth": math.inf}}, "kernel.bandwidth must be a finite number"),
+    ({"kernel": {"family": 3}}, "kernel.family must be a string, got 3"),
+    ({"loss": {"a": True}}, "loss.a must be a finite number, got True"),
+    ({"loss": {"a": "1"}}, "loss.a must be a finite number, got '1'"),
+    ({"loss": {"t": None}}, "loss.t must be a finite number, got None"),
+    ({"loss": {"family": None}}, "loss.family must be a string, got None"),
 ])
 def test_config_type_errors_name_the_key(raw, message):
     with pytest.raises(ValueError, match=message):
@@ -133,9 +143,17 @@ def test_config_numbers_are_normalized():
     assert all(type(v) is float for v in cfg.lambda_grid)
     assert cfg.n_schedule == (8, 12, 16, 24)
     assert type(cfg.noise_sd) is float and type(cfg.n) is int
-    # an integer where a float is expected hashes like the float
+    # an integer where a float is expected hashes like the float, in the
+    # kernel and loss objects too
     assert (ExperimentConfig(noise_sd=0).config_hash()
             == ExperimentConfig(noise_sd=0.0).config_hash())
+    for raw_int, raw_float in (({"kernel": {"bandwidth": 1}}, {"kernel": {"bandwidth": 1.0}}),
+                               ({"loss": {"a": 2}}, {"loss": {"a": 2.0}})):
+        a, b = ExperimentConfig.from_dict(raw_int), ExperimentConfig.from_dict(raw_float)
+        assert a == b and a.config_hash() == b.config_hash()
+    assert type(ExperimentConfig.from_dict({"kernel": {"bandwidth": 1}}).kernel.bandwidth) is float
+    assert (ExperimentConfig(loss=LossSpec(a=2)).config_hash()
+            == ExperimentConfig(loss=LossSpec(a=2.0)).config_hash())
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -309,7 +327,8 @@ def _library_curve(cfg, method, X, Y, xq, y_true, grid, lam, seed):
     if method == "cross":
         return cross_pvalues(X, Y, xq, *args, cfg.cross_folds, seed=seed)
     if method == "oracle":
-        return oracle_pvalues(X, Y, xq, y_true, *args)
+        return oracle_pvalues(z_anchored_problem(X, Y, xq, y_true, lam, cfg.loss,
+                                                 cfg.kernel), y_true, grid)
     return approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(method, cfg.z_anchor),
                                 lam, cfg.loss, cfg.kernel).curve
 
@@ -462,6 +481,19 @@ def test_select_lambda_builds_one_gram_per_leave_one_out_problem(tmp_path, monke
     assert counts == {"gram": n1 + 1, "eigh": n1 + 1}
 
 
+@pytest.mark.parametrize("command, method", [
+    (cmd_compare, "influence_function"), (cmd_select_lambda, "local_stability"),
+    *((cmd_region, kind) for kind in APPROX_KINDS)])
+def test_a_loss_without_smoothness_constants_fails_before_any_gram(tmp_path, monkeypatch,
+                                                                    command, method):
+    counts = _count_grams(monkeypatch)
+    cfg = ExperimentConfig(n=12, grid_m=21, compare_repetitions=1, method=method,
+                           loss=LossSpec("squared"))
+    with pytest.raises(ValueError, match="loss.family 'squared'"):
+        command(cfg, tmp_path)
+    assert counts == {"gram": 0, "eigh": 0}
+
+
 def test_compare_oracle_rows_match_the_oracle_from_scratch(tmp_path):
     rows = cmd_compare(COMPARE_CFG, tmp_path)["rows"]
     oracle_rows = [r for r in rows if r[1] == "OracleCP"]
@@ -469,10 +501,10 @@ def test_compare_oracle_rows_match_the_oracle_from_scratch(tmp_path):
     for rep, _, length, covered, *_ in oracle_rows:
         X, Y, xq, y_true = friedman1(COMPARE_CFG.n, COMPARE_CFG.noise_sd,
                                      seed=(COMPARE_CFG.seed, rep)).split_query()
-        region = region_from_curve(
-            oracle_pvalues(X, Y, xq, y_true, COMPARE_CFG.grid_for(Y),
-                           COMPARE_CFG.lambda_for(Y.size + 1), COMPARE_CFG.loss,
-                           COMPARE_CFG.kernel), COMPARE_CFG.alpha, "upper")
+        problem = z_anchored_problem(X, Y, xq, y_true, COMPARE_CFG.lambda_for(Y.size + 1),
+                                     COMPARE_CFG.loss, COMPARE_CFG.kernel)
+        region = region_from_curve(oracle_pvalues(problem, y_true, COMPARE_CFG.grid_for(Y)),
+                                   COMPARE_CFG.alpha, "upper")
         assert (length, covered) == (region.measure, int(region.contains(y_true)))
 
 

@@ -279,7 +279,8 @@ def test_oracle_region_is_interval_with_order_statistic_halfwidth():
     n = Y.size
     region = oracle_region(X, Y, xq, ytrue, grid, alpha, 0.5, LOGCOSH, KERNEL)
     assert len(region.intervals) == 1
-    curve = oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL)
+    curve = oracle_pvalues(z_anchored_problem(X, Y, xq, ytrue, 0.5, LOGCOSH, KERNEL),
+                           ytrue, grid)
     # reconstruct the fit center and score ranks independently of the mask
     from apxcp.solver import anchor_z_weights, augmented_problem, fit
     problem = augmented_problem(X, Y, xq, (ytrue, ytrue), anchor_z_weights(n),
@@ -327,36 +328,25 @@ def test_oracle_region_grid_refinement_stability():
 def test_oracle_reuses_a_supplied_problem_bit_for_bit():
     X, Y, xq, ytrue = _instance(8, 16)
     grid = YGrid.from_targets(Y, m=101)
-    want = oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL)
+    # from scratch: the problem anchored at y_true, as oracle_region builds it
+    want = oracle_pvalues(z_anchored_problem(X, Y, xq, ytrue, 0.5, LOGCOSH, KERNEL),
+                          ytrue, grid)
     for z in (0.0, 2.5):  # the supplied anchors are replaced by y_true
         problem = z_anchored_problem(X, Y, xq, z, 0.5, LOGCOSH, KERNEL)
-        got = oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL,
-                             problem=problem)
+        got = oracle_pvalues(problem, ytrue, grid)
         np.testing.assert_array_equal(got.upper, want.upper)
         np.testing.assert_array_equal(got.lower, want.lower)
         assert problem.anchors == (z, z)  # the supplied problem is untouched
 
 
-_OTHER_PROBLEMS = {
-    "Gram size": lambda X, Y, xq: z_anchored_problem(X[:-1], Y[:-1], xq, 0.0, 0.5,
-                                                     LOGCOSH, KERNEL),
-    "targets": lambda X, Y, xq: z_anchored_problem(X, Y + 3.0, xq, 0.0, 0.5,
-                                                   LOGCOSH, KERNEL),
-    "lam": lambda X, Y, xq: z_anchored_problem(X, Y, xq, 0.0, 0.05, LOGCOSH, KERNEL),
-    "loss": lambda X, Y, xq: z_anchored_problem(X, Y, xq, 0.0, 0.5,
-                                                LossSpec("pseudo_huber"), KERNEL),
-    "weights": lambda X, Y, xq: augmented_problem(
-        X, Y, xq, (0.0, 0.0), anchor_y_weights(Y.size), 0.5, LOGCOSH, KERNEL),
-}
-
-
-@pytest.mark.parametrize("field", sorted(_OTHER_PROBLEMS))
+@pytest.mark.parametrize("field", ["weights"])
 def test_oracle_names_the_field_a_supplied_problem_differs_in(field):
     X, Y, xq, ytrue = _instance(8, 16)
     grid = YGrid.from_targets(Y, m=21)
-    problem = _OTHER_PROBLEMS[field](X, Y, xq)
+    problem = augmented_problem(X, Y, xq, (0.0, 0.0), anchor_y_weights(Y.size),
+                                0.5, LOGCOSH, KERNEL)
     with pytest.raises(ValueError, match=f"oracle problem .*mismatch in {field}"):
-        oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL, problem=problem)
+        oracle_pvalues(problem, ytrue, grid)
 
 
 # --- split conformal ---
@@ -494,7 +484,8 @@ def test_empirical_coverage_deterministic_in_seed():
 def test_region_csv_and_json_round_trip(tmp_path):
     X, Y, xq, ytrue = _instance(11, 10)
     grid = YGrid.from_targets(Y, m=21)
-    curve = oracle_pvalues(X, Y, xq, ytrue, grid, 0.5, LOGCOSH, KERNEL)
+    curve = oracle_pvalues(z_anchored_problem(X, Y, xq, ytrue, 0.5, LOGCOSH, KERNEL),
+                           ytrue, grid)
     region = region_from_curve(curve, 0.1)
     csv_path = tmp_path / "region.csv"
     json_path = tmp_path / "region.json"
