@@ -6,6 +6,8 @@ plus stability envelopes, producing upper and lower regions that sandwich
 the exact one, with diagnostics quantifying the gap.
 """
 
+__version__ = "0.1.0"
+
 from .approx import (APPROX_KINDS, ApproxCurveResult, ApproxMethod,
                      ApproxRegionResult, TauProfile, ThicknessBound,
                      approx_pvalue_curves, approx_regions, base_fit,

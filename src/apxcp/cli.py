@@ -23,11 +23,11 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
                      approx_regions, base_fit, thickness_bound, thickness_gap)
 from .conformal import (YGrid, cross_pvalues, full_conformal_pvalues,
@@ -37,11 +37,6 @@ from .data_io import friedman1, load_csv, save_csv, write_json, write_table
 from .kernels import KernelSpec
 from .losses import LossSpec, smoothness_constants
 from .solver import SolverError, fit, z_anchored_problem
-
-try:
-    VERSION = metadata.version("artifact")
-except metadata.PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
 
 # lambda rule c * (n+1)^(-r); c chosen so the rule gives 0.5 at n+1 = 129,
 # the midpoint-ish of the default schedule (the exponent is the part that
@@ -59,8 +54,9 @@ COMPARE_METHODS = {"SplitCP": "split", "UStableCP": "uniform_stability",
 
 
 def _log_ints(lo: int, hi: int, k: int) -> tuple[int, ...]:
-    vals = np.unique(np.round(np.geomspace(lo, hi, k)).astype(int))
-    return tuple(int(v) for v in vals)
+    """k log-spaced integers from lo to hi, rounded, duplicates dropped.
+    dict.fromkeys, not np.unique, which loads numpy.ma on first use."""
+    return tuple(dict.fromkeys(int(v) for v in np.round(np.geomspace(lo, hi, k))))
 
 
 DEFAULT_SCHEDULE = _log_ints(128, 1024, 15)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 KERNEL_FAMILIES = ("laplacian", "gaussian_rbf")
 
@@ -27,7 +26,9 @@ DEFAULT_CUTOFF = 1e-12
 # zero in floating point; only larger violations are worth a warning.
 PSD_WARN_RTOL = 1e-10
 
-_METRIC = {"laplacian": "cityblock", "gaussian_rbf": "sqeuclidean"}
+# terms (features x entries) per row block of the pairwise kernel loop,
+# 512 KB, so a block's scratch stays in cache while its features are summed
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,44 @@ class GramMatrix:
         return Vr @ (Vr.T @ vec)
 
 
+def _kernel_matrix(spec: KernelSpec, pts: np.ndarray, other: np.ndarray | None) -> np.ndarray:
+    """exp(-gamma * D) over the rows of pts and other (pts itself if None).
+
+    D is the cityblock (laplacian) or squared euclidean (gaussian_rbf)
+    distance. A block of rows holds every feature's term at once, and
+    np.add.reduce over the leading (feature) axis adds them one feature
+    at a time in feature order: the order scipy's cdist sums in, so the
+    two agree bit for bit. For pts against itself each block starts at
+    the diagonal and its entries are mirrored below it, so every pair is
+    scored once and the matrix is exactly symmetric.
+    """
+    gamma = spec.resolve_bandwidth(pts.shape[1])
+    cols = np.ascontiguousarray((pts if other is None else other).T)
+    (d, m), n = cols.shape, pts.shape[0]
+    out = np.empty((n, m))
+    rows = max(1, _BLOCK_ENTRIES // max(d * m, 1))
+    scratch = np.empty(d * rows * m)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        j0 = i0 if other is None else 0
+        acc = out[i0:i1, j0:]
+        terms = scratch[:d * acc.size].reshape(d, *acc.shape)
+        # y - x: |.| and (.)^2 agree exactly with x - y, and copying the
+        # rows in then subtracting in place beats a broadcast difference
+        np.copyto(terms, cols[:, None, j0:])
+        terms -= pts[i0:i1].T[:, :, None]
+        if spec.family == "gaussian_rbf":
+            np.multiply(terms, terms, out=terms)
+        else:
+            np.abs(terms, out=terms)
+        np.add.reduce(terms, axis=0, out=acc)
+        acc *= -gamma
+        np.exp(acc, out=acc)
+        if other is None:
+            out[i1:, i0:i1] = acc[:, i1 - i0:].T
+    return out
+
+
 def gram(spec: KernelSpec, points) -> GramMatrix:
     """Build the Gram matrix of a point set.
 
@@ -170,10 +209,8 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise ValueError("point set must be nonempty")
-    gamma = spec.resolve_bandwidth(pts.shape[1])
-    K = np.exp(-gamma * cdist(pts, pts, metric=_METRIC[spec.family]))
     # distances of identical rows are exactly zero, so the diagonal is 1
-    return GramMatrix(K)
+    return GramMatrix(_kernel_matrix(spec, pts, None))
 
 
 def gram_between(spec: KernelSpec, points, other) -> np.ndarray:
@@ -182,8 +219,7 @@ def gram_between(spec: KernelSpec, points, other) -> np.ndarray:
     oth = np.atleast_2d(np.asarray(other, dtype=float))
     if pts.shape[1] != oth.shape[1]:
         raise ValueError(f"dimension mismatch: {pts.shape[1]} vs {oth.shape[1]}")
-    gamma = spec.resolve_bandwidth(pts.shape[1])
-    return np.exp(-gamma * cdist(pts, oth, metric=_METRIC[spec.family]))
+    return _kernel_matrix(spec, pts, oth)
 
 
 def pseudo_inverse_apply(matrix, rhs: np.ndarray) -> np.ndarray:

@@ -11,12 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 LOSS_FAMILIES = ("logcosh", "pseudo_huber", "smoothed_pinball", "squared")
 
 _LOG2 = float(np.log(2.0))
 _LOG4 = float(np.log(4.0))
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), within a few ulp of
+    scipy.special.expit: exp(-x) overflows to inf for x below about -709,
+    giving exactly 0, so that overflow is silenced rather than reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ prediction space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,7 @@ class WeightedProblem:
 
     gram    : GramMatrix over (X_1, ..., X_n, X_query)
     targets : outputs (Y_1, ..., Y_n)
-    anchors : candidate outputs (z, y) attached to the query input
+    anchors : finite candidate outputs (z, y) attached to the query input
     weights : v in R^{n+2}, nonnegative; entry n weights the z term, entry
               n+1 the y term
     lam     : ridge penalty weight, > 0
@@ -70,6 +71,9 @@ class WeightedProblem:
         object.__setattr__(self, "targets", _readonly(self.targets))
         object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "anchors", (float(self.anchors[0]), float(self.anchors[1])))
+        for name, anchor in zip("zy", self.anchors):
+            if not math.isfinite(anchor):
+                raise ValueError(f"anchor {name} must be finite, got {anchor}")
         n = self.targets.size
         if self.gram.n != n + 1:
             raise ValueError(f"gram has {self.gram.n} points but targets has {n} entries")

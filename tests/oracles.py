@@ -11,10 +11,18 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 
+def cdist_kernel(family: str, gamma: float, points, other) -> np.ndarray:
+    """exp(-gamma * cdist(points, other)) with the kernel family's metric:
+    cityblock for laplacian, sqeuclidean for gaussian_rbf."""
+    metric = {"laplacian": "cityblock", "gaussian_rbf": "sqeuclidean"}[family]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    oth = np.atleast_2d(np.asarray(other, dtype=float))
+    return np.exp(-gamma * cdist(pts, oth, metric=metric))
+
+
 def laplacian_gram(points: np.ndarray, gamma: float) -> np.ndarray:
     """Gram matrix exp(-gamma * ||x - x'||_1), built without the package."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.exp(-gamma * cdist(pts, pts, metric="cityblock"))
+    return cdist_kernel("laplacian", gamma, points, points)
 
 
 def ridge_closed_form(K: np.ndarray, targets: np.ndarray, lam: float,

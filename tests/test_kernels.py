@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from apxcp.kernels import (DEFAULT_CUTOFF, GramMatrix, KernelSpec, gram,
                            gram_between, pseudo_inverse_apply)
 
-from oracles import laplacian_gram
+from oracles import cdist_kernel, laplacian_gram
 
 
 def _k(spec, x, x2):
@@ -80,6 +80,41 @@ def test_gram_matches_independent_construction():
     pts = rng.uniform(size=(7, 4))
     G = gram(KernelSpec("laplacian", 0.25), pts)
     np.testing.assert_allclose(G.entries, laplacian_gram(pts, 0.25), rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("laplacian", "gaussian_rbf")), st.integers(1, 90),
+       st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**31 - 1))
+def test_gram_equals_cdist_bit_for_bit(family, n, d, m, seed):
+    # the feature-order sum reproduces scipy's cdist exactly, duplicates
+    # and all; a duplicate row's kernel entries are exactly 1
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(scale=rng.uniform(0.01, 10.0), size=(n, d))
+    dup = rng.integers(n, size=n // 3)
+    pts[rng.integers(n, size=dup.size)] = pts[dup]
+    other = np.vstack([rng.normal(size=(m, d)), pts[:1]])
+    spec = KernelSpec(family, float(rng.uniform(0.05, 3.0)))
+    gamma = spec.resolve_bandwidth(d)
+    G = gram(spec, pts)
+    assert np.array_equal(G.entries, cdist_kernel(family, gamma, pts, pts))
+    assert np.all(np.diag(G.entries) == 1.0)
+    same = (pts[:, None, :] == pts[None, :, :]).all(axis=2)
+    assert np.all(G.entries[same] == 1.0)
+    cross = gram_between(spec, pts, other)
+    assert np.array_equal(cross, cdist_kernel(family, gamma, pts, other))
+    assert np.all(cross[:, -1][(pts == pts[0]).all(axis=1)] == 1.0)
+
+
+@pytest.mark.parametrize("family", ["laplacian", "gaussian_rbf"])
+def test_gram_equals_cdist_across_row_blocks(family):
+    # larger than one row block of the pairwise loop: the mirrored lower
+    # triangle and the block edges must match cdist too
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(size=(450, 10))
+    spec = KernelSpec(family, "auto")
+    assert np.array_equal(gram(spec, pts).entries, cdist_kernel(family, 0.1, pts, pts))
+    assert np.array_equal(gram_between(spec, pts, pts[:90]),
+                          cdist_kernel(family, 0.1, pts, pts[:90]))
 
 
 def test_gram_symmetric_and_psd_random():

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apxcp.losses import (LOSS_FAMILIES, LossSpec, loss_d, loss_value,
+from apxcp.losses import (LOSS_FAMILIES, LossSpec, expit, loss_d, loss_value,
                           smoothness_constants)
+from scipy.special import expit as scipy_expit
 
 from oracles import central_difference
 
@@ -196,6 +198,23 @@ def test_overflow_safety_far_from_center():
     # logcosh tail is |r| - a log 2 up to an exponentially small term
     big = loss_value(LossSpec("logcosh", a=1.0), 1e3, 0.0)
     assert big == pytest.approx(1e3 - math.log(2), rel=1e-13)
+
+
+def test_expit_within_4_ulp_of_scipy():
+    rng = np.random.default_rng(17)
+    w = np.concatenate([rng.normal(scale=s, size=250_000) for s in (1.0, 10.0, 100.0, 800.0)])
+    w = np.concatenate([w, [0.0, -0.0, 1e-300, -745.2, 709.8, -1000.0, 1000.0]])
+    np.testing.assert_array_max_ulp(expit(w), scipy_expit(w), maxulp=4)
+
+
+def test_expit_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(expit(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+        assert expit(-1000.0) == 0.0 and expit(1000.0) == 1.0
+        pinball = LossSpec("smoothed_pinball", a=1.0, t=0.3)
+        for order in (1, 2, 3):
+            assert np.isfinite(loss_d(pinball, order, np.array([-1000.0, 1000.0]), 0.0)).all()
 
 
 def test_loss_minimum_at_equal_arguments():

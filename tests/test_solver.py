@@ -67,6 +67,23 @@ def test_augmented_problem_rejects_nonfinite_inputs(where, message, bad):
                           anchor_z_weights(6), 0.5, LossSpec("logcosh"), KERNEL)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["z", "y"])
+def test_nonfinite_anchor_rejected_naming_it(name, bad):
+    # before the check, inf ran 2000 Newton iterations into SolverError
+    # and nan stalled the line search
+    rng = np.random.default_rng(43)
+    X, Y, x_query = rng.uniform(size=(6, 3)), rng.normal(size=6), rng.uniform(size=3)
+    pair = (bad, 0.0) if name == "z" else (0.0, bad)
+    with pytest.raises(ValueError, match=f"anchor {name} must be finite, got {bad}"):
+        augmented_problem(X, Y, x_query, pair, anchor_y_weights(6), 0.5,
+                          LossSpec("logcosh"), KERNEL)
+    problem = solver.z_anchored_problem(X, Y, x_query, 0.0, 0.5, LossSpec("logcosh"), KERNEL)
+    grid = conformal.YGrid.from_targets(Y, 11)
+    with pytest.raises(ValueError, match=f"anchor z must be finite, got {bad}"):
+        conformal.oracle_pvalues(problem, bad, grid)
+
+
 @pytest.mark.parametrize("X, x_query, message", [
     (np.arange(6.0), np.array([0.5]), "2-d"),
     (np.ones((6, 3)), np.ones(2), "width 3"),
