@@ -2,10 +2,11 @@
 
 Two bounded translation-invariant kernel families are provided, both
 normalized so that k(x, x) = 1. The Gram matrix caches its symmetric
-eigendecomposition, which serves only the projection onto its range: the
-solver's Newton steps and the influence-function solve factor the
-positive definite I + W^1/2 K W^1/2 instead (see solver._curvature_solve).
-pseudo_inverse_apply remains as a general spectral helper.
+eigendecomposition, which only decides its rank for the projection onto
+its range (the identity at full rank): the solver's Newton steps and the
+influence-function solve factor the positive definite I + W^1/2 K W^1/2
+instead (see solver._curvature_solve). pseudo_inverse_apply remains as a
+general spectral helper.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class GramMatrix:
 
     The last row/column conventionally corresponds to the query input
     when the matrix covers an augmented sample. The eigendecomposition,
-    and the retained eigenvectors the range projection reads, are
-    computed lazily, at most once, under a lock, so a constructed
-    instance can be shared read-only across threads.
+    and with it the retained eigenvectors (none at full rank) the range
+    projection reads, are computed lazily, at most once, under a lock, so
+    a constructed instance can be shared read-only across threads.
     """
 
     def __init__(self, entries: np.ndarray):
@@ -146,21 +147,21 @@ class GramMatrix:
                             RuntimeWarning,
                             stacklevel=2,
                         )
+                    keep = _retained(w)
+                    if not keep.all():
+                        self._range_basis = V[:, keep]
+                        self._range_basis.setflags(write=False)
+                    # set last: a reader that sees _eig sees the basis too
                     self._eig = (w, V)
         return self._eig
 
     def project_onto_range(self, vec: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the span of retained eigenvectors."""
+        """Orthogonal projection onto the span of retained eigenvectors:
+        the input itself, exactly, when every eigenvalue is retained."""
         vec = np.asarray(vec, dtype=float)
-        if self._range_basis is None:
-            w, V = self.eigenpairs
-            with self._eig_lock:
-                if self._range_basis is None:
-                    basis = V[:, _retained(w)]
-                    basis.setflags(write=False)
-                    self._range_basis = basis
+        self.eigenpairs  # decides the rank, once
         Vr = self._range_basis
-        return Vr @ (Vr.T @ vec)
+        return vec if Vr is None else Vr @ (Vr.T @ vec)
 
 
 def _kernel_matrix(spec: KernelSpec, pts: np.ndarray, other: np.ndarray | None) -> np.ndarray:

@@ -207,8 +207,7 @@ class Predictor:
         return float(self.coeffs @ self.problem.gram.query_column)
 
 
-def fit(problem: WeightedProblem, init: np.ndarray | None = None,
-        max_iters: int = DEFAULT_MAX_ITERS) -> Predictor:
+def fit(problem: WeightedProblem, init: np.ndarray | None = None) -> Predictor:
     """Minimize the weighted regularized risk by damped Newton.
 
     With g and d the weighted loss derivatives and curvatures at K a,
@@ -217,9 +216,11 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     one positive definite solve even when K is rank-deficient (see
     _curvature_solve). A plain gradient step is the fallback when that
     direction fails to descend. Step sizes come from Armijo backtracking
-    with constant 1e-4 and at most 60 halvings. Iterates are projected
-    onto the range of the Gram matrix, where the minimizer is unique. The
-    gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)).
+    with constant 1e-4 and at most 60 halvings, for at most
+    DEFAULT_MAX_ITERS steps. The gradient tolerance is 1e-10 * (1 +
+    ||effective targets|| / (n+1)). The risk reads a only through K a, so
+    only the converged coefficients are projected onto the range of the
+    Gram matrix, where the minimizer is unique.
     """
     G = problem.gram
     K = G.entries
@@ -227,20 +228,17 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     two_lam = 2.0 * problem.lam
     scale = float(np.linalg.norm(problem.effective_targets())) / (n + 1)
     tol = BASE_TOL * (1.0 + scale)
-    if init is None:
-        a = np.zeros(n + 1)
-    else:
-        a = G.project_onto_range(np.asarray(init, dtype=float))
+    a = np.zeros(n + 1) if init is None else np.array(init, dtype=float)
     current = risk(problem, a)
     path = [current]
     grad_norm = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, DEFAULT_MAX_ITERS + 1):
         preds = K @ a
         g = _weighted_derivatives(problem, preds, 1)
         grad = K @ g / (n + 1) + two_lam * preds
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= tol:
-            a = np.ascontiguousarray(a)
+            a = np.ascontiguousarray(G.project_onto_range(a))
             a.setflags(write=False)
             return Predictor(a, problem, grad_norm, it - 1, tuple(path))
         d = _weighted_derivatives(problem, preds, 2)
@@ -256,7 +254,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         step = 1.0
         accepted = None
         for _ in range(MAX_HALVINGS + 1):
-            candidate = G.project_onto_range(a + step * direction)
+            candidate = a + step * direction
             value = risk(problem, candidate)
             required = ARMIJO_C * step * slope
             if value <= current + required or (-required <= noise
@@ -271,7 +269,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         a, current = accepted
         path.append(current)
     raise SolverError(
-        f"no convergence after {max_iters} iterations, gradient norm {grad_norm:.3e}",
+        f"no convergence after {DEFAULT_MAX_ITERS} iterations, gradient norm {grad_norm:.3e}",
         a, grad_norm)
 
 

@@ -188,6 +188,16 @@ def test_project_onto_range_idempotent():
 
 
 
+def test_project_onto_range_is_the_identity_at_full_rank():
+    rng = np.random.default_rng(23)
+    G = gram(KernelSpec(), rng.uniform(size=(8, 2)))
+    w, _ = G.eigenpairs
+    assert (w > DEFAULT_CUTOFF * w[-1]).all()
+    v = rng.normal(size=G.n)
+    assert G.project_onto_range(v).tobytes() == v.tobytes()
+    assert G._range_basis is None
+
+
 def test_project_onto_range_reads_one_cached_basis():
     rng = np.random.default_rng(22)
     pts = np.vstack([rng.uniform(size=(7, 2)), rng.uniform(size=(1, 2))])

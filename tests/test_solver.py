@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from apxcp.solver import (SolverError, WeightedProblem, anchor_y_weights,
 from oracles import central_difference, eigh_newton_fit, ridge_closed_form
 
 KERNEL = KernelSpec("laplacian", 1.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _random_problem(rng, n=8, lam=0.5, loss=LossSpec("logcosh"), anchors=(0.0, 1.0),
@@ -233,11 +238,12 @@ def test_fit_warm_start_agrees_with_cold_start():
     np.testing.assert_allclose(preds_warm, preds_cold, atol=1e-8)
 
 
-def test_fit_failure_carries_state():
+def test_fit_failure_carries_state(monkeypatch):
     rng = np.random.default_rng(10)
     problem = _random_problem(rng, n=10)
-    with pytest.raises(SolverError) as err:
-        fit(problem, max_iters=1)
+    monkeypatch.setattr(solver, "DEFAULT_MAX_ITERS", 1)
+    with pytest.raises(SolverError, match="no convergence after 1 iterations") as err:
+        fit(problem)
     assert err.value.coeffs.shape == (11,)
     assert np.isfinite(err.value.grad_norm)
 
@@ -358,6 +364,65 @@ def test_fit_converges_where_the_pseudo_inverse_step_stalls():
         _oracle_fit(problem)
     pred = fit(problem)
     assert pred.n_iters <= 20
+
+
+@pytest.mark.parametrize("loss, n, seed", [("logcosh", 100, 1), ("logcosh", 300, 0),
+                                           ("logcosh", 300, 1), ("pseudo_huber", 300, 0),
+                                           ("pseudo_huber", 300, 1)])
+def test_fit_converges_at_tiny_lambda_on_gaussian_kernels(loss, n, seed):
+    # near the optimum the Armijo test resolves risk changes of a few ulps,
+    # so the line-search candidates must be exactly a + step * direction:
+    # rounding them through K's full-rank eigenbasis stalls all five fits
+    X, Y, xq, _ = friedman1(n + 1, seed=seed).split_query()
+    problem = augmented_problem(X, Y, xq, (0.0, 0.0), anchor_z_weights(n), 1e-7,
+                                LossSpec(loss), KernelSpec("gaussian_rbf", "auto"))
+    assert fit(problem).grad_norm <= 1e-9 * (1 + np.linalg.norm(Y) / (n + 1))
+
+
+def test_fit_projects_once_per_call(monkeypatch):
+    calls = []
+    real = GramMatrix.project_onto_range
+    monkeypatch.setattr(GramMatrix, "project_onto_range",
+                        lambda self, vec: calls.append(1) or real(self, vec))
+    rng = np.random.default_rng(16)
+    X = rng.uniform(size=(12, 3))
+    X = np.vstack([X, X[:2]])  # rank-deficient: the projection is not the identity
+    Y = rng.normal(scale=2.0, size=14)
+    problem = augmented_problem(X, Y, X[4], (0.0, 0.0), anchor_z_weights(14),
+                                0.05, LossSpec("logcosh"), KERNEL)
+    cold = fit(problem)
+    assert len(calls) == 1 and cold.n_iters > 1
+    warm = fit(replace(problem, anchors=(1.0, 1.0)), init=cold.coeffs)
+    assert len(calls) == 2 and warm.n_iters > 1
+
+
+_FIT_HASHES = """
+import hashlib
+from apxcp.cli import ExperimentConfig
+from apxcp.data_io import friedman1
+from apxcp.solver import fit, z_anchored_problem
+cfg = ExperimentConfig()
+for n in (190, 256, 512):
+    X, Y, xq, _ = friedman1(n + 1, 0.0, seed=(2, n, 0)).split_query()
+    problem = z_anchored_problem(X, Y, xq, cfg.z_anchor, cfg.lambda_for(n + 1),
+                                 cfg.loss, cfg.kernel)
+    print(n, hashlib.sha256(fit(problem).coeffs.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: the default is one BLAS thread")
+def test_fit_coeffs_independent_of_blas_threads():
+    # sweep --desk base problems (n = 190, 256) and one larger; the eigh
+    # that decides K's rank varies with the thread count, the fit must not
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    hashes = [subprocess.run([sys.executable, "-c", _FIT_HASHES], env=extra, cwd=ROOT,
+                             check=True, capture_output=True, text=True).stdout
+              for extra in (env, dict(env, OPENBLAS_NUM_THREADS="1"))]
+    assert hashes[0].count("\n") == 3
+    assert hashes[0] == hashes[1]
 
 
 def test_fit_and_influence_solve_without_a_hessian_eigendecomposition(monkeypatch):
