@@ -21,35 +21,43 @@ Upper and lower p-value curves built from the envelopes sandwich the
 exact full conformal region; the grid measure of their difference is the
 thickness gap diagnostic, with closed-form theoretical bounds alongside.
 
-Every level runs one scan over the data scores sorted once, with two
-reductions. approx_pvalue_curves counts, per grid point, the data
-indices passing the score comparison: a data index is decided by its
-sorted base score unless it lies in a short band around the threshold,
-where it is scored exactly. A curve over m grid points costs one fit,
-one linear solve and O((m + n) log n) counting, and gives bit for bit
-the p-values of scoring all m * (n+1) pairs. approx_regions needs only
-whether that count reaches c*, the least count whose p-value exceeds
-alpha, which one order statistic of the base scores decides: O(m)
-comparisons, plus an exact count at the few influence-function grid
-points the shift leaves open. Its masks equal the thresholded curves.
-It takes only the base fit, whose problem holds the targets, Gram
-matrix, lam and loss; approx_pvalue_curves takes the inputs and fits
-them, or checks a supplied fit against them.
+One scan per base fit serves every level a caller asks for: the data
+scores are sorted once, and the scan has two reductions.
+approx_pvalue_curves counts, per grid point, the data indices passing
+the score comparison: a data index is decided by its sorted base score
+unless it lies in a short band around the threshold, where it is scored
+exactly. A curve over m grid points costs one fit, one linear solve and
+O((m + n) log n) counting, and gives bit for bit the p-values of
+scoring all m * (n+1) pairs. approx_regions needs only whether that
+count reaches c*, the least count whose p-value exceeds alpha, which
+one order statistic of the base scores decides: O(m) comparisons, plus
+an exact count at the few influence-function grid points the shift
+leaves open. Its masks equal the thresholded curves. It takes only the
+base fit, whose problem holds the targets, Gram matrix, lam and loss,
+and a sequence of methods anchored at the fit's z, and returns one
+result per method, whose regions are built when first read;
+approx_pvalue_curves takes the inputs and fits them, or checks a
+supplied fit against them.
 
-The per-problem work of a level runs once per call: the checks, the
-sort of the base scores and the influence direction.
-The grid is then evaluated in blocks of DEFAULT_CHUNK points, both
-reductions alike: each block's derivative gap, envelope, shift,
-thresholds and bracket, with the p-values or masks written into arrays
-allocated once for the whole grid. Of the envelope, approx_regions keeps
-only its grid supremum; approx_pvalue_curves, whose callers print the
-envelope, builds it once over the whole grid. A block's float
+The per-problem work runs once per call, whatever the levels: the
+checks, the base predictions, the sort of the base scores, and the
+influence direction when level 2 is asked for. The grid is then
+evaluated in blocks of DEFAULT_CHUNK points, both reductions alike.
+Per block the derivative gap runs once for levels 1 and 2 and the
+test scores once for levels 0 and 1, whose shift is the scalar zero;
+level 0's radius is one scalar. Then, one level at a time, come each
+level's envelope, shift, thresholds and bracket, with the p-values or
+masks written into arrays allocated once for the whole grid. Of the
+envelope, approx_regions keeps only its grid supremum;
+approx_pvalue_curves, whose callers print the envelope, builds it once
+over the whole grid. A block's float
 temporaries take 64 KiB each. At that size the C heap reuses them from
 block to block, and they stay in cache; grid-length temporaries would
 be mapped afresh by each call and page-faulted in on first touch, which
 took about 40% of the sweep workload's time at m = 100 000. Every float
-expression is the same elementwise as on the whole grid, so the blocks
-change no bit of any result.
+expression is the same elementwise as on the whole grid and for a
+level scanned alone, so neither the blocks nor the shared work change
+any bit of any result.
 """
 
 from __future__ import annotations
@@ -94,6 +102,19 @@ class ApproxMethod:
         return _LEVEL[self.kind]
 
 
+def _tau_ranges(*factors) -> list[tuple[float, float]]:
+    """(min, max) of each nonempty envelope factor, after checking that
+    every entry is finite, then that every entry is nonnegative. A NaN or
+    an infinity reaches the min or the max, so two reductions per factor
+    check it."""
+    ranges = [(float(np.min(f)), float(np.max(f))) for f in factors if np.size(f)]
+    if not np.isfinite(ranges).all():
+        raise ValueError("tau factors must be finite")
+    if any(lo < 0 for lo, _ in ranges):
+        raise ValueError("tau factors must be nonnegative")
+    return ranges
+
+
 @dataclass(frozen=True)
 class TauProfile:
     """Score-error envelopes tau_i(y) in factored form.
@@ -112,10 +133,7 @@ class TauProfile:
     def __post_init__(self) -> None:
         scale = np.asarray(self.scale, dtype=float)
         radial = np.atleast_1d(np.asarray(self.radial, dtype=float))
-        if not (np.isfinite(scale).all() and np.isfinite(radial).all()):
-            raise ValueError("tau factors must be finite")
-        if (scale < 0).any() or (radial < 0).any():
-            raise ValueError("tau factors must be nonnegative")
+        _tau_ranges(scale, radial)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "radial", radial)
 
@@ -209,6 +227,21 @@ def _tau_scale(gram: GramMatrix) -> np.ndarray:
     return np.sqrt(gram.diagonal) * np.sqrt(gram.diagonal[-1])
 
 
+def _level_radial(level: int, gram: GramMatrix, constants: SmoothnessConstants,
+                  lam: float, r1):
+    """The radial factor of a level's envelope at the local radii r1
+    (unused at level 0, whose radius is one scalar for every y), and rho2
+    at level 2 (None below it)."""
+    np1 = gram.n
+    if level == 0:
+        return constants.rho / (lam * np1), None
+    if level == 1:
+        return r1 / (lam * np1), None
+    rt = rho_tilde1(gram, constants, lam, r1)
+    r2 = rho2(gram, constants, lam, rt)
+    return np.minimum(r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1)), r2
+
+
 def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
                 lam: float, m: int, rho1_val=None) -> TauProfile:
     """Envelope of one approximation level over m grid points.
@@ -220,17 +253,11 @@ def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
     and 2 take the local radius rho1 per grid point (see rho1); level 0
     needs none.
     """
-    np1 = gram.n
-    scale = _tau_scale(gram)
+    r1 = None if level == 0 else np.asarray(rho1_val, dtype=float)
+    radial, r2 = _level_radial(level, gram, constants, lam, r1)
     if level == 0:
-        return TauProfile(scale, np.full(m, constants.rho / (lam * np1)))
-    r1 = np.asarray(rho1_val, dtype=float)
-    if level == 1:
-        return TauProfile(scale, r1 / (lam * np1), rho1=r1)
-    rt = rho_tilde1(gram, constants, lam, r1)
-    r2 = rho2(gram, constants, lam, rt)
-    radial = np.minimum(r2 / (lam ** 3 * np1 ** 2), 2.0 * r1 / (lam * np1))
-    return TauProfile(scale, radial, rho1=r1, rho2=r2)
+        radial = np.full(m, radial)
+    return TauProfile(_tau_scale(gram), radial, rho1=r1, rho2=r2)
 
 
 def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_val):
@@ -246,10 +273,10 @@ class _SortedScan:
 
     Grid point j scores data index i as |Y_i - (preds_i + shift_j k_dir_i)|
     and itself as |ys_j - (preds_n + shift_j k_dir_n)|, with envelopes
-    radial_j * scale_i. Each side compares score_i + offset_j >=
-    threshold_j: the upper side takes every comparison in the direction
-    favorable to inclusion (data score + tau >= test score - tau), the
-    lower side the opposite.
+    radial_j * scale_i; levels 0 and 1 scan at zero shift. Each side
+    compares score_i + offset_j >= threshold_j: the upper side takes
+    every comparison in the direction favorable to inclusion (data score
+    + tau >= test score - tau), the lower side the opposite.
 
     The data indices are sorted by base score |Y_i - preds_i|; a
     _ScanBlock makes the comparisons of a block of grid points against
@@ -272,22 +299,27 @@ class _SortedScan:
         self.k_max = np.max(np.abs(k_dir[:n]))
         self.data_magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n]))
 
+    def test_scores(self, ys, shift):
+        """The test scores of grid values ys, their prediction shifted by
+        shift * k_dir."""
+        return np.abs(ys - (self.test_pred + shift * self.test_dir))
+
 
 class _ScanBlock:
     """The comparisons of one block of grid points against the sorted data.
 
-    The shift moves a data score by at most reach_j = |shift_j| *
+    radial is the block's envelope radius and shift its prediction shift,
+    each one scalar when it is constant in y. The shift moves a data score by at most reach_j = |shift_j| *
     max|k_dir|, so an index whose base score lies more than reach_j (plus
     a rounding slack) past grid point j's threshold is decided by its
     base score alone; bracket gives those limits, and counts applies the
     exact float predicate to the indices between them.
     """
 
-    def __init__(self, scan: _SortedScan, ys, shift, radial):
+    def __init__(self, scan: _SortedScan, test_scores, radial, shift):
         self.scan, self.shift = scan, shift
         data_taus = radial * scan.data_scale
         test_taus = radial * scan.test_scale
-        test_scores = np.abs(ys - (scan.test_pred + shift * scan.test_dir))
         # (offsets, thresholds) of the upper and the lower side
         self.sides = ((data_taus, test_scores - test_taus),
                       (-data_taus, test_scores + test_taus))
@@ -320,7 +352,9 @@ class _ScanBlock:
         width = int((last - first).max())
         if not width:
             return counts
-        shift, offsets, thresholds = self.shift[rows], offsets[rows], thresholds[rows]
+        offsets = np.broadcast_to(offsets, lo.shape)[rows]
+        shift = np.broadcast_to(self.shift, lo.shape)[rows]
+        thresholds = thresholds[rows]
         step = max(1, DEFAULT_CHUNK // width)
         for start in range(0, counts.size, step):
             r = slice(start, start + step)
@@ -334,27 +368,23 @@ class _ScanBlock:
         return counts
 
 
-def _sandwich_scan(scan: _SortedScan, blocks, upper, lower) -> None:
-    """Upper and lower sandwich p-values, written into upper and lower
-    block by block; blocks yields (grid slice, _ScanBlock) pairs. Each
+def _sandwich_scan(block: _ScanBlock):
+    """Upper and lower sandwich p-values of one block's grid points. Each
     grid point's count scores only the band of sorted indices its
     bracket leaves open (see _ScanBlock.counts)."""
 
-    def pvalues(block, offsets, thresholds):
+    def pvalues(offsets, thresholds):
         lo, hi = block.bracket(offsets, thresholds)
         counts = block.counts(slice(None), lo, hi, offsets, thresholds)
-        return _rank_pvalues(counts, scan.n)
+        return _rank_pvalues(counts, block.scan.n)
 
-    for sl, block in blocks:
-        upper[sl], lower[sl] = (pvalues(block, *side) for side in block.sides)
-        del block  # free its arrays before the next block's are made
+    return tuple(pvalues(*side) for side in block.sides)
 
 
-def _sandwich_masks(scan: _SortedScan, blocks, c_star: int, upper, lower) -> None:
-    """Upper and lower sandwich masks, written into upper and lower block
-    by block: the grid points whose count in _sandwich_scan is at least
-    c_star, i.e. whose p-value exceeds alpha for c_star =
-    conformal._min_count(n, alpha).
+def _sandwich_masks(block: _ScanBlock, c_star: int):
+    """Upper and lower sandwich masks of one block's grid points: those
+    whose count in _sandwich_scan is at least c_star, i.e. whose p-value
+    exceeds alpha for c_star = conformal._min_count(n, alpha).
 
     The comparison is monotone in the data score, since float addition
     is, so at zero shift a count reaches c_star exactly when the sorted
@@ -363,11 +393,11 @@ def _sandwich_masks(scan: _SortedScan, blocks, c_star: int, upper, lower) -> Non
     below lo (fewer than c_star can pass) or above hi (at least c_star
     pass) is decided the same way; only the few in between are counted.
     """
-    n = scan.n
+    scan = block.scan
     # every count reaches c* = 0, as an infinite score passes every comparison
-    s = scan.sorted_scores[n - c_star] if c_star else np.inf
+    s = scan.sorted_scores[scan.n - c_star] if c_star else np.inf
 
-    def reaches_c_star(block, offsets, thresholds):
+    def reaches_c_star(offsets, thresholds):
         if not block.reach.any():  # every score is its base score
             return s + offsets >= thresholds
         lo, hi = block.bracket(offsets, thresholds)
@@ -378,9 +408,7 @@ def _sandwich_masks(scan: _SortedScan, blocks, c_star: int, upper, lower) -> Non
             mask[undecided] = counts >= c_star
         return mask
 
-    for sl, block in blocks:
-        upper[sl], lower[sl] = (reaches_c_star(block, *side) for side in block.sides)
-        del block  # free its arrays before the next block's are made
+    return tuple(reaches_c_star(*side) for side in block.sides)
 
 
 @dataclass(frozen=True)
@@ -398,57 +426,99 @@ def base_fit(X, Y, x_query, z: float, lam: float, loss: LossSpec,
     return fit(z_anchored_problem(X, Y, x_query, z, lam, loss, kernel))
 
 
-class _LevelScan:
-    """One level's sandwich scan of a base fit over a grid.
+def _anchored_methods(base: Predictor, methods) -> tuple[ApproxMethod, ...]:
+    """methods as a tuple, after checking that there is at least one and
+    that base is anchored at the z of every one."""
+    if not isinstance(methods, ApproxMethod):
+        methods = tuple(methods)
+    if not (isinstance(methods, tuple)
+            and all(isinstance(method, ApproxMethod) for method in methods)):
+        raise TypeError("methods must be a sequence of ApproxMethod; "
+                        "wrap a single method in a list")
+    if not methods:
+        raise ValueError("need at least one approximation method")
+    problem = base.problem
+    z = problem.anchors[0]
+    for method in methods:
+        if method.z_anchor != z:
+            raise ValueError(f"base fit is not anchored at z = {method.z_anchor} "
+                             f"of {method!r} (mismatch in anchors)")
+    check_z_anchored(problem, z, "base fit")
+    return methods
 
-    The constructor does the per-problem work, once per call: the check
-    that the fit is anchored at the method's z, the sorted scan with its
-    constant-diagonal check, the influence direction, and the loss's
-    smoothness constants. blocks() then evaluates the grid DEFAULT_CHUNK
-    points at a time: each block's derivative gap, envelope and shift,
-    keeping of the envelope only the largest radius seen.
+
+class _ProblemScan:
+    """The sandwich scan of one base fit over a grid, for every level a
+    caller asks for.
+
+    The constructor does the per-problem work once: the check that the
+    fit is anchored at every method's z, the base predictions, the
+    envelope scale, the loss's smoothness constants and the sorted scan
+    with its constant-diagonal check, and the influence direction when
+    level 2 is asked for. blocks() then evaluates the grid DEFAULT_CHUNK
+    points at a time: per block, one derivative gap serves levels 1 and
+    2 and one set of test scores levels 0 and 1, whose shift is the
+    scalar zero, and level 0's radius is one scalar. Of each level's
+    envelope only the largest radius seen is kept.
     """
 
-    def __init__(self, base: Predictor, grid: YGrid, method: ApproxMethod):
-        problem, z = base.problem, method.z_anchor
-        check_z_anchored(problem, z, "base fit")
+    def __init__(self, base: Predictor, grid: YGrid, methods):
+        self.methods = _anchored_methods(base, methods)
+        self.levels = sorted({method.level for method in self.methods})
+        problem = base.problem
         gram = problem.gram
-        if method.level == 2:
+        if self.levels[-1] == 2:
             k_dir = gram.entries @ influence_direction(base)
         else:
             # levels 0 and 1 score every candidate with the base predictions
             k_dir = np.zeros(gram.n)
         self.scale = _tau_scale(gram)
+        _tau_ranges(self.scale)
         self.scan = _SortedScan(problem.targets, base.predictions(), k_dir, self.scale)
-        self.base, self.gram, self.grid, self.level = base, gram, grid, method.level
-        self.z, self.lam, self.loss = z, problem.lam, problem.loss
+        self.base, self.gram, self.grid = base, gram, grid
+        self.z, self.lam, self.loss = problem.anchors[0], problem.lam, problem.loss
         self.constants = smoothness_constants(problem.loss)
-        self.radial_max = -np.inf
-
-    def envelope(self, ys):
-        """The derivative gap at the grid values ys (None at level 0) and
-        the level's envelope there."""
-        gap = None if self.level == 0 else _derivative_gap(ys, self.z, self.base, self.loss)
-        return gap, tau_profile(self.level, self.gram, self.constants, self.lam, ys.size,
-                                None if gap is None else 0.5 * np.abs(gap))
+        self.radial_max = dict.fromkeys(self.levels, -np.inf)
 
     def blocks(self):
-        """Yield (grid slice, _ScanBlock) per block of DEFAULT_CHUNK grid
-        points, raising radial_max to each block's largest radius."""
+        """Yield (grid slice, level, _ScanBlock) per level asked for and
+        block of DEFAULT_CHUNK grid points, raising the level's radial_max
+        to the block's largest radius. A level's block is made once the
+        caller is done with the previous one, so the temporaries alive at
+        once are one level's plus the block's shared ones."""
         for start in range(0, self.grid.m, DEFAULT_CHUNK):
-            sl = slice(start, start + DEFAULT_CHUNK)
-            yield sl, self._block(self.grid.values[sl])
+            yield from self._level_blocks(slice(start, start + DEFAULT_CHUNK))
 
-    def _block(self, ys) -> _ScanBlock:
-        gap, taus = self.envelope(ys)
-        self.radial_max = max(self.radial_max, taus.radial.max())
-        shift = gap / self.gram.n if self.level == 2 else np.zeros(ys.size)
-        return _ScanBlock(self.scan, ys, shift, taus.radial)
+    def _level_blocks(self, sl):
+        ys, levels = self.grid.values[sl], self.levels
+        gap = r1 = zero_scores = None
+        if levels[-1] > 0:  # levels 1 and 2 read the derivative gap
+            gap = _derivative_gap(ys, self.z, self.base, self.loss)
+            r1 = 0.5 * np.abs(gap)
+        if levels[0] < 2:  # levels 0 and 1 score with the base predictions
+            zero_scores = self.scan.test_scores(ys, 0.0)
+        for level in levels:
+            yield sl, level, self._level_block(level, ys, gap, r1, zero_scores)
 
-    def sup_tau(self) -> float:
-        """The envelope's supremum over indices and the grid, once blocks()
-        has run; the largest block maximum is the grid maximum exactly."""
-        return float(self.scale.max() * self.radial_max)
+    def _level_block(self, level, ys, gap, r1, zero_scores) -> _ScanBlock:
+        radial, _ = _level_radial(level, self.gram, self.constants, self.lam, r1)
+        [(_, top)] = _tau_ranges(radial)
+        self.radial_max[level] = max(self.radial_max[level], top)
+        if level < 2:
+            return _ScanBlock(self.scan, zero_scores, radial, 0.0)
+        shift = gap / self.gram.n
+        return _ScanBlock(self.scan, self.scan.test_scores(ys, shift), radial, shift)
+
+    def envelope(self, level: int) -> TauProfile:
+        """The level's envelope over the whole grid."""
+        r1 = None if level == 0 else rho1(self.grid.values, self.z, self.base, self.loss)
+        return tau_profile(level, self.gram, self.constants, self.lam, self.grid.m, r1)
+
+    def sup_tau(self, level: int) -> float:
+        """The level's envelope supremum over indices and the grid, once
+        blocks() has run; the largest block maximum is the grid maximum
+        exactly."""
+        return float(self.scale.max() * self.radial_max[level])
 
 
 def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
@@ -476,44 +546,69 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
                              ("lam", problem.lam == lam), ("loss", problem.loss == loss)):
         if not same:
             raise ValueError(f"base fit belongs to another problem (mismatch in {field_name})")
-    level_scan = _LevelScan(base, grid, method)
+    scan = _ProblemScan(base, grid, [method])
     upper, lower = np.empty(grid.m), np.empty(grid.m)
-    _sandwich_scan(level_scan.scan, level_scan.blocks(), upper, lower)
+    for sl, _, block in scan.blocks():
+        upper[sl], lower[sl] = _sandwich_scan(block)
+        del block  # free its arrays before the next block's are made
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
-    return ApproxCurveResult(curve=curve, taus=level_scan.envelope(grid.values)[1],
-                             base=base)
+    return ApproxCurveResult(curve=curve, taus=scan.envelope(method.level), base=base)
 
 
-@dataclass(frozen=True)
 class ApproxRegionResult:
     """Upper and lower sandwich regions plus the grid supremum of their
-    envelope."""
+    envelope. Each region, and its warning when it touches the grid
+    boundary, is built the first time it is read."""
 
-    upper: PredictionRegion
-    lower: PredictionRegion
-    sup_tau: float
+    def __init__(self, grid: YGrid, upper_mask: np.ndarray, lower_mask: np.ndarray,
+                 sup_tau: float):
+        self.grid, self.sup_tau = grid, sup_tau
+        self._masks = {"upper": upper_mask, "lower": lower_mask}
+        self._regions: dict[str, PredictionRegion] = {}
+
+    def _region(self, side: str) -> PredictionRegion:
+        # not a cached_property: its frame, outside the package, would
+        # take the warning's caller line
+        if side not in self._regions:
+            self._regions[side] = PredictionRegion.from_mask(self.grid, self._masks[side])
+        return self._regions[side]
+
+    @property
+    def upper(self) -> PredictionRegion:
+        return self._region("upper")
+
+    @property
+    def lower(self) -> PredictionRegion:
+        return self._region("lower")
 
 
-def approx_regions(base: Predictor, grid: YGrid, method: ApproxMethod,
-                   alpha: float) -> ApproxRegionResult:
-    """Upper and lower sandwich regions {y : p(y) > alpha} over the grid,
-    from a base fit anchored at method.z_anchor, without the p-value
-    curves.
+def approx_regions(base: Predictor, grid: YGrid, methods,
+                   alpha: float) -> list[ApproxRegionResult]:
+    """Upper and lower sandwich regions {y : p(y) > alpha} over the grid
+    for each of the approximation methods, in their order, from one base
+    fit anchored at their common z_anchor, without the p-value curves.
 
-    The targets, Gram matrix, lam and loss are those of base.problem. The
-    masks equal region_from_curve of approx_pvalue_curves' curve with
-    base=base on each side, but each grid point compares its scores with
-    one order statistic of the base scores instead of counting them. A
-    fit anchored elsewhere, an alpha outside (0, 1) or a kernel diagonal
-    that is not constant raises ValueError.
+    The targets, Gram matrix, lam and loss are those of base.problem. One
+    scan serves every method: the checks, the sort of the base scores,
+    the influence direction (when a method is at level 2), and per grid
+    block the derivative gap and test scores run once. The masks equal
+    region_from_curve of approx_pvalue_curves' curve with base=base on
+    each side, but each grid point compares its scores with one order
+    statistic of the base scores instead of counting them. An empty
+    methods, a method anchored elsewhere than the fit, an alpha outside
+    (0, 1) or a kernel diagonal that is not constant raises ValueError.
     """
     c_star = _min_count(base.problem.n, alpha)
-    level_scan = _LevelScan(base, grid, method)
-    upper, lower = np.empty(grid.m, dtype=bool), np.empty(grid.m, dtype=bool)
-    _sandwich_masks(level_scan.scan, level_scan.blocks(), c_star, upper, lower)
-    return ApproxRegionResult(upper=PredictionRegion.from_mask(grid, upper),
-                              lower=PredictionRegion.from_mask(grid, lower),
-                              sup_tau=level_scan.sup_tau())
+    scan = _ProblemScan(base, grid, methods)
+    masks = {level: (np.empty(grid.m, dtype=bool), np.empty(grid.m, dtype=bool))
+             for level in scan.levels}
+    for sl, level, block in scan.blocks():
+        upper, lower = masks[level]
+        upper[sl], lower[sl] = _sandwich_masks(block, c_star)
+        del block  # free its arrays before the next block's are made
+    results = {level: ApproxRegionResult(grid, *masks[level], scan.sup_tau(level))
+               for level in scan.levels}
+    return [results[method.level] for method in scan.methods]
 
 
 def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:
@@ -524,7 +619,7 @@ def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:
     """
     if upper.grid != lower.grid:
         raise ValueError("thickness gap needs both regions on the same grid")
-    return upper.grid.step * int(np.sum(upper.mask & ~lower.mask))
+    return upper.grid.step * int(np.count_nonzero(upper.mask & ~lower.mask))
 
 
 @dataclass(frozen=True)

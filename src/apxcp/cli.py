@@ -352,9 +352,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
     """Thickness gap and theoretical bound across the n-schedule.
 
     One row per (n, repetition, method); the three methods share one base
-    fit, and each row's seconds count that fit plus the method's own
-    work. A failed fit is recorded in all three rows, not raised. Slopes
-    come from every successful row with a positive value.
+    fit and one joint scan of the grid, and each row's seconds count both,
+    the same for the three rows. A failed fit is recorded in all three
+    rows, not raised. Slopes come from every successful row with a
+    positive value.
     """
     schedule = DESK_SCHEDULE if desk else cfg.n_schedule
     if len(schedule) < 4:
@@ -377,18 +378,17 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
                              seconds, f"solver_error: {exc}"]
                             for kind in APPROX_KINDS)
                 continue
-            fit_seconds = time.perf_counter() - start
-            for kind in APPROX_KINDS:
-                start = time.perf_counter()
-                method = ApproxMethod(kind, cfg.z_anchor)
-                result = approx_regions(base, grid, method, cfg.alpha)
+            methods = [ApproxMethod(kind, cfg.z_anchor) for kind in APPROX_KINDS]
+            cells = []
+            for method, result in zip(methods, approx_regions(base, grid, methods,
+                                                              cfg.alpha)):
                 delta = thickness_gap(result.upper, result.lower)
                 bound = thickness_bound(method, base.problem.gram, constants,
                                         lam, result.sup_tau)
-                seconds = fit_seconds + time.perf_counter() - start
-                rows.append([n, rep, kind, lam, delta, bound.value,
-                             "" if bound.refined is None else str(bound.refined),
-                             seconds, "ok"])
+                cells.append([method.kind, lam, delta, bound.value,
+                              "" if bound.refined is None else str(bound.refined)])
+            seconds = time.perf_counter() - start
+            rows.extend([n, rep, *cell, seconds, "ok"] for cell in cells)
     header = ["n", "rep", "method", "lam", "delta", "bound", "bound_refined",
               "seconds", "status"]
     write_table(out / "sweep.csv", header, rows, _file_meta(cfg))
@@ -426,10 +426,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     """Per-repetition region length, coverage, and time for every method,
     with times normalized by the single-fit benchmark's. The approximate
-    methods share one base fit per repetition, and a failed fit fails all
-    three; the oracle fit re-anchors the base fit's problem at the true
-    output, sharing its Gram matrix and eigendecomposition. Each row's
-    seconds count the shared work it uses plus its own."""
+    methods share one base fit and one joint scan per repetition, and a
+    failed fit fails all three; the oracle fit re-anchors the base fit's
+    problem at the true output, sharing its Gram matrix and
+    eigendecomposition. Each row's seconds count the shared work it uses
+    plus its own: the three approximate rows read the same seconds."""
     smoothness_constants(cfg.loss)  # a loss without them fails before any work
     rows = []
     for rep in range(cfg.compare_repetitions):
@@ -446,9 +447,13 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
             base, fit_error = fit(problem), None
         except SolverError as exc:
             base, fit_error = None, exc
-        fit_seconds = time.perf_counter() - start
-        # shared seconds each method is charged: the approximate ones pay
-        # the set-up and the base fit, the oracle the set-up alone
+        if fit_error is None:
+            methods = [ApproxMethod(kind, cfg.z_anchor) for kind in APPROX_KINDS]
+            uppers = {method.kind: result.upper for method, result
+                      in zip(methods, approx_regions(base, grid, methods, cfg.alpha))}
+        # the approximate methods share the set-up, the base fit and one
+        # joint scan; the oracle pays the set-up, split nothing shared
+        approx_seconds = time.perf_counter() - start
         charged = {"split": 0.0, "oracle": setup_seconds}
         rep_rows = {}
         for name, method in COMPARE_METHODS.items():
@@ -457,8 +462,7 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
                 if method in APPROX_KINDS:
                     if fit_error is not None:
                         raise fit_error
-                    region = approx_regions(base, grid, ApproxMethod(method, cfg.z_anchor),
-                                            cfg.alpha).upper
+                    region = uppers[method]
                 else:
                     curve = (oracle_pvalues(problem, y_true, grid) if method == "oracle"
                              else _pvalue_curve(cfg, method, X, Y, x_query, y_true, grid,
@@ -468,7 +472,8 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
                                            int(region.contains(y_true)), "ok")
             except SolverError as exc:
                 length, covered, status = float("nan"), 0, f"solver_error: {exc}"
-            seconds = time.perf_counter() - start + charged.get(method, fit_seconds)
+            seconds = (approx_seconds if method in APPROX_KINDS
+                       else time.perf_counter() - start + charged[method])
             rep_rows[name] = [rep, name, length, covered, seconds, float("nan"),
                               status]
         oracle_row = rep_rows["OracleCP"]
@@ -558,7 +563,7 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
                 # oversized candidates; they surface in the summary instead
                 # (the fit stays outside, so its own warnings still show)
                 warnings.simplefilter("ignore", RuntimeWarning)
-                region = approx_regions(base, grid, method, cfg.alpha).upper
+                region = approx_regions(base, grid, [method], cfg.alpha)[0].upper
             measures[i, j] = region.measure
             all_full[i] &= bool(region.mask.all())
     loo_average = dict(zip(lambdas, (float(row.mean()) for row in measures)))

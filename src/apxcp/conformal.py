@@ -130,7 +130,7 @@ class PredictionRegion:
         starts, ends = edges[::2], edges[1::2] - 1
         vals = grid.values
         intervals = tuple((float(vals[s]), float(vals[e])) for s, e in zip(starts, ends))
-        measure = grid.step * int(mask.sum())
+        measure = grid.step * int(np.count_nonzero(mask))
         mask = mask.copy()
         mask.setflags(write=False)
         return cls(grid=grid, mask=mask, intervals=intervals, measure=measure)

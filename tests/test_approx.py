@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from apxcp import approx
 from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
                           TauProfile, _sandwich_masks, _sandwich_scan,
                           _ScanBlock, _SortedScan, approx_pvalue_curves,
@@ -344,30 +346,32 @@ def _scan_shift(res, kind, grid):
     return k_dir, shift
 
 
-def _blocks(scan, ys, shift, radial, chunk):
-    """The (grid slice, scan block) pairs of a scan in blocks of chunk
-    grid points, from whole-grid shifts and radii."""
+def _block(scan, ys, shift, radial):
+    """The scan block of grid values ys shifted by shift."""
+    return _ScanBlock(scan, scan.test_scores(ys, shift), radial, shift)
+
+
+def _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk, reduce):
+    """Upper and lower results of reduce over the sorted scan's blocks of
+    chunk grid points, from whole-grid shifts and radii."""
+    scan = _SortedScan(Y, preds, k_dir, scale)
+    sides = []
     for start in range(0, ys.size, chunk):
         sl = slice(start, start + chunk)
-        yield sl, _ScanBlock(scan, ys[sl], shift[sl], radial[sl])
+        sides.append(reduce(_block(scan, ys[sl], shift[sl], radial[sl])))
+    return tuple(np.concatenate(side) for side in zip(*sides))
 
 
 def _scan_curves(Y, preds, k_dir, shift, radial, scale, ys, chunk):
     """Upper and lower p-values of the sorted scan in blocks of chunk."""
-    scan = _SortedScan(Y, preds, k_dir, scale)
-    upper, lower = np.empty(ys.size), np.empty(ys.size)
-    _sandwich_scan(scan, _blocks(scan, ys, shift, radial, chunk), upper, lower)
-    return upper, lower
+    return _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk,
+                        _sandwich_scan)
 
 
 def _scan_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star, chunk):
     """Upper and lower masks of the sorted scan in blocks of chunk."""
-    scan = _SortedScan(Y, preds, k_dir, scale)
-    upper = np.empty(ys.size, dtype=bool)
-    lower = np.empty(ys.size, dtype=bool)
-    _sandwich_masks(scan, _blocks(scan, ys, shift, radial, chunk), c_star,
-                    upper, lower)
-    return upper, lower
+    return _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk,
+                        lambda block: _sandwich_masks(block, c_star))
 
 
 def test_curves_chunking_is_invisible():
@@ -507,6 +511,31 @@ def test_curves_match_dense_oracle(seed, n, m, log_lam, kind, family, ties):
     np.testing.assert_array_equal(res.curve.lower, lower)
 
 
+# every non-empty subset of the levels, in every order
+_METHOD_ORDERS = [order for size in (1, 2, 3)
+                  for order in itertools.permutations(APPROX_KINDS, size)]
+
+
+def _assert_same_region(got: PredictionRegion, want: PredictionRegion, label):
+    np.testing.assert_array_equal(got.mask, want.mask)
+    assert got.intervals == want.intervals, label
+    assert got.measure == want.measure, label
+
+
+def _assert_joint_regions_match(base, grid, alpha, single):
+    """approx_regions over every order of every subset of the levels
+    returns, per method, the single-method result single[kind]."""
+    for order in _METHOD_ORDERS:
+        joint = approx_regions(base, grid, [ApproxMethod(kind) for kind in order],
+                               alpha)
+        assert len(joint) == len(order)
+        for kind, res in zip(order, joint):
+            assert res.sup_tau == single[kind].sup_tau, (order, kind)
+            for side in ("upper", "lower"):
+                _assert_same_region(getattr(res, side), getattr(single[kind], side),
+                                    (order, kind, side))
+
+
 @pytest.mark.parametrize("family", ["laplacian", "gaussian_rbf"])
 @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 10.0])
 def test_regions_match_thresholded_curves(family, lam):
@@ -515,29 +544,130 @@ def test_regions_match_thresholded_curves(family, lam):
         X, Y, xq, _ = _instance(seed, n)
         grid = YGrid.from_targets(Y, m=301)
         base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
+        single = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # full regions
             for kind in APPROX_KINDS:
                 method = ApproxMethod(kind)
-                res = approx_regions(base, grid, method, alpha)
+                [res] = approx_regions(base, grid, [method], alpha)
                 curves = approx_pvalue_curves(X, Y, xq, grid, method, lam,
                                               LOGCOSH, kernel, base=base)
                 assert res.sup_tau == curves.taus.sup_tau()
                 for side in ("upper", "lower"):
-                    got = getattr(res, side)
-                    want = region_from_curve(curves.curve, alpha, side)
-                    np.testing.assert_array_equal(got.mask, want.mask)
-                    assert got.intervals == want.intervals, (seed, kind, side)
-                    assert got.measure == want.measure, (seed, kind, side)
+                    _assert_same_region(getattr(res, side),
+                                        region_from_curve(curves.curve, alpha, side),
+                                        (seed, kind, side))
+                single[kind] = res
+            _assert_joint_regions_match(base, grid, alpha, single)
 
 
 def test_regions_warn_of_clipping_at_the_callers_line():
     X, Y, xq, _ = _instance(33, 10)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
-    with pytest.warns(RuntimeWarning, match="boundary") as caught:
-        approx_regions(base, YGrid(-1.0, 1.0, 5),
-                       ApproxMethod("uniform_stability"), 0.1)
-    assert caught and {w.filename for w in caught} == {__file__}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # none before a read
+        [result] = approx_regions(base, YGrid(-1.0, 1.0, 5),
+                                  [ApproxMethod("uniform_stability")], 0.1)
+    for side in ("upper", "lower"):
+        with pytest.warns(RuntimeWarning, match="boundary") as caught:
+            getattr(result, side)
+        assert caught and {w.filename for w in caught} == {__file__}
+
+
+def test_regions_are_built_once_and_only_when_read(monkeypatch):
+    X, Y, xq, _ = _instance(33, 10)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    built = []
+    real = PredictionRegion.from_mask.__func__
+
+    def counted(cls, grid, mask):
+        built.append(mask)
+        return real(cls, grid, mask)
+
+    monkeypatch.setattr(PredictionRegion, "from_mask", classmethod(counted))
+    results = approx_regions(base, YGrid.from_targets(Y, m=51),
+                             [ApproxMethod(kind) for kind in APPROX_KINDS], 0.1)
+    assert not built
+    for res in results:
+        assert res.upper is res.upper
+    assert len(built) == 3
+    results[0].lower
+    assert len(built) == 4
+
+
+def test_regions_reject_methods_at_another_anchor():
+    X, Y, xq, _ = _instance(36, 10)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    grid = YGrid.from_targets(Y, m=21)
+    mixed = [ApproxMethod("uniform_stability"), ApproxMethod("local_stability", 1.0)]
+    for methods in (mixed, mixed[::-1]):
+        with pytest.raises(ValueError, match="local_stability.*mismatch in anchors"):
+            approx_regions(base, grid, methods, 0.1)
+    with pytest.raises(ValueError, match="at least one"):
+        approx_regions(base, grid, [], 0.1)
+    for bad in (ApproxMethod("local_stability"), ["local_stability"]):
+        with pytest.raises(TypeError, match="sequence of ApproxMethod"):
+            approx_regions(base, grid, bad, 0.1)
+
+
+@pytest.mark.parametrize("kind", APPROX_KINDS)
+@pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"),
+                                          (-1.0, "nonnegative")])
+def test_regions_reject_a_bad_envelope_in_any_block(monkeypatch, kind, bad, message):
+    # a radius is checked per level in every block: here only the last
+    # grid point of the second block is bad
+    X, Y, xq, _ = _instance(37, 10)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    grid = YGrid.from_targets(Y, m=DEFAULT_CHUNK + 5)
+    real = approx._level_radial
+    calls = []
+
+    def poisoned(level, *args):
+        radial, r2 = real(level, *args)
+        calls.append(level)
+        if level == ApproxMethod(kind).level and calls.count(level) == 2:
+            radial = np.array(radial, dtype=float)
+            radial.flat[-1] = bad
+        return radial, r2
+
+    monkeypatch.setattr(approx, "_level_radial", poisoned)
+    with pytest.raises(ValueError, match=f"tau factors must be {message}"):
+        approx_regions(base, grid, [ApproxMethod(k) for k in APPROX_KINDS], 0.1)
+    calls.clear()
+    with pytest.raises(ValueError, match=f"tau factors must be {message}"):
+        approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
+                             KERNEL, base=base)
+
+
+def test_one_joint_scan_shares_the_per_problem_and_per_block_work(monkeypatch):
+    # one influence direction and one sort per call, and per block one
+    # derivative gap (levels 1 and 2) and one zero-shift plus one shifted
+    # set of test scores, for the three levels together
+    X, Y, xq, _ = _instance(38, 12)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    grid = YGrid.from_targets(Y, m=2 * DEFAULT_CHUNK + 3)  # three blocks
+    calls = {"influence": 0, "sort": 0, "gap": 0, "test_scores": 0}
+
+    def counter(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(approx, "influence_direction",
+                        counter("influence", approx.influence_direction))
+    monkeypatch.setattr(approx, "_derivative_gap", counter("gap", approx._derivative_gap))
+    monkeypatch.setattr(_SortedScan, "test_scores",
+                        counter("test_scores", _SortedScan.test_scores))
+    monkeypatch.setattr(approx, "_SortedScan", counter("sort", _SortedScan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        approx_regions(base, grid, [ApproxMethod(kind) for kind in APPROX_KINDS], 0.1)
+    assert calls == {"influence": 1, "sort": 1, "gap": 3, "test_scores": 6}
+    calls.update(dict.fromkeys(calls, 0))
+    approx_regions(base, grid, [ApproxMethod("uniform_stability"),
+                                ApproxMethod("local_stability")], 0.1)
+    assert calls == {"influence": 0, "sort": 1, "gap": 3, "test_scores": 3}
 
 
 def _assert_same_envelope(got: TauProfile, want: TauProfile):
@@ -561,11 +691,13 @@ def test_blocks_are_invisible_at_block_boundaries(m):
     coarse = YGrid.from_targets(Y, m=2001)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # full regions
-        edge = approx_regions(base, coarse, ApproxMethod("influence_function"),
-                              alphas[1]).upper.intervals[0][1]
+        [edge] = approx_regions(base, coarse, [ApproxMethod("influence_function")],
+                                alphas[1])
+        edge = edge.upper.intervals[0][1]
         step = (coarse.hi - coarse.lo) / (2 * B + 2)
         lo = edge - (B - 0.5) * step
         grid = YGrid(lo, lo + (m - 1) * step, m)
+        single = {alpha: {} for alpha in alphas.values()}
         for kind in APPROX_KINDS:
             method = ApproxMethod(kind)
             res = approx_pvalue_curves(X, Y, xq, grid, method, lam, LOGCOSH,
@@ -582,7 +714,8 @@ def test_blocks_are_invisible_at_block_boundaries(m):
             np.testing.assert_array_equal(res.curve.lower, dense[1])
             for c_star, alpha in alphas.items():
                 assert _min_count(n, alpha) == c_star
-                regions = approx_regions(base, grid, method, alpha)
+                [regions] = approx_regions(base, grid, [method], alpha)
+                single[alpha][kind] = regions
                 assert regions.sup_tau == want.sup_tau()
                 for side, pvals in zip(("upper", "lower"), dense):
                     mask = getattr(regions, side).mask
@@ -593,10 +726,12 @@ def test_blocks_are_invisible_at_block_boundaries(m):
                 # the shift leaves the upper side undecided for c* = 1 on
                 # both sides of the boundary, so both blocks count exactly
                 scan = _SortedScan(Y, base.predictions(), k_dir, want.scale)
-                block = _ScanBlock(scan, grid.values, shift, want.radial)
+                block = _block(scan, grid.values, shift, want.radial)
                 lo, hi = block.bracket(*block.sides[0])
                 s = scan.sorted_scores[n - 1]
                 assert lo[B - 1] <= s <= hi[B - 1] and lo[B] <= s <= hi[B]
+        for alpha, results in single.items():
+            _assert_joint_regions_match(base, grid, alpha, results)
 
 
 @pytest.mark.parametrize("kind", APPROX_KINDS)
@@ -613,7 +748,7 @@ def test_region_scan_holds_blocks_not_grids(kind):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = approx_regions(base, grid, ApproxMethod(kind), 0.1)
+            [result] = approx_regions(base, grid, [ApproxMethod(kind)], 0.1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -627,7 +762,7 @@ def test_regions_reject_alpha_outside_unit_interval(alpha):
     X, Y, xq, _ = _instance(34, 8)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     with pytest.raises(ValueError, match="alpha must lie in"):
-        approx_regions(base, YGrid(-1.0, 1.0, 5), ApproxMethod("local_stability"),
+        approx_regions(base, YGrid(-1.0, 1.0, 5), [ApproxMethod("local_stability")],
                        alpha)
 
 
@@ -643,7 +778,7 @@ def test_curves_reject_nonconstant_kernel_diagonal(kind):
         approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
                              KERNEL, base=base)
     with pytest.raises(ValueError, match="constant diagonal"):
-        approx_regions(base, grid, ApproxMethod(kind), 0.1)
+        approx_regions(base, grid, [ApproxMethod(kind)], 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -686,7 +821,7 @@ def test_curves_name_the_field_a_supplied_base_fit_differs_in(field):
         # the regions read the rest of the problem from the fit itself
         if field in ("anchors", "weights"):
             with pytest.raises(ValueError, match=f"mismatch in {field}"):
-                approx_regions(base, grid, ApproxMethod(kind), 0.1)
+                approx_regions(base, grid, [ApproxMethod(kind)], 0.1)
 
 
 def test_curves_reuse_supplied_base_fit():
@@ -799,8 +934,9 @@ def test_upper_regions_cover_where_regions_are_informative():
 
         def builder(X, Y, xq):
             base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
-            upper = approx_regions(base, YGrid.from_targets(Y, m=200),
-                                   ApproxMethod(kind), alpha).upper
+            [regions] = approx_regions(base, YGrid.from_targets(Y, m=200),
+                                       [ApproxMethod(kind)], alpha)
+            upper = regions.upper
             clipped.append(bool(upper.mask[0] or upper.mask[-1]))
             return upper
 

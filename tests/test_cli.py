@@ -16,8 +16,9 @@ from apxcp.cli import (COMPARE_METHODS, DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE,
                        _ols_slope, build_parser, cmd_compare, cmd_gen_data,
                        cmd_region, cmd_select_lambda, cmd_sweep, load_config,
                        main, select_lambda_core)
-from apxcp.conformal import (cross_pvalues, full_conformal_pvalues,
-                             oracle_pvalues, region_from_curve, split_pvalues)
+from apxcp.conformal import (PredictionRegion, cross_pvalues,
+                             full_conformal_pvalues, oracle_pvalues,
+                             region_from_curve, split_pvalues)
 from apxcp.data_io import friedman1, load_csv
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
@@ -601,6 +602,40 @@ def test_select_lambda_small_run(tmp_path):
     assert meta["lam_chosen"] == result["lam"]
     assert (tmp_path / "region.csv").exists()
     assert (tmp_path / "region.json").exists()
+
+
+def _count_regions(monkeypatch):
+    """Record every PredictionRegion.from_mask call."""
+    calls = []
+    real = PredictionRegion.from_mask.__func__
+
+    def counted(cls, grid, mask):
+        calls.append(grid.m)
+        return real(cls, grid, mask)
+
+    monkeypatch.setattr(PredictionRegion, "from_mask", classmethod(counted))
+    return calls
+
+
+def test_select_lambda_default_run_builds_upper_regions_only(tmp_path, monkeypatch):
+    # the leave-one-out loop reads only the upper region of each of its
+    # 100 x 6 fits, and the final region is one more: 601 regions, where
+    # building the unread lower ones too made 1201
+    calls = _count_regions(monkeypatch)
+    cfg = ExperimentConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cmd_select_lambda(cfg, tmp_path)
+    assert len(calls) == 601
+
+
+def test_compare_builds_upper_regions_only(tmp_path, monkeypatch):
+    calls = _count_regions(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = cmd_compare(COMPARE_CFG, tmp_path)["rows"]
+    # one region per row: split, oracle and the three approximate uppers
+    assert len(calls) == len(rows)
 
 
 def test_select_lambda_degenerate_full_regions_warn(tmp_path):

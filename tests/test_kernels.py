@@ -128,6 +128,17 @@ def test_gram_symmetric_and_psd_random():
         assert np.all(np.diag(G.entries) == 1.0)
 
 
+def test_gram_matrix_symmetrises_its_input():
+    rng = np.random.default_rng(12)
+    M = rng.normal(size=(5, 5))
+    np.testing.assert_array_equal(GramMatrix(M).entries, 0.5 * (M + M.T))
+    # symmetric input is kept bit for bit, in a read-only array of its own
+    S = M + M.T
+    G = GramMatrix(S)
+    np.testing.assert_array_equal(G.entries, S)
+    assert G.entries is not S and S.flags.writeable and not G.entries.flags.writeable
+
+
 def test_gram_between_consistency():
     rng = np.random.default_rng(3)
     pts = rng.uniform(size=(6, 2))
