@@ -41,23 +41,24 @@ supplied fit against them.
 
 The per-problem work runs once per call, whatever the levels: the
 checks, the base predictions, the sort of the base scores, and the
-influence direction when level 2 is asked for. The grid is then
-evaluated in blocks of DEFAULT_CHUNK points, both reductions alike.
-Per block the derivative gap runs once for levels 1 and 2 and the
-test scores once for levels 0 and 1, whose shift is the scalar zero;
-level 0's radius is one scalar. Then, one level at a time, come each
-level's envelope, shift, thresholds and bracket, with the p-values or
-masks written into arrays allocated once for the whole grid. Of the
-envelope, approx_regions keeps only its grid supremum;
+influence direction when level 2 is asked for. One loop,
+_ProblemScan.run, then evaluates the grid DEFAULT_CHUNK points at a
+time; each reduction only hands it the function that reduces one
+block. Per block the derivative gap runs once for levels 1 and 2 and
+the test scores once for levels 0 and 1, whose shift is the scalar
+zero; level 0's radius is one scalar. Then, one level at a time, come
+each level's envelope, shift, thresholds and bracket, with the p-values
+or masks written into arrays the loop allocates once for the whole
+grid. Of the envelope, approx_regions keeps only its grid supremum;
 approx_pvalue_curves, whose callers print the envelope, builds it once
-over the whole grid. A block's float
-temporaries take 64 KiB each. At that size the C heap reuses them from
-block to block, and they stay in cache; grid-length temporaries would
-be mapped afresh by each call and page-faulted in on first touch, which
-took about 40% of the sweep workload's time at m = 100 000. Every float
-expression is the same elementwise as on the whole grid and for a
-level scanned alone, so neither the blocks nor the shared work change
-any bit of any result.
+over the whole grid. A block's float temporaries take 64 KiB each. At
+that size the C heap reuses them from block to block, and they stay in
+cache; grid-length temporaries would be mapped afresh by each call and
+page-faulted in on first touch, which took about 40% of the sweep
+workload's time at m = 100 000. Every float expression is the same
+elementwise as on the whole grid and for a level scanned alone, so
+neither the block split nor the shared work change any bit of any
+result.
 """
 
 from __future__ import annotations
@@ -455,7 +456,7 @@ class _ProblemScan:
     fit is anchored at every method's z, the base predictions, the
     envelope scale, the loss's smoothness constants and the sorted scan
     with its constant-diagonal check, and the influence direction when
-    level 2 is asked for. blocks() then evaluates the grid DEFAULT_CHUNK
+    level 2 is asked for. run() then evaluates the grid DEFAULT_CHUNK
     points at a time: per block, one derivative gap serves levels 1 and
     2 and one set of test scores levels 0 and 1, whose shift is the
     scalar zero, and level 0's radius is one scalar. Of each level's
@@ -480,25 +481,26 @@ class _ProblemScan:
         self.constants = smoothness_constants(problem.loss)
         self.radial_max = dict.fromkeys(self.levels, -np.inf)
 
-    def blocks(self):
-        """Yield (grid slice, level, _ScanBlock) per level asked for and
-        block of DEFAULT_CHUNK grid points, raising the level's radial_max
-        to the block's largest radius. A level's block is made once the
-        caller is done with the previous one, so the temporaries alive at
-        once are one level's plus the block's shared ones."""
-        for start in range(0, self.grid.m, DEFAULT_CHUNK):
-            yield from self._level_blocks(slice(start, start + DEFAULT_CHUNK))
-
-    def _level_blocks(self, sl):
-        ys, levels = self.grid.values[sl], self.levels
-        gap = r1 = zero_scores = None
-        if levels[-1] > 0:  # levels 1 and 2 read the derivative gap
-            gap = _derivative_gap(ys, self.z, self.base, self.loss)
-            r1 = 0.5 * np.abs(gap)
-        if levels[0] < 2:  # levels 0 and 1 score with the base predictions
-            zero_scores = self.scan.test_scores(ys, 0.0)
-        for level in levels:
-            yield sl, level, self._level_block(level, ys, gap, r1, zero_scores)
+    def run(self, reduce, dtype) -> dict:
+        """{level: (upper, lower)}, grid-length arrays of dtype holding
+        reduce(block) of each level's _ScanBlock of every DEFAULT_CHUNK
+        grid points. A block is a temporary of its reduce call, so the
+        temporaries alive at once are one level's plus the shared ones."""
+        m, levels = self.grid.m, self.levels
+        out = {level: (np.empty(m, dtype), np.empty(m, dtype)) for level in levels}
+        for start in range(0, m, DEFAULT_CHUNK):
+            sl = slice(start, start + DEFAULT_CHUNK)
+            ys = self.grid.values[sl]
+            gap = r1 = zero_scores = None
+            if levels[-1] > 0:  # levels 1 and 2 read the derivative gap
+                gap = _derivative_gap(ys, self.z, self.base, self.loss)
+                r1 = 0.5 * np.abs(gap)
+            if levels[0] < 2:  # levels 0 and 1 score with the base predictions
+                zero_scores = self.scan.test_scores(ys, 0.0)
+            for level in levels:
+                upper, lower = out[level]
+                upper[sl], lower[sl] = reduce(self._level_block(level, ys, gap, r1, zero_scores))
+        return out
 
     def _level_block(self, level, ys, gap, r1, zero_scores) -> _ScanBlock:
         radial, _ = _level_radial(level, self.gram, self.constants, self.lam, r1)
@@ -509,15 +511,9 @@ class _ProblemScan:
         shift = gap / self.gram.n
         return _ScanBlock(self.scan, self.scan.test_scores(ys, shift), radial, shift)
 
-    def envelope(self, level: int) -> TauProfile:
-        """The level's envelope over the whole grid."""
-        r1 = None if level == 0 else rho1(self.grid.values, self.z, self.base, self.loss)
-        return tau_profile(level, self.gram, self.constants, self.lam, self.grid.m, r1)
-
     def sup_tau(self, level: int) -> float:
         """The level's envelope supremum over indices and the grid, once
-        blocks() has run; the largest block maximum is the grid maximum
-        exactly."""
+        run() has; the largest block maximum is the grid maximum exactly."""
         return float(self.scale.max() * self.radial_max[level])
 
 
@@ -540,19 +536,21 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
         raise ValueError("Y must be finite")
     if base is None:
         base = base_fit(X, Y, x_query, method.z_anchor, lam, loss, kernel)
-    problem = base.problem
-    for field_name, same in (("Gram size", problem.gram.n == Y.size + 1),
-                             ("targets", np.array_equal(problem.targets, Y)),
-                             ("lam", problem.lam == lam), ("loss", problem.loss == loss)):
-        if not same:
-            raise ValueError(f"base fit belongs to another problem (mismatch in {field_name})")
+    else:
+        problem = base.problem
+        for field_name, same in (("Gram size", problem.gram.n == Y.size + 1),
+                                 ("targets", np.array_equal(problem.targets, Y)),
+                                 ("lam", problem.lam == lam), ("loss", problem.loss == loss)):
+            if not same:
+                raise ValueError("base fit belongs to another problem "
+                                 f"(mismatch in {field_name})")
     scan = _ProblemScan(base, grid, [method])
-    upper, lower = np.empty(grid.m), np.empty(grid.m)
-    for sl, _, block in scan.blocks():
-        upper[sl], lower[sl] = _sandwich_scan(block)
-        del block  # free its arrays before the next block's are made
+    [(upper, lower)] = scan.run(_sandwich_scan, float).values()
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
-    return ApproxCurveResult(curve=curve, taus=scan.envelope(method.level), base=base)
+    level = method.level
+    r1 = None if level == 0 else rho1(grid.values, scan.z, base, scan.loss)
+    taus = tau_profile(level, scan.gram, scan.constants, scan.lam, grid.m, r1)
+    return ApproxCurveResult(curve=curve, taus=taus, base=base)
 
 
 class ApproxRegionResult:
@@ -600,14 +598,9 @@ def approx_regions(base: Predictor, grid: YGrid, methods,
     """
     c_star = _min_count(base.problem.n, alpha)
     scan = _ProblemScan(base, grid, methods)
-    masks = {level: (np.empty(grid.m, dtype=bool), np.empty(grid.m, dtype=bool))
-             for level in scan.levels}
-    for sl, level, block in scan.blocks():
-        upper, lower = masks[level]
-        upper[sl], lower[sl] = _sandwich_masks(block, c_star)
-        del block  # free its arrays before the next block's are made
-    results = {level: ApproxRegionResult(grid, *masks[level], scan.sup_tau(level))
-               for level in scan.levels}
+    masks = scan.run(lambda block: _sandwich_masks(block, c_star), bool)
+    results = {level: ApproxRegionResult(grid, *sides, scan.sup_tau(level))
+               for level, sides in masks.items()}
     return [results[method.level] for method in scan.methods]
 
 

@@ -22,7 +22,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +92,8 @@ _FIELDS = {name: (key if group is None else f"{group}.{key}", kind)
            for key, (name, kind) in keys.items()}
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                dict: "an object"}
-# the types stored in the file as a JSON object, via from_config/to_config:
-# key -> type of each field; a kernel bandwidth may also be "auto"
+# the types stored in the file as a JSON object, the spec's asdict: key ->
+# type of each field; a kernel bandwidth may also be "auto"
 _SPECS = {KernelSpec: {"family": str, "bandwidth": float},
           LossSpec: {"family": str, "a": float, "t": float}}
 
@@ -103,16 +103,17 @@ def _checked(label: str, kind, value):
     Numbers come back as float or int, so equal configs hash equally; a
     list type gives a tuple of its items. A spec type takes the spec or
     its JSON object and rebuilds the spec from the object's checked
-    fields (label.field), leaving an unknown field to from_config."""
+    fields (label.field): a missing key takes its default, and the spec's
+    constructor raises TypeError on an unknown one."""
     if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{label} must be a list, got {value!r}")
         return tuple(_checked(f"{label}[{i}]", kind[0], v)
                      for i, v in enumerate(value))
     if kind in _SPECS:
-        obj = value.to_config() if isinstance(value, kind) else _checked(label, dict, value)
+        obj = asdict(value) if isinstance(value, kind) else _checked(label, dict, value)
         types = _SPECS[kind]
-        return kind.from_config({
+        return kind(**{
             key: v if key not in types or (key, v) == ("bandwidth", "auto")
             else _checked(f"{label}.{key}", types[key], v) for key, v in obj.items()})
     if kind is float:
@@ -215,7 +216,7 @@ class ExperimentConfig:
             block = out if group is None else out.setdefault(group, {})
             for key, (name, _) in keys.items():
                 value = getattr(self, name)
-                block[key] = value.to_config() if type(value) in _SPECS else value
+                block[key] = asdict(value) if type(value) in _SPECS else value
         rule = out["lambda_rule"]
         # a fixed lambda replaces the c * (n+1)^(-r) rule in the file
         if self.lambda_fixed is not None:
@@ -512,18 +513,6 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     return {"rows": rows, "stats": stats}
 
 
-def select_lambda_core(lambdas, measure_fn) -> tuple[float, list[float]]:
-    """Pick the regularization weight minimizing measure_fn, ties going to
-    the largest weight; returns the choice and every average measure."""
-    lambdas = list(lambdas)
-    if not lambdas:
-        raise ValueError("need at least one candidate lambda")
-    averages = [float(measure_fn(lam)) for lam in lambdas]
-    best = min(averages)
-    chosen = max(lam for lam, avg in zip(lambdas, averages) if avg == best)
-    return float(chosen), averages
-
-
 def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     """Three-step regularization choice.
 
@@ -566,9 +555,9 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
                 region = approx_regions(base, grid, [method], cfg.alpha)[0].upper
             measures[i, j] = region.measure
             all_full[i] &= bool(region.mask.all())
-    loo_average = dict(zip(lambdas, (float(row.mean()) for row in measures)))
-
-    chosen, averages = select_lambda_core(lambdas, loo_average.__getitem__)
+    averages = [float(row.mean()) for row in measures]
+    best = min(averages)
+    chosen = float(max(lam for lam, avg in zip(lambdas, averages) if avg == best))
     if all_full.all():
         warnings.warn("every candidate lambda produced only full-grid regions; "
                       "the tie rule picked the largest lambda", RuntimeWarning)

@@ -20,7 +20,7 @@ from .data_io import write_json, write_table
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
 from .solver import (SolverError, WeightedProblem, anchor_y_weights,
-                     anchor_z_weights, augmented_problem, fit,
+                     augmented_problem, check_z_anchored, fit,
                      z_anchored_problem)
 
 
@@ -220,11 +220,10 @@ def oracle_pvalues(problem: WeightedProblem, y_true: float,
     problem, z_anchored_problem on the sample at any z, is re-anchored at
     y_true and fit once, reusing its Gram matrix and cached
     eigendecomposition; the training scores stay fixed while the test
-    score varies over the grid. A problem with other weights raises
-    ValueError.
+    score varies over the grid. A problem with other weights, or whose
+    two anchors differ, raises ValueError (see solver.check_z_anchored).
     """
-    if not np.array_equal(problem.weights, anchor_z_weights(problem.n)):
-        raise ValueError("oracle problem is not z-anchored (mismatch in weights)")
+    check_z_anchored(problem, problem.anchors[0], "oracle problem")
     y_true = float(y_true)
     pred = fit(replace(problem, anchors=(y_true, y_true)))
     preds = pred.predictions()

@@ -66,15 +66,6 @@ class KernelSpec:
             return 1.0 / dim
         return float(self.bandwidth)
 
-    def to_config(self) -> dict:
-        return {"family": self.family, "bandwidth": self.bandwidth}
-
-    @classmethod
-    def from_config(cls, obj: dict) -> "KernelSpec":
-        """Spec from its JSON object: a missing key takes its default, an
-        unknown key raises TypeError."""
-        return cls(**obj)
-
 
 def _retained(w: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues (ascending) above DEFAULT_CUTOFF * max."""

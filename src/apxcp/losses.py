@@ -49,15 +49,6 @@ class LossSpec:
         if not (0.0 < self.t < 1.0):
             raise ValueError(f"quantile level t must lie in (0, 1), got {self.t}")
 
-    def to_config(self) -> dict:
-        return {"family": self.family, "a": self.a, "t": self.t}
-
-    @classmethod
-    def from_config(cls, obj: dict) -> "LossSpec":
-        """Spec from its JSON object: a missing key takes its default, an
-        unknown key raises TypeError."""
-        return cls(**obj)
-
 
 @dataclass(frozen=True)
 class SmoothnessConstants:

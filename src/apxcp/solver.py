@@ -276,9 +276,10 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None) -> Predictor:
 def rkhs_norm_diff(a1: np.ndarray, a2: np.ndarray, gram: GramMatrix) -> float:
     """RKHS norm of the difference of two coefficient vectors,
     sqrt((a1 - a2)^T K (a1 - a2)), clamped at zero."""
-    d = np.asarray(a1, dtype=float) - np.asarray(a2, dtype=float)
-    if d.shape != (gram.n,):
+    a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
+    if a1.shape != (gram.n,) or a2.shape != (gram.n,):
         raise ValueError(f"coefficient vectors must have length {gram.n}")
+    d = a1 - a2
     return float(np.sqrt(max(float(d @ (gram.entries @ d)), 0.0)))
 
 

@@ -4,6 +4,7 @@ import math
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from apxcp.cli import (COMPARE_METHODS, DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE,
                        DESK_SCHEDULE, REGION_METHODS, ExperimentConfig,
                        _ols_slope, build_parser, cmd_compare, cmd_gen_data,
                        cmd_region, cmd_select_lambda, cmd_sweep, load_config,
-                       main, select_lambda_core)
+                       main)
 from apxcp.conformal import (PredictionRegion, cross_pvalues,
                              full_conformal_pvalues, oracle_pvalues,
                              region_from_curve, split_pvalues)
@@ -237,18 +238,6 @@ def test_ols_slope_drops_nonpositive_points():
     _, _, used_few = _ols_slope([10, 20], [0.0, 1.0])
     assert used_few == 1
     assert math.isnan(_ols_slope([10, 20], [0.0, 0.0])[0])
-
-
-def test_select_lambda_core_rules():
-    assert select_lambda_core([0.7], lambda lam: 5.0)[0] == 0.7
-    # exact ties break toward the larger candidate
-    chosen, averages = select_lambda_core([0.1, 0.5, 1.0], lambda lam: 2.0)
-    assert chosen == 1.0 and averages == [2.0, 2.0, 2.0]
-    # a family where bigger lambda provably inflates the measure
-    chosen, _ = select_lambda_core([0.1, 0.5, 1.0], lambda lam: lam)
-    assert chosen == 0.1
-    with pytest.raises(ValueError, match="candidate"):
-        select_lambda_core([], lambda lam: 0.0)
 
 
 # --- commands ---
@@ -589,12 +578,25 @@ def test_select_lambda_requires_approximate_method(tmp_path):
         cmd_select_lambda(cfg, tmp_path)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_select_lambda_needs_four_data_rows(tmp_path, n):
+    # one of the n drawn rows is the query
+    cfg = ExperimentConfig(n=n, seed=3, grid_m=21, method="local_stability")
+    with pytest.raises(ValueError, match="select-lambda needs at least 4 data rows"):
+        cmd_select_lambda(cfg, tmp_path)
+
+
 def test_select_lambda_small_run(tmp_path):
     cfg = ExperimentConfig(n=12, seed=3, grid_m=101, method="local_stability",
                            lambda_grid=(0.5, 1.0))
     result = cmd_select_lambda(cfg, tmp_path)
-    assert result["lam"] in cfg.lambda_grid
-    assert len(result["averages"]) == 2
+    lam, averages = result["lam"], result["averages"]
+    assert len(averages) == 2
+    # the least average wins, and no larger candidate ties it
+    chosen = cfg.lambda_grid.index(lam)
+    assert averages[chosen] == min(averages)
+    assert all(avg > averages[chosen]
+               for other, avg in zip(cfg.lambda_grid, averages) if other > lam)
     lines = (tmp_path / "selection.csv").read_text().splitlines()
     assert lines[1] == "lam,avg_upper_measure,all_regions_full"
     assert len(lines) == 4
@@ -636,6 +638,26 @@ def test_compare_builds_upper_regions_only(tmp_path, monkeypatch):
         rows = cmd_compare(COMPARE_CFG, tmp_path)["rows"]
     # one region per row: split, oracle and the three approximate uppers
     assert len(calls) == len(rows)
+
+
+def test_select_lambda_picks_the_least_average_ties_to_the_largest(tmp_path, monkeypatch):
+    # every leave-one-out region measures a fixed value per candidate, so
+    # the averages are those values. The least, 1.0, ties at 0.5, 2.0 and
+    # 0.25, so the first or last tie, or the smallest or largest
+    # candidate, would be another choice
+    measure = {1.0: 3.0, 0.5: 1.0, 0.1: 2.0, 2.0: 1.0, 0.25: 1.0, 4.0: 5.0}
+
+    def fake_regions(base, grid, methods, alpha):
+        upper = SimpleNamespace(measure=measure[base.problem.lam],
+                                mask=np.zeros(grid.m, dtype=bool))
+        return [SimpleNamespace(upper=upper)]
+
+    monkeypatch.setattr(cli, "approx_regions", fake_regions)
+    cfg = ExperimentConfig(n=12, seed=3, grid_m=21, method="local_stability",
+                           lambda_grid=tuple(measure))
+    result = cmd_select_lambda(cfg, tmp_path)
+    assert result["averages"] == list(measure.values())
+    assert result["lam"] == 2.0
 
 
 def test_select_lambda_degenerate_full_regions_warn(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apxcp import conformal
 from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
                              YGrid, _count_at_least, _min_count, _rank_pvalues,
                              cross_pvalues, empirical_coverage,
@@ -16,8 +18,8 @@ from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
 from apxcp.data_io import friedman1
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
-from apxcp.solver import (anchor_y_weights, augmented_problem,
-                           z_anchored_problem)
+from apxcp.solver import (SolverError, anchor_y_weights, anchor_z_weights,
+                           augmented_problem, z_anchored_problem)
 
 from oracles import (bruteforce_ridge_region, conformal_pvalue, laplacian_gram,
                      pvalue_by_hand)
@@ -114,6 +116,28 @@ def test_curve_rejects_crossed_bounds():
     g = YGrid(0.0, 1.0, 3)
     with pytest.raises(ValueError, match="lower"):
         PValueCurve(g, upper=np.array([0.1, 0.1, 0.1]), lower=np.array([0.2, 0.1, 0.1]))
+
+
+@pytest.mark.parametrize("upper, lower", [(np.zeros(2), np.zeros(3)),
+                                          (np.zeros(3), np.zeros(4)),
+                                          (np.zeros((3, 1)), np.zeros((3, 1)))])
+def test_curve_rejects_the_wrong_size(upper, lower):
+    with pytest.raises(ValueError, match="p-value arrays must match the grid size"):
+        PValueCurve(YGrid(0.0, 1.0, 3), upper=upper, lower=lower)
+
+
+@pytest.mark.parametrize("mask", [np.zeros(2, bool), np.zeros(4, bool),
+                                  np.zeros((3, 1), bool)])
+def test_region_from_mask_rejects_the_wrong_size(mask):
+    with pytest.raises(ValueError, match="mask must match the grid size"):
+        PredictionRegion.from_mask(YGrid(0.0, 1.0, 3), mask)
+
+
+@pytest.mark.parametrize("side", ["both", "Upper", ""])
+def test_region_from_curve_rejects_a_bad_side(side):
+    curve = PValueCurve(YGrid(0.0, 1.0, 3), np.full(3, 0.5), np.full(3, 0.5))
+    with pytest.raises(ValueError, match=f"side must be 'upper' or 'lower', got {side!r}"):
+        region_from_curve(curve, 0.1, side)
 
 
 def test_region_mask_interval_round_trip():
@@ -236,6 +260,26 @@ def test_full_conformal_matches_independent_ridge_implementation():
         np.testing.assert_array_equal(region.mask, expected)
 
 
+def test_full_conformal_refit_error_names_the_grid_point(monkeypatch):
+    X, Y, xq, _ = _instance(3, 8)
+    grid = YGrid.from_targets(Y, m=7)
+    real, calls = conformal.fit, []
+
+    def fail_on_the_third(problem, init=None):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SolverError("stalled", np.full(problem.gram.n, 0.25), 1.5)
+        return real(problem, init=init)
+
+    monkeypatch.setattr(conformal, "fit", fail_on_the_third)
+    y = float(grid.values[2])
+    message = re.escape(f"refit failed at grid index 2 (y={y}): stalled")
+    with pytest.raises(SolverError, match=message) as info:
+        full_conformal_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL)
+    np.testing.assert_array_equal(info.value.coeffs, np.full(Y.size + 1, 0.25))
+    assert info.value.grad_norm == 1.5
+
+
 def test_full_conformal_low_alpha_gives_full_grid():
     X, Y, xq, _ = _instance(1, 12)
     grid = YGrid.from_targets(Y, m=41)
@@ -339,12 +383,13 @@ def test_oracle_reuses_a_supplied_problem_bit_for_bit():
         assert problem.anchors == (z, z)  # the supplied problem is untouched
 
 
-@pytest.mark.parametrize("field", ["weights"])
+@pytest.mark.parametrize("field", ["anchors", "weights"])
 def test_oracle_names_the_field_a_supplied_problem_differs_in(field):
     X, Y, xq, ytrue = _instance(8, 16)
     grid = YGrid.from_targets(Y, m=21)
-    problem = augmented_problem(X, Y, xq, (0.0, 0.0), anchor_y_weights(Y.size),
-                                0.5, LOGCOSH, KERNEL)
+    anchors, weights = (((0.0, 1.0), anchor_z_weights(Y.size)) if field == "anchors"
+                        else ((0.0, 0.0), anchor_y_weights(Y.size)))
+    problem = augmented_problem(X, Y, xq, anchors, weights, 0.5, LOGCOSH, KERNEL)
     with pytest.raises(ValueError, match=f"oracle problem .*mismatch in {field}"):
         oracle_pvalues(problem, ytrue, grid)
 
@@ -462,6 +507,15 @@ def test_empirical_coverage_full_and_empty():
     assert empty.coverage == 0.0
     assert isinstance(full, CoverageResult)
     assert full.ci_hi >= full.ci_lo
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+def test_empirical_coverage_needs_a_repetition(reps):
+    def never_called(*args):
+        raise AssertionError("no repetition may run")
+
+    with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
+        empirical_coverage(never_called, never_called, reps, 0.1)
 
 
 def test_empirical_coverage_deterministic_in_seed():

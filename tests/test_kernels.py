@@ -1,7 +1,9 @@
+import json
 import math
 import sys
 import threading
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -50,11 +52,26 @@ def test_bandwidth_validation():
         KernelSpec("mystery", 1.0)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_resolve_bandwidth_rejects_an_empty_dimension(dim):
+    with pytest.raises(ValueError, match=f"input dimension must be >= 1, got {dim}"):
+        KernelSpec("laplacian", "auto").resolve_bandwidth(dim)
+
+
+@pytest.mark.parametrize("entries, message", [
+    (np.ones(3), r"must be square, got shape \(3,\)"),
+    (np.ones((2, 3)), r"must be square, got shape \(2, 3\)"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "entries must be finite"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "entries must be finite"),
+])
+def test_gram_matrix_rejects_bad_entries(entries, message):
+    with pytest.raises(ValueError, match=message):
+        GramMatrix(entries)
+
+
 def test_kernel_spec_config_round_trip():
-    spec = KernelSpec("gaussian_rbf", 2.5)
-    assert KernelSpec.from_config(spec.to_config()) == spec
-    auto = KernelSpec("laplacian", "auto")
-    assert KernelSpec.from_config(auto.to_config()) == auto
+    for spec in (KernelSpec("gaussian_rbf", 2.5), KernelSpec("laplacian", "auto")):
+        assert KernelSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
 
 def test_gram_single_point():

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ def test_spec_validation():
 
 def test_spec_config_round_trip():
     for spec in ALL_SPECS:
-        assert LossSpec.from_config(spec.to_config()) == spec
+        assert LossSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
 
 def test_logcosh_values():

@@ -47,6 +47,14 @@ def test_problem_validation():
         WeightedProblem(G, np.ones(3), (0.0, 0.0), anchor_z_weights(3), 1.0, LossSpec())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_nonfinite_weights(bad):
+    G = gram(KERNEL, [[0.0], [1.0]])
+    weights = np.array([1.0, 1.0, bad])
+    with pytest.raises(ValueError, match="weights must be finite"):
+        WeightedProblem(G, np.zeros(1), (0.0, 0.0), weights, 1.0, LossSpec())
+
+
 def test_problem_rejects_negative_weight_naming_its_index():
     # a negative weight could make a curvature negative and the Newton
     # system indefinite, so it is refused where the problem is built
@@ -227,6 +235,49 @@ def test_fit_monotone_descent():
     assert pred.grad_norm <= 1e-9
 
 
+def test_fit_falls_back_to_a_gradient_step_when_newton_ascends(monkeypatch):
+    rng = np.random.default_rng(8)
+    problem = _random_problem(rng, n=15, lam=0.05)
+    want = fit(problem)
+    real = solver._curvature_solve
+    calls = []
+
+    def ascent_once(problem, d, rhs):
+        calls.append(None)
+        direction = real(problem, d, rhs)
+        return -direction if len(calls) == 1 else direction
+
+    monkeypatch.setattr(solver, "_curvature_solve", ascent_once)
+    got = fit(problem)
+    path = np.asarray(got.risk_path)
+    noise = 64 * np.finfo(float).eps * (1 + np.abs(path[:-1]))
+    assert np.all(np.diff(path) <= noise)
+    # no step along the ascent direction lowers the risk: the first step
+    # is the gradient step
+    assert path[1] < path[0] - noise[0]
+    scale = np.linalg.norm(problem.effective_targets()) / (problem.n + 1)
+    tol = solver.BASE_TOL * (1 + scale)
+    assert got.grad_norm <= tol
+    assert np.abs(got.coeffs - want.coeffs).max() <= tol
+
+
+def test_fit_line_search_stall_carries_the_iterate_and_its_gradient_norm(monkeypatch):
+    rng = np.random.default_rng(10)
+    problem = _random_problem(rng, n=6)
+    init = np.linspace(-0.5, 0.5, problem.gram.n)
+    real = solver.risk
+
+    def nan_after_the_start(problem, a):
+        # every trial step's risk is NaN, which no line search accepts
+        return real(problem, a) if np.array_equal(a, init) else np.nan
+
+    monkeypatch.setattr(solver, "risk", nan_after_the_start)
+    with pytest.raises(SolverError, match="line search stalled at iteration 1") as info:
+        fit(problem, init=init)
+    np.testing.assert_array_equal(info.value.coeffs, init)
+    assert info.value.grad_norm == np.linalg.norm(gradient(problem, init))
+
+
 def test_fit_warm_start_agrees_with_cold_start():
     rng = np.random.default_rng(9)
     problem = _random_problem(rng, n=10)
@@ -268,6 +319,14 @@ def test_rkhs_norm_diff_examples():
     a = np.array([0.5, -1.0])
     assert rkhs_norm_diff(2 * a, np.zeros(2), G2) == pytest.approx(
         2 * rkhs_norm_diff(a, np.zeros(2), G2), rel=1e-12)
+
+
+@pytest.mark.parametrize("a1, a2", [(np.zeros(3), np.zeros(2)),
+                                    (np.zeros(2), np.zeros(3)),
+                                    (np.zeros((2, 2)), np.zeros(2))])
+def test_rkhs_norm_diff_rejects_the_wrong_length(a1, a2):
+    with pytest.raises(ValueError, match="coefficient vectors must have length 2"):
+        rkhs_norm_diff(a1, a2, GramMatrix(np.eye(2)))
 
 
 def test_query_prediction_matches_predict():
