@@ -33,11 +33,11 @@ count reaches c*, the least count whose p-value exceeds alpha, which
 one order statistic of the base scores decides: O(m) comparisons, plus
 an exact count at the few influence-function grid points the shift
 leaves open. Its masks equal the thresholded curves. It takes only the
-base fit, whose problem holds the targets, Gram matrix, lam and loss,
-and a sequence of methods anchored at the fit's z, and returns one
-result per method, whose regions are built when first read;
-approx_pvalue_curves takes the inputs and fits them, or checks a
-supplied fit against them.
+base fit, whose problem holds the targets, Gram matrix, lam, loss and
+anchor z, and a sequence of level names, and returns one result per
+name, whose regions are built when first read; approx_pvalue_curves
+takes the inputs and an ApproxMethod (a level name plus z) and fits
+them, or checks a supplied fit against them.
 
 The per-problem work runs once per call, whatever the levels: the
 checks, the base predictions, the sort of the base scores, and the
@@ -76,13 +76,20 @@ from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
                      check_z_anchored, fit, z_anchored_problem)
 
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
-_LEVEL = {"uniform_stability": 0, "local_stability": 1, "influence_function": 2}
 
 # grid points the scan evaluates together, and (grid point, index) cells
 # it scores exactly together: each block temporary takes at most 64 KiB,
 # under glibc's 128 KiB mmap threshold, so it is reused from the heap and
 # stays in cache instead of being mapped and faulted in afresh
 DEFAULT_CHUNK = 8192
+
+
+def _level(kind: str) -> int:
+    """The level, 0 to 2, of an approximation kind's name, its index in
+    APPROX_KINDS; ValueError for any other name."""
+    if kind not in APPROX_KINDS:
+        raise ValueError(f"unknown approximation kind {kind!r}")
+    return APPROX_KINDS.index(kind)
 
 
 @dataclass(frozen=True)
@@ -93,14 +100,13 @@ class ApproxMethod:
     z_anchor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in APPROX_KINDS:
-            raise ValueError(f"unknown approximation kind {self.kind!r}")
+        _level(self.kind)
         if not np.isfinite(self.z_anchor):
             raise ValueError("z_anchor must be finite")
 
     @property
     def level(self) -> int:
-        return _LEVEL[self.kind]
+        return _level(self.kind)
 
 
 def _tau_ranges(*factors) -> list[tuple[float, float]]:
@@ -172,38 +178,36 @@ def influence_direction(base: Predictor) -> np.ndarray:
     quantity is a scalar multiple of this vector.
 
     One solve in prediction space at the base fit's curvatures gives
-    (I + diag(W) K)^{-1} e_q / (2 lam), which H maps to K e_q; its
-    projection onto the range of K is H^+ K e_q.
+    (I + diag(W) K)^{-1} e_q / (2 lam), which H maps to K e_q. It equals
+    H^+ K e_q at full rank, and otherwise up to the null space of K,
+    which no prediction, score or RKHS norm reads, so it is not projected.
     """
     problem = base.problem
     e_q = np.zeros(problem.gram.n)
     e_q[-1] = 1.0
     d = _weighted_derivatives(problem, base.predictions(), 2)
-    x = _curvature_solve(problem, d, e_q) / (2.0 * problem.lam)
-    return problem.gram.project_onto_range(x)
+    return _curvature_solve(problem, d, e_q) / (2.0 * problem.lam)
 
 
 def influence_vector(z_prime: float, base: Predictor,
-                     direction: np.ndarray | None = None) -> np.ndarray:
+                     direction: np.ndarray) -> np.ndarray:
     """Coefficients of the influence function at the perturbation output
     z_prime: -(1/(n+1)) * d1loss(z_prime, query prediction) * direction,
-    with d1loss the first derivative of the loss in its second argument."""
-    if direction is None:
-        direction = influence_direction(base)
+    with d1loss the first derivative of the loss in its second argument
+    and direction = influence_direction(base)."""
     m_q = base.query_prediction()
     d1 = loss_d(base.problem.loss, 1, float(z_prime), m_q)
     return (-d1 / base.problem.gram.n) * direction
 
 
 def if_predictor(y: float, z: float, base: Predictor,
-                 direction: np.ndarray | None = None) -> np.ndarray:
+                 direction: np.ndarray) -> np.ndarray:
     """First-order coefficient update replacing the exact refit at y.
 
     Equals base coefficients minus the influence at z plus the influence
-    at y; only the scalar derivative factor depends on y.
+    at y, along direction = influence_direction(base); only the scalar
+    derivative factor depends on y.
     """
-    if direction is None:
-        direction = influence_direction(base)
     c = _derivative_gap(float(y), float(z), base, base.problem.loss)
     return base.coeffs + (c / base.problem.gram.n) * direction
 
@@ -427,33 +431,12 @@ def base_fit(X, Y, x_query, z: float, lam: float, loss: LossSpec,
     return fit(z_anchored_problem(X, Y, x_query, z, lam, loss, kernel))
 
 
-def _anchored_methods(base: Predictor, methods) -> tuple[ApproxMethod, ...]:
-    """methods as a tuple, after checking that there is at least one and
-    that base is anchored at the z of every one."""
-    if not isinstance(methods, ApproxMethod):
-        methods = tuple(methods)
-    if not (isinstance(methods, tuple)
-            and all(isinstance(method, ApproxMethod) for method in methods)):
-        raise TypeError("methods must be a sequence of ApproxMethod; "
-                        "wrap a single method in a list")
-    if not methods:
-        raise ValueError("need at least one approximation method")
-    problem = base.problem
-    z = problem.anchors[0]
-    for method in methods:
-        if method.z_anchor != z:
-            raise ValueError(f"base fit is not anchored at z = {method.z_anchor} "
-                             f"of {method!r} (mismatch in anchors)")
-    check_z_anchored(problem, z, "base fit")
-    return methods
-
-
 class _ProblemScan:
     """The sandwich scan of one base fit over a grid, for every level a
     caller asks for.
 
-    The constructor does the per-problem work once: the check that the
-    fit is anchored at every method's z, the base predictions, the
+    The constructor does the per-problem work once: the checks of the
+    level names and of the fit's z anchor, the base predictions, the
     envelope scale, the loss's smoothness constants and the sorted scan
     with its constant-diagonal check, and the influence direction when
     level 2 is asked for. run() then evaluates the grid DEFAULT_CHUNK
@@ -463,10 +446,16 @@ class _ProblemScan:
     envelope only the largest radius seen is kept.
     """
 
-    def __init__(self, base: Predictor, grid: YGrid, methods):
-        self.methods = _anchored_methods(base, methods)
-        self.levels = sorted({method.level for method in self.methods})
+    def __init__(self, base: Predictor, grid: YGrid, kinds):
+        if isinstance(kinds, str):
+            raise TypeError("kinds must be a sequence of level names; "
+                            "wrap a single name in a list")
+        self.asked = [_level(kind) for kind in kinds]
+        if not self.asked:
+            raise ValueError("need at least one approximation level")
         problem = base.problem
+        check_z_anchored(problem, problem.anchors[0], "base fit")
+        self.levels = sorted(set(self.asked))
         gram = problem.gram
         if self.levels[-1] == 2:
             k_dir = gram.entries @ influence_direction(base)
@@ -527,9 +516,10 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     update per candidate. The data scores are sorted once and counted per
     grid point in O(log n) plus a short band scored exactly. The kernel
     must have a constant diagonal over the data inputs, as both families
-    do. A supplied base fit with another Gram size, targets, lam, loss,
-    anchors or weights raises ValueError; other inputs X or another
-    kernel at the same size go undetected.
+    do. A supplied base fit with another Gram size, targets, lam, loss or
+    anchor z than the call's, or one that is not z-anchored (see
+    solver.check_z_anchored), raises ValueError naming the field; other
+    inputs X or another kernel at the same size go undetected.
     """
     Y = np.asarray(Y, dtype=float)
     if not np.isfinite(Y).all():
@@ -540,11 +530,12 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
         problem = base.problem
         for field_name, same in (("Gram size", problem.gram.n == Y.size + 1),
                                  ("targets", np.array_equal(problem.targets, Y)),
-                                 ("lam", problem.lam == lam), ("loss", problem.loss == loss)):
+                                 ("lam", problem.lam == lam), ("loss", problem.loss == loss),
+                                 ("anchors", problem.anchors[0] == method.z_anchor)):
             if not same:
                 raise ValueError("base fit belongs to another problem "
                                  f"(mismatch in {field_name})")
-    scan = _ProblemScan(base, grid, [method])
+    scan = _ProblemScan(base, grid, [method.kind])
     [(upper, lower)] = scan.run(_sandwich_scan, float).values()
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
     level = method.level
@@ -580,28 +571,30 @@ class ApproxRegionResult:
         return self._region("lower")
 
 
-def approx_regions(base: Predictor, grid: YGrid, methods,
+def approx_regions(base: Predictor, grid: YGrid, kinds,
                    alpha: float) -> list[ApproxRegionResult]:
     """Upper and lower sandwich regions {y : p(y) > alpha} over the grid
-    for each of the approximation methods, in their order, from one base
-    fit anchored at their common z_anchor, without the p-value curves.
+    for each of the approximation levels named in kinds (APPROX_KINDS),
+    in their order, from one base fit, without the p-value curves.
 
-    The targets, Gram matrix, lam and loss are those of base.problem. One
-    scan serves every method: the checks, the sort of the base scores,
-    the influence direction (when a method is at level 2), and per grid
+    The targets, Gram matrix, lam, loss and anchor z are those of
+    base.problem, which must be z-anchored (see solver.check_z_anchored).
+    One scan serves every level: the checks, the sort of the base scores,
+    the influence direction (when level 2 is asked for), and per grid
     block the derivative gap and test scores run once. The masks equal
     region_from_curve of approx_pvalue_curves' curve with base=base on
     each side, but each grid point compares its scores with one order
-    statistic of the base scores instead of counting them. An empty
-    methods, a method anchored elsewhere than the fit, an alpha outside
-    (0, 1) or a kernel diagonal that is not constant raises ValueError.
+    statistic of the base scores instead of counting them. A string for
+    kinds raises TypeError; no kinds, an unknown name, a fit that is not
+    z-anchored, an alpha outside (0, 1) or a kernel diagonal that is not
+    constant raises ValueError.
     """
     c_star = _min_count(base.problem.n, alpha)
-    scan = _ProblemScan(base, grid, methods)
+    scan = _ProblemScan(base, grid, kinds)
     masks = scan.run(lambda block: _sandwich_masks(block, c_star), bool)
     results = {level: ApproxRegionResult(grid, *sides, scan.sup_tau(level))
                for level, sides in masks.items()}
-    return [results[method.level] for method in scan.methods]
+    return [results[level] for level in scan.asked]
 
 
 def thickness_gap(upper: PredictionRegion, lower: PredictionRegion) -> float:
@@ -625,10 +618,10 @@ class ThicknessBound:
     beta: float | None = None
 
 
-def thickness_bound(method: ApproxMethod, gram: GramMatrix,
+def thickness_bound(kind: str, gram: GramMatrix,
                     constants: SmoothnessConstants, lam: float,
                     sup_tau: float | None = None) -> ThicknessBound:
-    """Closed-form bound on the thickness gap.
+    """Closed-form bound on the thickness gap of the level named kind.
 
     Levels 0 and 1 share the uniform-stability bound
     8 * rho * max_diag / (lam * (n+1)). Level 2 needs the grid
@@ -640,7 +633,7 @@ def thickness_bound(method: ApproxMethod, gram: GramMatrix,
     np1 = gram.n
     kmax = gram.diag_max
     rho_term = constants.rho * kmax / (lam * np1)
-    if method.level < 2:
+    if _level(kind) < 2:
         return ThicknessBound(value=8.0 * rho_term)
     if sup_tau is None:
         raise ValueError("the influence-function bound needs the grid supremum of tau")

@@ -379,14 +379,13 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
                              seconds, f"solver_error: {exc}"]
                             for kind in APPROX_KINDS)
                 continue
-            methods = [ApproxMethod(kind, cfg.z_anchor) for kind in APPROX_KINDS]
             cells = []
-            for method, result in zip(methods, approx_regions(base, grid, methods,
-                                                              cfg.alpha)):
+            for kind, result in zip(APPROX_KINDS, approx_regions(base, grid, APPROX_KINDS,
+                                                                 cfg.alpha)):
                 delta = thickness_gap(result.upper, result.lower)
-                bound = thickness_bound(method, base.problem.gram, constants,
+                bound = thickness_bound(kind, base.problem.gram, constants,
                                         lam, result.sup_tau)
-                cells.append([method.kind, lam, delta, bound.value,
+                cells.append([kind, lam, delta, bound.value,
                               "" if bound.refined is None else str(bound.refined)])
             seconds = time.perf_counter() - start
             rows.extend([n, rep, *cell, seconds, "ok"] for cell in cells)
@@ -429,9 +428,10 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     with times normalized by the single-fit benchmark's. The approximate
     methods share one base fit and one joint scan per repetition, and a
     failed fit fails all three; the oracle fit re-anchors the base fit's
-    problem at the true output, sharing its Gram matrix and
-    eigendecomposition. Each row's seconds count the shared work it uses
-    plus its own: the three approximate rows read the same seconds."""
+    problem at the true output, sharing its Gram matrix. Each row's
+    seconds count the shared work it uses plus its own: the three
+    approximate rows read the same seconds, and the oracle row is charged
+    the Gram build as set-up."""
     smoothness_constants(cfg.loss)  # a loss without them fails before any work
     rows = []
     for rep in range(cfg.compare_repetitions):
@@ -442,16 +442,15 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
         start = time.perf_counter()
         problem = z_anchored_problem(X, Y, x_query, cfg.z_anchor, lam,
                                      cfg.loss, cfg.kernel)
-        problem.gram.eigenpairs  # decomposed here, so it is timed as set-up
         setup_seconds = time.perf_counter() - start
         try:
             base, fit_error = fit(problem), None
         except SolverError as exc:
             base, fit_error = None, exc
         if fit_error is None:
-            methods = [ApproxMethod(kind, cfg.z_anchor) for kind in APPROX_KINDS]
-            uppers = {method.kind: result.upper for method, result
-                      in zip(methods, approx_regions(base, grid, methods, cfg.alpha))}
+            uppers = {kind: result.upper for kind, result
+                      in zip(APPROX_KINDS, approx_regions(base, grid, APPROX_KINDS,
+                                                          cfg.alpha))}
         # the approximate methods share the set-up, the base fit and one
         # joint scan; the oracle pays the set-up, split nothing shared
         approx_seconds = time.perf_counter() - start
@@ -534,7 +533,6 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     perm = rng.permutation(n)
     n1 = min(max(int(round(cfg.d1_fraction * n)), 2), n - 1)
     d1_idx, d2_idx = perm[:n1], perm[n1:]
-    method = ApproxMethod(cfg.method, cfg.z_anchor)
     lambdas = cfg.lambda_grid
     measures = np.empty((len(lambdas), n1))
     all_full = np.ones(len(lambdas), dtype=bool)
@@ -542,7 +540,7 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
         keep = np.delete(d1_idx, j)
         X_keep, Y_keep, x_j = X[keep], Y[keep], X[d1_idx[j]]
         grid = cfg.grid_for(Y_keep)
-        # one Gram matrix and eigendecomposition serve every candidate
+        # one Gram matrix serves every candidate
         problem = z_anchored_problem(X_keep, Y_keep, x_j, cfg.z_anchor,
                                      lambdas[0], cfg.loss, cfg.kernel)
         for i, lam in enumerate(lambdas):
@@ -552,7 +550,7 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
                 # oversized candidates; they surface in the summary instead
                 # (the fit stays outside, so its own warnings still show)
                 warnings.simplefilter("ignore", RuntimeWarning)
-                region = approx_regions(base, grid, [method], cfg.alpha)[0].upper
+                region = approx_regions(base, grid, [cfg.method], cfg.alpha)[0].upper
             measures[i, j] = region.measure
             all_full[i] &= bool(region.mask.all())
     averages = [float(row.mean()) for row in measures]
@@ -563,16 +561,15 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
                       "the tie rule picked the largest lambda", RuntimeWarning)
 
     grid2 = cfg.grid_for(Y[d2_idx])
-    result = approx_pvalue_curves(X[d2_idx], Y[d2_idx], x_query, grid2, method,
-                                  chosen, cfg.loss, cfg.kernel)
-    region = region_from_curve(result.curve, cfg.alpha, "upper")
+    curve, extras = _pvalue_curve(cfg, cfg.method, X[d2_idx], Y[d2_idx], x_query,
+                                  y_true, grid2, chosen, None)
+    region = region_from_curve(curve, cfg.alpha, "upper")
     write_table(out / "selection.csv",
                 ["lam", "avg_upper_measure", "all_regions_full"],
                 [[lam, avg, str(full)]
                  for lam, avg, full in zip(lambdas, averages, all_full.tolist())],
                 _file_meta(cfg))
-    _write_region(out, cfg, result.curve, region, _approx_extras(result.taus),
-                  lam=chosen)
+    _write_region(out, cfg, curve, region, extras, lam=chosen)
     _write_meta(out, cfg, "select-lambda", lam_chosen=chosen,
                 averages=dict(zip(map(str, lambdas), averages)))
     return {"lam": chosen, "averages": averages, "region": region,

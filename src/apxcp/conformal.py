@@ -8,6 +8,7 @@ Lebesgue measures of the discretized set (step times cell count).
 
 from __future__ import annotations
 
+import numbers
 import os
 import sys
 import warnings
@@ -35,6 +36,8 @@ class YGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"grid size m must be an integer, got {self.m!r}")
         if self.m < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.m}")
 
@@ -203,7 +206,7 @@ def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
         counts[j] = _count_at_least(scores, abs(y - preds[n]))
         init = pred.coeffs
     pvals = _rank_pvalues(counts, n)
-    return PValueCurve(grid=grid, upper=pvals, lower=pvals.copy())
+    return PValueCurve(grid=grid, upper=pvals, lower=pvals)
 
 
 def full_region_bruteforce(X, Y, x_query, grid: YGrid, alpha: float, lam: float,
@@ -230,7 +233,7 @@ def oracle_pvalues(problem: WeightedProblem, y_true: float,
     scores_sorted = np.sort(np.abs(problem.targets - preds[:problem.n]))
     test = np.abs(grid.values - preds[problem.n])
     pvals = _rank_pvalues(_count_at_least(scores_sorted, test), problem.n)
-    return PValueCurve(grid, pvals, pvals.copy())
+    return PValueCurve(grid, pvals, pvals)
 
 
 def oracle_region(X, Y, x_query, y_true: float, grid: YGrid, alpha: float,
@@ -271,7 +274,7 @@ def split_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     train_idx, cal_idx = perm[:n_train], perm[n_train:]
     counts = _holdout_counts(X, Y, train_idx, cal_idx, x_query, grid, lam, loss, kernel)
     pvals = _rank_pvalues(counts, cal_idx.size)
-    return PValueCurve(grid, pvals, pvals.copy())
+    return PValueCurve(grid, pvals, pvals)
 
 
 def split_region(X, Y, x_query, grid: YGrid, alpha: float, lam: float,
@@ -294,8 +297,8 @@ def cross_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
     n = Y.size
-    if not (2 <= V <= n):
-        raise ValueError(f"fold count must satisfy 2 <= V <= n={n}, got {V}")
+    if not (isinstance(V, numbers.Integral) and 2 <= V <= n):
+        raise ValueError(f"fold count V must be an integer with 2 <= V <= n={n}, got {V!r}")
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, V)
     counts = np.zeros(grid.m, dtype=np.int64)
@@ -303,7 +306,7 @@ def cross_pvalues(X, Y, x_query, grid: YGrid, lam: float,
         keep = np.setdiff1d(perm, fold, assume_unique=True)
         counts += _holdout_counts(X, Y, keep, fold, x_query, grid, lam, loss, kernel)
     pvals = _rank_pvalues(counts, n)
-    return PValueCurve(grid, pvals, pvals.copy())
+    return PValueCurve(grid, pvals, pvals)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Two bounded translation-invariant kernel families are provided, both
 normalized so that k(x, x) = 1. The Gram matrix caches its symmetric
 eigendecomposition, which only decides its rank for the projection onto
-its range (the identity at full rank): the solver's Newton steps and the
-influence-function solve factor the positive definite I + W^1/2 K W^1/2
-instead (see solver._curvature_solve). pseudo_inverse_apply remains as a
-general spectral helper.
+its range (the identity at full rank); solver.fit alone projects, once
+per fit. The solver's Newton steps and the influence-function solve
+factor the positive definite I + W^1/2 K W^1/2 instead (see
+solver._curvature_solve). pseudo_inverse_apply remains as a general
+spectral helper.
 """
 
 from __future__ import annotations

@@ -217,10 +217,11 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None) -> Predictor:
     _curvature_solve). A plain gradient step is the fallback when that
     direction fails to descend. Step sizes come from Armijo backtracking
     with constant 1e-4 and at most 60 halvings, for at most
-    DEFAULT_MAX_ITERS steps. The gradient tolerance is 1e-10 * (1 +
-    ||effective targets|| / (n+1)). The risk reads a only through K a, so
-    only the converged coefficients are projected onto the range of the
-    Gram matrix, where the minimizer is unique.
+    DEFAULT_MAX_ITERS steps, from init (finite, of length n+1) or zero.
+    The gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)).
+    The risk reads a only through K a, so only the converged coefficients
+    are projected onto the range of the Gram matrix, where the minimizer
+    is unique; no other code in the package reads the Gram spectrum.
     """
     G = problem.gram
     K = G.entries
@@ -229,6 +230,10 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None) -> Predictor:
     scale = float(np.linalg.norm(problem.effective_targets())) / (n + 1)
     tol = BASE_TOL * (1.0 + scale)
     a = np.zeros(n + 1) if init is None else np.array(init, dtype=float)
+    if a.shape != (n + 1,):
+        raise ValueError(f"init must have length {n + 1}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("init must be finite")
     current = risk(problem, a)
     path = [current]
     grad_norm = np.inf

@@ -213,11 +213,31 @@ def test_influence_direction_agrees_with_hessian_pseudo_inverse(family, loss):
             assert np.linalg.norm(system @ direction - np.eye(n + 1)[-1]) <= 1e-11
 
 
+def test_only_fit_reads_the_gram_spectrum(monkeypatch):
+    # once the base fit is made, neither the influence direction nor a
+    # level-2 region scan reads the Gram eigendecomposition or projects
+    # onto its range: fit is the spectrum's only reader
+    X, Y, xq, _ = _instance(41, 12)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Gram spectrum is read outside fit")
+
+    monkeypatch.setattr(GramMatrix, "project_onto_range", forbidden)
+    monkeypatch.setattr(GramMatrix, "eigenpairs", property(forbidden))
+    assert influence_direction(base).shape == (Y.size + 1,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        [result] = approx_regions(base, YGrid.from_targets(Y, m=51),
+                                  ["influence_function"], 0.1)
+        assert result.upper.mask.any()
+
+
 def test_influence_vector_zero_derivative():
     base = _base(seed=7)
     m_q = base.query_prediction()
     # logcosh first derivative vanishes exactly at the query prediction
-    np.testing.assert_array_equal(influence_vector(m_q, base),
+    np.testing.assert_array_equal(influence_vector(m_q, base, influence_direction(base)),
                                   np.zeros(base.coeffs.size))
 
 
@@ -237,7 +257,8 @@ def test_influence_vector_squared_loss_hand_computation():
     z_prime = 1.7
     d1 = -2.0 * (z_prime - base.query_prediction())
     expected = (-d1 / 3.0) * expected_dir
-    np.testing.assert_allclose(influence_vector(z_prime, base), expected,
+    np.testing.assert_allclose(influence_vector(z_prime, base, influence_direction(base)),
+                               expected,
                                rtol=1e-8, atol=1e-10)
 
 
@@ -524,10 +545,9 @@ def _assert_same_region(got: PredictionRegion, want: PredictionRegion, label):
 
 def _assert_joint_regions_match(base, grid, alpha, single):
     """approx_regions over every order of every subset of the levels
-    returns, per method, the single-method result single[kind]."""
+    returns, per level, the single-level result single[kind]."""
     for order in _METHOD_ORDERS:
-        joint = approx_regions(base, grid, [ApproxMethod(kind) for kind in order],
-                               alpha)
+        joint = approx_regions(base, grid, order, alpha)
         assert len(joint) == len(order)
         for kind, res in zip(order, joint):
             assert res.sup_tau == single[kind].sup_tau, (order, kind)
@@ -549,7 +569,7 @@ def test_regions_match_thresholded_curves(family, lam):
             warnings.simplefilter("ignore", RuntimeWarning)  # full regions
             for kind in APPROX_KINDS:
                 method = ApproxMethod(kind)
-                [res] = approx_regions(base, grid, [method], alpha)
+                [res] = approx_regions(base, grid, [kind], alpha)
                 curves = approx_pvalue_curves(X, Y, xq, grid, method, lam,
                                               LOGCOSH, kernel, base=base)
                 assert res.sup_tau == curves.taus.sup_tau()
@@ -567,7 +587,7 @@ def test_regions_warn_of_clipping_at_the_callers_line():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # none before a read
         [result] = approx_regions(base, YGrid(-1.0, 1.0, 5),
-                                  [ApproxMethod("uniform_stability")], 0.1)
+                                  ["uniform_stability"], 0.1)
     for side in ("upper", "lower"):
         with pytest.warns(RuntimeWarning, match="boundary") as caught:
             getattr(result, side)
@@ -586,7 +606,7 @@ def test_regions_are_built_once_and_only_when_read(monkeypatch):
 
     monkeypatch.setattr(PredictionRegion, "from_mask", classmethod(counted))
     results = approx_regions(base, YGrid.from_targets(Y, m=51),
-                             [ApproxMethod(kind) for kind in APPROX_KINDS], 0.1)
+                             APPROX_KINDS, 0.1)
     assert not built
     for res in results:
         assert res.upper is res.upper
@@ -595,19 +615,22 @@ def test_regions_are_built_once_and_only_when_read(monkeypatch):
     assert len(built) == 4
 
 
-def test_regions_reject_methods_at_another_anchor():
+@pytest.mark.parametrize("kinds, error, message", [
+    ("local_stability", TypeError, "sequence of level names"),
+    ([], ValueError, "at least one"),
+    (["local_stability", "jackknife"], ValueError, "unknown approximation kind 'jackknife'"),
+    ([ApproxMethod("local_stability")], ValueError, "unknown approximation kind"),
+])
+def test_regions_reject_bad_kinds(kinds, error, message):
     X, Y, xq, _ = _instance(36, 10)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
-    grid = YGrid.from_targets(Y, m=21)
-    mixed = [ApproxMethod("uniform_stability"), ApproxMethod("local_stability", 1.0)]
-    for methods in (mixed, mixed[::-1]):
-        with pytest.raises(ValueError, match="local_stability.*mismatch in anchors"):
-            approx_regions(base, grid, methods, 0.1)
-    with pytest.raises(ValueError, match="at least one"):
-        approx_regions(base, grid, [], 0.1)
-    for bad in (ApproxMethod("local_stability"), ["local_stability"]):
-        with pytest.raises(TypeError, match="sequence of ApproxMethod"):
-            approx_regions(base, grid, bad, 0.1)
+    with pytest.raises(error, match=message):
+        approx_regions(base, YGrid.from_targets(Y, m=21), kinds, 0.1)
+
+
+def test_thickness_bound_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown approximation kind 'jackknife'"):
+        thickness_bound("jackknife", UNIT_GRAM, LOGCOSH_CONSTANTS, lam=0.1)
 
 
 @pytest.mark.parametrize("kind", APPROX_KINDS)
@@ -632,7 +655,7 @@ def test_regions_reject_a_bad_envelope_in_any_block(monkeypatch, kind, bad, mess
 
     monkeypatch.setattr(approx, "_level_radial", poisoned)
     with pytest.raises(ValueError, match=f"tau factors must be {message}"):
-        approx_regions(base, grid, [ApproxMethod(k) for k in APPROX_KINDS], 0.1)
+        approx_regions(base, grid, APPROX_KINDS, 0.1)
     calls.clear()
     with pytest.raises(ValueError, match=f"tau factors must be {message}"):
         approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
@@ -662,11 +685,10 @@ def test_one_joint_scan_shares_the_per_problem_and_per_block_work(monkeypatch):
     monkeypatch.setattr(approx, "_SortedScan", counter("sort", _SortedScan))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        approx_regions(base, grid, [ApproxMethod(kind) for kind in APPROX_KINDS], 0.1)
+        approx_regions(base, grid, APPROX_KINDS, 0.1)
     assert calls == {"influence": 1, "sort": 1, "gap": 3, "test_scores": 6}
     calls.update(dict.fromkeys(calls, 0))
-    approx_regions(base, grid, [ApproxMethod("uniform_stability"),
-                                ApproxMethod("local_stability")], 0.1)
+    approx_regions(base, grid, ["uniform_stability", "local_stability"], 0.1)
     assert calls == {"influence": 0, "sort": 1, "gap": 3, "test_scores": 3}
 
 
@@ -691,7 +713,7 @@ def test_blocks_are_invisible_at_block_boundaries(m):
     coarse = YGrid.from_targets(Y, m=2001)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # full regions
-        [edge] = approx_regions(base, coarse, [ApproxMethod("influence_function")],
+        [edge] = approx_regions(base, coarse, ["influence_function"],
                                 alphas[1])
         edge = edge.upper.intervals[0][1]
         step = (coarse.hi - coarse.lo) / (2 * B + 2)
@@ -714,7 +736,7 @@ def test_blocks_are_invisible_at_block_boundaries(m):
             np.testing.assert_array_equal(res.curve.lower, dense[1])
             for c_star, alpha in alphas.items():
                 assert _min_count(n, alpha) == c_star
-                [regions] = approx_regions(base, grid, [method], alpha)
+                [regions] = approx_regions(base, grid, [kind], alpha)
                 single[alpha][kind] = regions
                 assert regions.sup_tau == want.sup_tau()
                 for side, pvals in zip(("upper", "lower"), dense):
@@ -748,7 +770,7 @@ def test_region_scan_holds_blocks_not_grids(kind):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            [result] = approx_regions(base, grid, [ApproxMethod(kind)], 0.1)
+            [result] = approx_regions(base, grid, [kind], 0.1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -762,7 +784,7 @@ def test_regions_reject_alpha_outside_unit_interval(alpha):
     X, Y, xq, _ = _instance(34, 8)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     with pytest.raises(ValueError, match="alpha must lie in"):
-        approx_regions(base, YGrid(-1.0, 1.0, 5), [ApproxMethod("local_stability")],
+        approx_regions(base, YGrid(-1.0, 1.0, 5), ["local_stability"],
                        alpha)
 
 
@@ -778,7 +800,7 @@ def test_curves_reject_nonconstant_kernel_diagonal(kind):
         approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
                              KERNEL, base=base)
     with pytest.raises(ValueError, match="constant diagonal"):
-        approx_regions(base, grid, [ApproxMethod(kind)], 0.1)
+        approx_regions(base, grid, [kind], 0.1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -818,10 +840,10 @@ def test_curves_name_the_field_a_supplied_base_fit_differs_in(field):
         with pytest.raises(ValueError, match=f"mismatch in {field}"):
             approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5,
                                  LOGCOSH, KERNEL, base=base)
-        # the regions read the rest of the problem from the fit itself
-        if field in ("anchors", "weights"):
+        # the regions read the rest of the problem, z too, from the fit itself
+        if field == "weights":
             with pytest.raises(ValueError, match=f"mismatch in {field}"):
-                approx_regions(base, grid, [ApproxMethod(kind)], 0.1)
+                approx_regions(base, grid, [kind], 0.1)
 
 
 def test_curves_reuse_supplied_base_fit():
@@ -935,7 +957,7 @@ def test_upper_regions_cover_where_regions_are_informative():
         def builder(X, Y, xq):
             base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
             [regions] = approx_regions(base, YGrid.from_targets(Y, m=200),
-                                       [ApproxMethod(kind)], alpha)
+                                       [kind], alpha)
             upper = regions.upper
             clipped.append(bool(upper.mask[0] or upper.mask[-1]))
             return upper
@@ -979,26 +1001,26 @@ def test_thickness_gap_brackets_regions_from_curves():
 
 
 def test_thickness_bound_uniform_golden_value():
-    bound = thickness_bound(ApproxMethod("uniform_stability"), UNIT_GRAM,
+    bound = thickness_bound("uniform_stability", UNIT_GRAM,
                             LOGCOSH_CONSTANTS, lam=0.1)
     assert bound.value == pytest.approx(8.0)
     assert bound.refined is None and bound.beta is None
     # sup_tau plays no role below the influence-function level
-    also = thickness_bound(ApproxMethod("local_stability"), UNIT_GRAM,
+    also = thickness_bound("local_stability", UNIT_GRAM,
                            LOGCOSH_CONSTANTS, lam=0.1, sup_tau=123.0)
     assert also.value == pytest.approx(8.0)
 
 
 def test_thickness_bound_influence_function_branches():
     with pytest.raises(ValueError, match="supremum"):
-        thickness_bound(ApproxMethod("influence_function"), UNIT_GRAM,
+        thickness_bound("influence_function", UNIT_GRAM,
                         LOGCOSH_CONSTANTS, lam=1.0)
-    refined = thickness_bound(ApproxMethod("influence_function"), UNIT_GRAM,
+    refined = thickness_bound("influence_function", UNIT_GRAM,
                               LOGCOSH_CONSTANTS, lam=1.0, sup_tau=0.2)
     assert refined.refined is True
     assert refined.beta == pytest.approx(0.1)
     assert refined.value == pytest.approx(12.0 / 0.9 * 0.2)
-    crude = thickness_bound(ApproxMethod("influence_function"), UNIT_GRAM,
+    crude = thickness_bound("influence_function", UNIT_GRAM,
                             LOGCOSH_CONSTANTS, lam=0.01, sup_tau=0.2)
     assert crude.refined is False
     assert crude.beta == pytest.approx(10.0)

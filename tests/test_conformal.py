@@ -14,7 +14,8 @@ from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
                              cross_pvalues, empirical_coverage,
                              full_conformal_pvalues, full_region_bruteforce,
                              oracle_pvalues, oracle_region, region_from_curve,
-                             split_region, write_region_csv, write_region_json)
+                             split_pvalues, split_region, write_region_csv,
+                             write_region_json)
 from apxcp.data_io import friedman1
 from apxcp.kernels import KernelSpec
 from apxcp.losses import LossSpec
@@ -40,6 +41,23 @@ def test_grid_validation():
         YGrid(1.0, 1.0, 10)
     with pytest.raises(ValueError):
         YGrid(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("m", [10.0, 51.0, 2.5, "10"])
+@pytest.mark.parametrize("make", [lambda m: YGrid(0.0, 1.0, m),
+                                  lambda m: YGrid.from_targets([1.0, 2.0], m=m)],
+                         ids=["YGrid", "from_targets"])
+def test_grid_rejects_a_non_integral_size(make, m):
+    # a float size used to construct, then fail inside np.linspace on the
+    # first read of .values
+    with pytest.raises(ValueError, match=re.escape(f"grid size m must be an integer, got {m!r}")):
+        make(m)
+
+
+def test_grid_accepts_a_numpy_integer_size():
+    grid = YGrid(0.0, 1.0, np.int64(11))
+    assert grid == YGrid(0.0, 1.0, 11)
+    np.testing.assert_array_equal(grid.values, YGrid(0.0, 1.0, 11).values)
 
 
 def test_grid_step_and_values():
@@ -446,6 +464,33 @@ def test_cross_fold_count_validation():
         cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=7)
     with pytest.raises(ValueError, match="fold"):
         cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=1)
+
+
+@pytest.mark.parametrize("V", [2.5, 3.0, "3"])
+def test_cross_rejects_a_non_integral_fold_count(V):
+    # V = 2.5 used to run 2 folds, as np.array_split truncates the count
+    X, Y, xq, _ = _instance(9, 6)
+    grid = YGrid.from_targets(Y, m=21)
+    with pytest.raises(ValueError, match=re.escape(f"fold count V must be an integer "
+                                                   f"with 2 <= V <= n=6, got {V!r}")):
+        cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=V)
+    same = cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=np.int64(3), seed=1)
+    np.testing.assert_array_equal(
+        same.upper, cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=3, seed=1).upper)
+
+
+def test_exact_curves_share_one_pvalue_array():
+    # exact methods have equal upper and lower p-values: one frozen array
+    X, Y, xq, y_true = _instance(11, 8)
+    grid = YGrid.from_targets(Y, m=11)
+    problem = z_anchored_problem(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    curves = [full_conformal_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL),
+              oracle_pvalues(problem, y_true, grid),
+              split_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, seed=0),
+              cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=3, seed=0)]
+    for curve in curves:
+        assert curve.upper is curve.lower
+        assert not curve.upper.flags.writeable
 
 
 def test_cross_jackknife_limit_runs():

@@ -289,6 +289,19 @@ def test_fit_warm_start_agrees_with_cold_start():
     np.testing.assert_allclose(preds_warm, preds_cold, atol=1e-8)
 
 
+@pytest.mark.parametrize("init, message", [
+    (np.zeros(10), r"init must have length 11, got shape \(10,\)"),
+    (np.zeros((11, 1)), r"init must have length 11, got shape \(11, 1\)"),
+    (np.r_[np.zeros(10), np.nan], "init must be finite"),
+    (np.r_[np.inf, np.zeros(10)], "init must be finite"),
+])
+def test_fit_rejects_a_bad_init(init, message):
+    # a wrong length used to fail inside the first matmul
+    problem = _random_problem(np.random.default_rng(9), n=10)
+    with pytest.raises(ValueError, match=message):
+        fit(problem, init=init)
+
+
 def test_fit_failure_carries_state(monkeypatch):
     rng = np.random.default_rng(10)
     problem = _random_problem(rng, n=10)
