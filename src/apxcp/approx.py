@@ -63,6 +63,7 @@ result.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,8 +102,8 @@ class ApproxMethod:
 
     def __post_init__(self) -> None:
         _level(self.kind)
-        if not np.isfinite(self.z_anchor):
-            raise ValueError("z_anchor must be finite")
+        if not (isinstance(self.z_anchor, numbers.Real) and np.isfinite(self.z_anchor)):
+            raise ValueError(f"z_anchor must be a finite real number, got {self.z_anchor!r}")
 
     @property
     def level(self) -> int:
@@ -630,6 +631,8 @@ def thickness_bound(kind: str, gram: GramMatrix,
     otherwise the crude branch 8 * (sup_tau + rho-term) is returned and
     flagged via refined=False.
     """
+    if not (isinstance(lam, numbers.Real) and lam > 0 and np.isfinite(lam)):
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
     np1 = gram.n
     kmax = gram.diag_max
     rho_term = constants.rho * kmax / (lam * np1)
@@ -637,6 +640,8 @@ def thickness_bound(kind: str, gram: GramMatrix,
         return ThicknessBound(value=8.0 * rho_term)
     if sup_tau is None:
         raise ValueError("the influence-function bound needs the grid supremum of tau")
+    if not (isinstance(sup_tau, numbers.Real) and sup_tau >= 0 and np.isfinite(sup_tau)):
+        raise ValueError(f"sup_tau must be finite and nonnegative, got {sup_tau!r}")
     beta = constants.beta1 * kmax / (lam * np1)
     if beta < 1.0:
         return ThicknessBound(value=12.0 / (1.0 - beta) * sup_tau,

@@ -333,6 +333,19 @@ def _pvalue_curve(cfg: ExperimentConfig, method: str, X, Y, x_query, y_true,
     return result.curve, _approx_extras(result.taus)
 
 
+def _outcomes(run, keys, charged: float = 0.0) -> dict:
+    """One outcome per key from one call of run, which returns a value per
+    key, in order: key -> (its value, or the SolverError that stopped run,
+    and the seconds run took plus charged, the same for every key)."""
+    start = time.perf_counter()
+    try:
+        values = run()
+    except SolverError as exc:
+        values = [exc] * len(keys)
+    seconds = time.perf_counter() - start + charged
+    return {key: (value, seconds) for key, value in zip(keys, values)}
+
+
 def cmd_region(cfg: ExperimentConfig, out: Path) -> dict:
     if cfg.method in APPROX_KINDS:
         smoothness_constants(cfg.loss)  # a loss without them fails before any work
@@ -352,11 +365,12 @@ def cmd_region(cfg: ExperimentConfig, out: Path) -> dict:
 def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
     """Thickness gap and theoretical bound across the n-schedule.
 
-    One row per (n, repetition, method); the three methods share one base
-    fit and one joint scan of the grid, and each row's seconds count both,
-    the same for the three rows. A failed fit is recorded in all three
-    rows, not raised. Slopes come from every successful row with a
-    positive value.
+    One row per (n, repetition, method), all built from one outcome per
+    problem: per method its gap and bound, or the fit's SolverError,
+    recorded in all three rows, not raised. The three methods share one
+    base fit and one joint scan of the grid, and each row's seconds count
+    both, the same for the three rows. Slopes come from every successful
+    row with a positive value.
     """
     schedule = DESK_SCHEDULE if desk else cfg.n_schedule
     if len(schedule) < 4:
@@ -369,26 +383,26 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
             ds = friedman1(n + 1, cfg.noise_sd, seed=(cfg.seed, n, rep))
             X, Y, x_query, _ = ds.split_query()
             grid = cfg.grid_for(Y, m=cfg.sweep_grid_m)
+            # base and result outlive the timed block until the next problem
+            # rebinds them: freed with it, they let the C heap trim its top, and
+            # sweep-scan page-faulted them back in (2500 vs 800 faults/instance)
             start = time.perf_counter()
             try:
-                base = base_fit(X, Y, x_query, cfg.z_anchor, lam, cfg.loss,
-                                cfg.kernel)
+                base = base_fit(X, Y, x_query, cfg.z_anchor, lam, cfg.loss, cfg.kernel)
+                cells = []
+                for kind, result in zip(APPROX_KINDS, approx_regions(base, grid, APPROX_KINDS,
+                                                                     cfg.alpha)):
+                    delta = thickness_gap(result.upper, result.lower)
+                    bound = thickness_bound(kind, base.problem.gram, constants,
+                                            lam, result.sup_tau)
+                    cells.append((delta, bound.value, "" if bound.refined is None
+                                  else str(bound.refined), "ok"))
             except SolverError as exc:
-                seconds = time.perf_counter() - start
-                rows.extend([n, rep, kind, lam, float("nan"), float("nan"), "",
-                             seconds, f"solver_error: {exc}"]
-                            for kind in APPROX_KINDS)
-                continue
-            cells = []
-            for kind, result in zip(APPROX_KINDS, approx_regions(base, grid, APPROX_KINDS,
-                                                                 cfg.alpha)):
-                delta = thickness_gap(result.upper, result.lower)
-                bound = thickness_bound(kind, base.problem.gram, constants,
-                                        lam, result.sup_tau)
-                cells.append([kind, lam, delta, bound.value,
-                              "" if bound.refined is None else str(bound.refined)])
+                cells = [(float("nan"), float("nan"), "",
+                          f"solver_error: {exc}")] * len(APPROX_KINDS)
             seconds = time.perf_counter() - start
-            rows.extend([n, rep, *cell, seconds, "ok"] for cell in cells)
+            rows.extend([n, rep, kind, lam, gap, value, refined, seconds, status]
+                        for kind, (gap, value, refined, status) in zip(APPROX_KINDS, cells))
     header = ["n", "rep", "method", "lam", "delta", "bound", "bound_refined",
               "seconds", "status"]
     write_table(out / "sweep.csv", header, rows, _file_meta(cfg))
@@ -425,11 +439,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
 
 def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     """Per-repetition region length, coverage, and time for every method,
-    with times normalized by the single-fit benchmark's. The approximate
-    methods share one base fit and one joint scan per repetition, and a
-    failed fit fails all three; the oracle fit re-anchors the base fit's
-    problem at the true output, sharing its Gram matrix. Each row's
-    seconds count the shared work it uses plus its own: the three
+    with times normalized by the single-fit benchmark's. Every row comes
+    from one outcome per method (_outcomes): its upper region or the
+    SolverError that stopped it, and its seconds. The approximate methods
+    share one base fit and one joint scan, and a failed fit fails all
+    three; the oracle refits the base fit's problem at the true output.
+    Each row's seconds count the shared work it uses plus its own: the
     approximate rows read the same seconds, and the oracle row is charged
     the Gram build as set-up."""
     smoothness_constants(cfg.loss)  # a loss without them fails before any work
@@ -443,45 +458,30 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
         problem = z_anchored_problem(X, Y, x_query, cfg.z_anchor, lam,
                                      cfg.loss, cfg.kernel)
         setup_seconds = time.perf_counter() - start
-        try:
-            base, fit_error = fit(problem), None
-        except SolverError as exc:
-            base, fit_error = None, exc
-        if fit_error is None:
-            uppers = {kind: result.upper for kind, result
-                      in zip(APPROX_KINDS, approx_regions(base, grid, APPROX_KINDS,
-                                                          cfg.alpha))}
         # the approximate methods share the set-up, the base fit and one
         # joint scan; the oracle pays the set-up, split nothing shared
-        approx_seconds = time.perf_counter() - start
-        charged = {"split": 0.0, "oracle": setup_seconds}
-        rep_rows = {}
+        outcomes = _outcomes(
+            lambda: [result.upper for result in approx_regions(
+                fit(problem), grid, APPROX_KINDS, cfg.alpha)],
+            APPROX_KINDS, setup_seconds)
+        outcomes |= _outcomes(
+            lambda: [region_from_curve(split_pvalues(
+                X, Y, x_query, grid, lam, cfg.loss, cfg.kernel, cfg.split_fraction,
+                seed=(cfg.seed, rep, 1)), cfg.alpha)], ["split"])
+        outcomes |= _outcomes(
+            lambda: [region_from_curve(oracle_pvalues(problem, y_true, grid),
+                                       cfg.alpha)], ["oracle"], setup_seconds)
+        oracle, oracle_seconds = outcomes["oracle"]
+        timed = not isinstance(oracle, SolverError) and oracle_seconds > 0
         for name, method in COMPARE_METHODS.items():
-            start = time.perf_counter()
-            try:
-                if method in APPROX_KINDS:
-                    if fit_error is not None:
-                        raise fit_error
-                    region = uppers[method]
-                else:
-                    curve = (oracle_pvalues(problem, y_true, grid) if method == "oracle"
-                             else _pvalue_curve(cfg, method, X, Y, x_query, y_true, grid,
-                                                lam, (cfg.seed, rep, 1))[0])
-                    region = region_from_curve(curve, cfg.alpha, "upper")
-                length, covered, status = (region.measure,
-                                           int(region.contains(y_true)), "ok")
-            except SolverError as exc:
-                length, covered, status = float("nan"), 0, f"solver_error: {exc}"
-            seconds = (approx_seconds if method in APPROX_KINDS
-                       else time.perf_counter() - start + charged[method])
-            rep_rows[name] = [rep, name, length, covered, seconds, float("nan"),
-                              status]
-        oracle_row = rep_rows["OracleCP"]
-        if oracle_row[6] == "ok" and oracle_row[4] > 0:
-            for name in COMPARE_METHODS:
-                if rep_rows[name][6] == "ok":
-                    rep_rows[name][5] = rep_rows[name][4] / oracle_row[4]
-        rows.extend(rep_rows[name] for name in COMPARE_METHODS)
+            region, seconds = outcomes[method]
+            if isinstance(region, SolverError):
+                rows.append([rep, name, float("nan"), 0, seconds, float("nan"),
+                             f"solver_error: {region}"])
+            else:
+                rows.append([rep, name, region.measure, int(region.contains(y_true)),
+                             seconds, seconds / oracle_seconds if timed else float("nan"),
+                             "ok"])
     header = ["rep", "method", "length", "covered", "seconds", "rel_time", "status"]
     write_table(out / "compare.csv", header, rows, _file_meta(cfg))
 

@@ -20,9 +20,8 @@ import numpy as np
 from .data_io import write_json, write_table
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
-from .solver import (SolverError, WeightedProblem, anchor_y_weights,
-                     augmented_problem, check_z_anchored, fit,
-                     z_anchored_problem)
+from .solver import (SolverError, WeightedProblem, augmented_problem,
+                     check_z_anchored, fit, z_anchored_problem)
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,10 @@ class YGrid:
     m: int
 
     def __post_init__(self) -> None:
+        for name in ("lo", "hi"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"grid bound {name} must be a real number, got {value!r}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
         if not isinstance(self.m, numbers.Integral):
@@ -177,35 +180,39 @@ def _min_count(n: int, alpha: float) -> int:
     return int(np.argmax(_rank_pvalues(np.arange(n + 1), n) > alpha))
 
 
+def _refit_counts(problem: WeightedProblem, y: float, tests, init=None):
+    """The exact refit at y: problem, z-anchored on the sample, re-anchored
+    at y and fit from init (zero when None). Returns, for each test value
+    t, the count of data scores at least |t - query prediction|, and the
+    fit."""
+    pred = fit(replace(problem, anchors=(y, y)), init=init)
+    preds = pred.predictions()
+    scores = np.sort(np.abs(problem.targets - preds[:problem.n]))
+    return _count_at_least(scores, np.abs(tests - preds[problem.n])), pred
+
+
 def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
                            loss: LossSpec, kernel: KernelSpec) -> PValueCurve:
     """Exact full conformal p-values by refitting at every grid point.
 
     Each candidate y is attached to the query input and the augmented
-    sample is refit, warm-started from the previous grid point's
-    coefficients (the fixed gradient tolerance makes this agree with a
-    refit from scratch).
+    sample is refit (_refit_counts, the oracle's refit at y), warm-started
+    from the previous grid point's coefficients (the fixed gradient
+    tolerance makes this agree with a refit from scratch). One Gram
+    matrix serves every refit.
     """
-    Y = np.asarray(Y, dtype=float)
-    n = Y.size
-    weights = anchor_y_weights(n)
+    problem = z_anchored_problem(X, Y, x_query, grid.lo, lam, loss, kernel)
     counts = np.empty(grid.m, dtype=np.int64)
     init = None
-    problem = None
     for j, y in enumerate(grid.values):
         y = float(y)
-        problem = augmented_problem(X, Y, x_query, (y, y), weights, lam, loss, kernel) \
-            if problem is None else replace(problem, anchors=(y, y))
         try:
-            pred = fit(problem, init=init)
+            counts[j], pred = _refit_counts(problem, y, y, init)
         except SolverError as err:
             raise SolverError(f"refit failed at grid index {j} (y={y}): {err}",
                               err.coeffs, err.grad_norm) from err
-        preds = pred.predictions()
-        scores = np.sort(np.abs(Y - preds[:n]))
-        counts[j] = _count_at_least(scores, abs(y - preds[n]))
         init = pred.coeffs
-    pvals = _rank_pvalues(counts, n)
+    pvals = _rank_pvalues(counts, problem.n)
     return PValueCurve(grid=grid, upper=pvals, lower=pvals)
 
 
@@ -220,19 +227,16 @@ def oracle_pvalues(problem: WeightedProblem, y_true: float,
                    grid: YGrid) -> PValueCurve:
     """Benchmark p-value curve from a single fit that uses the true output.
 
-    problem, z_anchored_problem on the sample at any z, is re-anchored at
-    y_true and fit once, reusing its Gram matrix and cached
-    eigendecomposition; the training scores stay fixed while the test
-    score varies over the grid. A problem with other weights, or whose
-    two anchors differ, raises ValueError (see solver.check_z_anchored).
+    problem, z_anchored_problem on the sample at any z, gets the exact
+    refit at y_true (_refit_counts, the refit full conformal makes at each
+    grid point), reusing its Gram matrix; the training scores stay fixed
+    while the test score varies over the grid. A problem with other
+    weights, or whose two anchors differ, raises ValueError (see
+    solver.check_z_anchored).
     """
     check_z_anchored(problem, problem.anchors[0], "oracle problem")
-    y_true = float(y_true)
-    pred = fit(replace(problem, anchors=(y_true, y_true)))
-    preds = pred.predictions()
-    scores_sorted = np.sort(np.abs(problem.targets - preds[:problem.n]))
-    test = np.abs(grid.values - preds[problem.n])
-    pvals = _rank_pvalues(_count_at_least(scores_sorted, test), problem.n)
+    counts, _ = _refit_counts(problem, float(y_true), grid.values)
+    pvals = _rank_pvalues(counts, problem.n)
     return PValueCurve(grid, pvals, pvals)
 
 
@@ -329,6 +333,8 @@ def empirical_coverage(region_builder, generator, reps: int, alpha: float,
     the seed derived from (seed, repetition index), so results do not
     depend on execution order.
     """
+    if not isinstance(reps, numbers.Integral):
+        raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     hits = 0

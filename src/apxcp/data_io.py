@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,8 +53,8 @@ def friedman1(n: int, noise_sd: float = 0.0, seed: int | None = None) -> Dataset
     the seed; noise_sd = 0 skips the noise draw entirely so noiseless
     datasets share the feature stream of their noisy counterparts.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     if not (noise_sd >= 0 and np.isfinite(noise_sd)):
         raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     rng = np.random.default_rng(seed)

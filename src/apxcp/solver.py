@@ -4,9 +4,11 @@ empirical risk over coefficient vectors in the range of the Gram matrix.
 A problem couples n labeled points with one query input carrying two
 candidate outputs, the anchors (z, y). A weight vector v of length n+2
 switches the data terms and either anchor on or off, so one objective
-covers the base fit (anchor z active), the exact refit at a candidate y
-(anchor y active), and the interpolated weights the influence-function
-check differentiates along. Weights are nonnegative, so every weighted
+covers the base fit (z_anchored_problem: anchor z active, both anchors
+at z), the exact refit at a candidate y (the same problem re-anchored
+at y), and the interpolated weights from the z anchor to the y anchor
+that the influence-function check differentiates along. Weights are
+nonnegative, so every weighted
 curvature is too, and each Newton step is one positive definite solve in
 prediction space.
 """
@@ -35,7 +37,9 @@ def anchor_z_weights(n: int) -> np.ndarray:
 
 
 def anchor_y_weights(n: int) -> np.ndarray:
-    """Canonical weights (1, ..., 1, 0, 1): data plus the y anchor."""
+    """Canonical weights (1, ..., 1, 0, 1): data plus the y anchor, the
+    end of the influence-function weight path. No run path fits with
+    them: the exact refit at y re-anchors a z-anchored problem at y."""
     v = np.ones(n + 2)
     v[n] = 0.0
     return v

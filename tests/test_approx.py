@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -47,6 +48,18 @@ def test_method_validation():
     with pytest.raises(ValueError, match="z_anchor"):
         ApproxMethod("uniform_stability", z_anchor=np.inf)
     assert [ApproxMethod(k).level for k in APPROX_KINDS] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("z_anchor", ["x", None, "0.5"])
+def test_method_rejects_a_non_real_anchor(z_anchor):
+    # a string anchor used to fail inside np.isfinite with a ufunc TypeError
+    message = re.escape(f"z_anchor must be a finite real number, got {z_anchor!r}")
+    with pytest.raises(ValueError, match=message):
+        ApproxMethod("uniform_stability", z_anchor)
+
+
+def test_method_accepts_a_numpy_float_anchor():
+    assert ApproxMethod("local_stability", np.float32(0.5)).z_anchor == 0.5
 
 
 def test_tau_profile_validation():
@@ -1009,6 +1022,27 @@ def test_thickness_bound_uniform_golden_value():
     also = thickness_bound("local_stability", UNIT_GRAM,
                            LOGCOSH_CONSTANTS, lam=0.1, sup_tau=123.0)
     assert also.value == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("kind, lam, sup_tau, message", [
+    ("uniform_stability", 0.0, None, "lam must be positive and finite, got 0.0"),
+    ("local_stability", -1.0, None, "lam must be positive and finite, got -1.0"),
+    ("uniform_stability", "0.1", None, "lam must be positive and finite, got '0.1'"),
+    ("influence_function", np.inf, 0.2, "lam must be positive and finite, got inf"),
+    ("influence_function", 1.0, np.nan, "sup_tau must be finite and nonnegative, got nan"),
+    ("influence_function", 1.0, -0.1, "sup_tau must be finite and nonnegative, got -0.1"),
+])
+def test_thickness_bound_rejects_bad_numbers(kind, lam, sup_tau, message):
+    # lam = 0 used to raise ZeroDivisionError and a nan sup_tau to return a
+    # nan bound
+    with pytest.raises(ValueError, match=re.escape(message)):
+        thickness_bound(kind, UNIT_GRAM, LOGCOSH_CONSTANTS, lam, sup_tau)
+
+
+def test_thickness_bound_accepts_numpy_floats():
+    bound = thickness_bound("influence_function", UNIT_GRAM, LOGCOSH_CONSTANTS,
+                            np.float64(1.0), np.float32(0.25))
+    assert bound.value == pytest.approx(12.0 / 0.9 * 0.25)
 
 
 def test_thickness_bound_influence_function_branches():

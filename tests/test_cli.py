@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from apxcp import approx, cli, kernels, solver
+from apxcp import approx, cli, conformal, kernels, solver
 from apxcp.approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
                           thickness_gap)
 from apxcp.cli import (COMPARE_METHODS, DEFAULT_LAMBDA_GRID, DEFAULT_SCHEDULE,
@@ -434,6 +434,47 @@ def test_compare_failed_base_fit_fails_the_approximate_rows(tmp_path, monkeypatc
     assert reps_ok == {"SplitCP": 2, "UStableCP": 1, "LocStableCP": 1,
                        "InfluenceFunctionCP": 1, "OracleCP": 2}
 
+
+
+def _fail_baseline_fits(monkeypatch, which):
+    """Make every conformal fit of one compare baseline raise SolverError:
+    the oracle's refit (z anchor on) or the split training fit (both
+    anchors off)."""
+    real_fit = conformal.fit
+
+    def failing(problem, *args, **kwargs):
+        if (problem.weights[problem.n] == 1.0) == (which == "oracle"):
+            raise SolverError(f"injected {which} failure", np.zeros(problem.gram.n), 1.0)
+        return real_fit(problem, *args, **kwargs)
+
+    monkeypatch.setattr(conformal, "fit", failing)
+
+
+def test_compare_failed_oracle_refit_fails_its_row_and_every_rel_time(tmp_path,
+                                                                       monkeypatch):
+    _fail_baseline_fits(monkeypatch, "oracle")
+    result = cmd_compare(COMPARE_CFG, tmp_path)
+    for rep, name, length, _, seconds, rel_time, status in result["rows"]:
+        if name == "OracleCP":
+            assert status == "solver_error: injected oracle failure", rep
+            assert math.isnan(length)
+        else:
+            assert status == "ok", (rep, name)
+        assert math.isnan(rel_time), (rep, name)
+        assert seconds >= 0.0
+    assert "OracleCP" not in result["stats"]
+
+
+def test_compare_failed_split_fit_fails_only_its_row(tmp_path, monkeypatch):
+    _fail_baseline_fits(monkeypatch, "split")
+    rows = {(r[0], r[1]): r for r in cmd_compare(COMPARE_CFG, tmp_path)["rows"]}
+    for (rep, name), (_, _, length, _, seconds, rel_time, status) in rows.items():
+        if name == "SplitCP":
+            assert status == "solver_error: injected split failure", rep
+            assert math.isnan(length) and math.isnan(rel_time)
+        else:
+            assert status == "ok", (rep, name)
+            assert rel_time == seconds / rows[rep, "OracleCP"][4], (rep, name)
 
 
 def _count_grams(monkeypatch):

@@ -49,14 +49,17 @@ def test_json_key_paths_missing_files_and_identical_runs(tmp_path, capsys):
 def test_digest_prints_one_timing_per_run_on_stderr(tmp_path, capsys):
     import cli_digest
 
+    from apxcp import cli
+
+    runs = cli_digest.runs(cli.REGION_METHODS)
     src = Path(__file__).resolve().parents[1] / "src"
     assert cli_digest.main([str(src), str(tmp_path)]) == 0
     captured = capsys.readouterr()
     digests = captured.out.splitlines()
     # stdout holds only the digest lines, one per output file
     assert len(digests) == sum(len(list((tmp_path / name / "out").iterdir()))
-                               for name, _, _ in cli_digest.RUNS)
+                               for name, _, _ in runs)
     assert all(len(line.split("  ")[0]) == 64 for line in digests)
     timings = [line.split() for line in captured.err.splitlines()]
-    assert [name for _, name in timings] == [name for name, _, _ in cli_digest.RUNS]
+    assert [name for _, name in timings] == [name for name, _, _ in runs]
     assert all(float(seconds) > 0.0 for seconds, _ in timings)

@@ -252,6 +252,21 @@ def test_min_count_is_the_order_statistic_of_the_rank_rule(n):
     assert _min_count(n, n / (n + 1.0)) == n
 
 
+@pytest.mark.parametrize("lo, hi, name", [("a", 1.0, "lo"), (0.0, "b", "hi"),
+                                         (None, 1.0, "lo"), (0.0, [1.0], "hi")])
+def test_grid_rejects_a_non_real_bound(lo, hi, name):
+    # a string bound used to fail inside np.isfinite with a ufunc TypeError
+    bad = lo if name == "lo" else hi
+    message = re.escape(f"grid bound {name} must be a real number, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        YGrid(lo, hi, 5)
+
+
+def test_grid_accepts_numpy_float_bounds():
+    grid = YGrid(np.float32(-1.0), np.float64(1.0), 5)
+    np.testing.assert_array_equal(grid.values, YGrid(-1.0, 1.0, 5).values)
+
+
 def test_region_monotone_in_alpha():
     X, Y, xq, _ = _instance(0, 15)
     grid = YGrid.from_targets(Y, m=101)
@@ -329,6 +344,19 @@ def test_full_conformal_warm_start_matches_cold():
                                    0.5, LOGCOSH, KERNEL).upper[0]
             for y in grid.values]
     np.testing.assert_array_equal(warm.upper, cold)
+
+
+def test_full_conformal_and_oracle_share_the_exact_refit():
+    # both are the refit of the sample plus the query input carrying y: on
+    # a two-point grid starting at y (a cold refit at y), the full
+    # conformal p-value at y is the oracle's at y_true = y, bit for bit
+    X, Y, xq, _ = _instance(5, 12)
+    grid = YGrid.from_targets(Y, m=11)
+    problem = z_anchored_problem(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    for y in map(float, grid.values):
+        pair = YGrid(y, y + grid.step, 2)
+        full = full_conformal_pvalues(X, Y, xq, pair, 0.5, LOGCOSH, KERNEL)
+        assert full.upper[0] == oracle_pvalues(problem, y, pair).upper[0], y
 
 
 # --- oracle region ---
@@ -561,6 +589,28 @@ def test_empirical_coverage_needs_a_repetition(reps):
 
     with pytest.raises(ValueError, match=f"reps must be >= 1, got {reps}"):
         empirical_coverage(never_called, never_called, reps, 0.1)
+
+
+@pytest.mark.parametrize("reps", [2.5, 3.0, "3"])
+def test_empirical_coverage_needs_an_integer_count(reps):
+    # a float count used to pass the reps < 1 check, then fail inside range
+    def never_called(*args):
+        raise AssertionError("no repetition may run")
+
+    with pytest.raises(ValueError, match=re.escape(f"reps must be an integer, got {reps!r}")):
+        empirical_coverage(never_called, never_called, reps, 0.1)
+
+
+def test_empirical_coverage_accepts_a_numpy_integer_count():
+    grid = YGrid(0.0, 1.0, 11)
+    mask = np.arange(11) == 5
+
+    def generator(rng):
+        return np.zeros((2, 1)), np.zeros(2), np.zeros(1), 0.5
+
+    result = empirical_coverage(lambda X, Y, xq: PredictionRegion.from_mask(grid, mask),
+                                generator, np.int64(4), 0.1)
+    assert result.coverage == 1.0 and result.reps == 4
 
 
 def test_empirical_coverage_deterministic_in_seed():

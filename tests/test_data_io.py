@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def test_generator_validation():
         friedman1(0)
     with pytest.raises(ValueError, match="noise_sd"):
         friedman1(5, noise_sd=-1.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "5", None])
+def test_generator_rejects_a_non_integer_size(n):
+    # a float size used to pass the n < 1 check, then fail inside numpy
+    with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+        friedman1(n)
+
+
+def test_generator_accepts_a_numpy_integer_size():
+    ds = friedman1(np.int64(5), seed=1)
+    np.testing.assert_array_equal(ds.Y, friedman1(5, seed=1).Y)
 
 
 @pytest.mark.parametrize("noise_sd", [math.nan, math.inf])
