@@ -63,7 +63,6 @@ result.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,6 +70,7 @@ import numpy as np
 
 from .conformal import (PredictionRegion, PValueCurve, YGrid, _min_count,
                         _rank_pvalues)
+from .data_io import check_real, check_sample
 from .kernels import GramMatrix, KernelSpec
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
 from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
@@ -102,8 +102,7 @@ class ApproxMethod:
 
     def __post_init__(self) -> None:
         _level(self.kind)
-        if not (isinstance(self.z_anchor, numbers.Real) and np.isfinite(self.z_anchor)):
-            raise ValueError(f"z_anchor must be a finite real number, got {self.z_anchor!r}")
+        object.__setattr__(self, "z_anchor", check_real("z_anchor", self.z_anchor))
 
     @property
     def level(self) -> int:
@@ -520,11 +519,10 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
     do. A supplied base fit with another Gram size, targets, lam, loss or
     anchor z than the call's, or one that is not z-anchored (see
     solver.check_z_anchored), raises ValueError naming the field; other
-    inputs X or another kernel at the same size go undetected.
+    inputs X or another kernel at the same size go undetected. X, Y and
+    x_query must form a sample (data_io.check_sample), base or not.
     """
-    Y = np.asarray(Y, dtype=float)
-    if not np.isfinite(Y).all():
-        raise ValueError("Y must be finite")
+    X, Y, x_query = check_sample(X, Y, x_query)
     if base is None:
         base = base_fit(X, Y, x_query, method.z_anchor, lam, loss, kernel)
     else:
@@ -631,8 +629,9 @@ def thickness_bound(kind: str, gram: GramMatrix,
     otherwise the crude branch 8 * (sup_tau + rho-term) is returned and
     flagged via refined=False.
     """
-    if not (isinstance(lam, numbers.Real) and lam > 0 and np.isfinite(lam)):
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+    lam = check_real("lam", lam)
+    if lam <= 0:
+        raise ValueError(f"lam must be positive, got {lam}")
     np1 = gram.n
     kmax = gram.diag_max
     rho_term = constants.rho * kmax / (lam * np1)
@@ -640,8 +639,9 @@ def thickness_bound(kind: str, gram: GramMatrix,
         return ThicknessBound(value=8.0 * rho_term)
     if sup_tau is None:
         raise ValueError("the influence-function bound needs the grid supremum of tau")
-    if not (isinstance(sup_tau, numbers.Real) and sup_tau >= 0 and np.isfinite(sup_tau)):
-        raise ValueError(f"sup_tau must be finite and nonnegative, got {sup_tau!r}")
+    sup_tau = check_real("sup_tau", sup_tau)
+    if sup_tau < 0:
+        raise ValueError(f"sup_tau must be nonnegative, got {sup_tau}")
     beta = constants.beta1 * kmax / (lam * np1)
     if beta < 1.0:
         return ThicknessBound(value=12.0 / (1.0 - beta) * sup_tau,

@@ -19,10 +19,9 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,11 @@ import numpy as np
 from . import __version__ as VERSION
 from .approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
                      approx_regions, base_fit, thickness_bound, thickness_gap)
-from .conformal import (YGrid, cross_pvalues, full_conformal_pvalues,
+from .conformal import (YGrid, _check_alpha, cross_pvalues, full_conformal_pvalues,
                         oracle_pvalues, region_from_curve, split_pvalues,
                         write_region_csv, write_region_json)
-from .data_io import friedman1, load_csv, save_csv, write_json, write_table
+from .data_io import (check_int, check_real, friedman1, load_csv, save_csv,
+                      write_json, write_table)
 from .kernels import KernelSpec
 from .losses import LossSpec, smoothness_constants
 from .solver import SolverError, fit, z_anchored_problem
@@ -65,8 +65,9 @@ DESK_SCHEDULE = _log_ints(32, 256, 8)
 # The JSON config file: group -> key -> (ExperimentConfig field, type),
 # where group None holds the top-level keys. from_dict and to_dict walk
 # this table, and construction checks every field against its type: float
-# takes any finite real number, int any integer, (float,) and (int,) a
-# list of them; None passes where it is the field's default.
+# and int by data_io.check_real and check_int, (float,) and (int,) a list
+# of them, a spec type by the spec itself; None passes where it is the
+# field's default.
 _SCHEMA: dict[str | None, dict[str, tuple[str, object]]] = {
     None: {"kernel": ("kernel", KernelSpec), "loss": ("loss", LossSpec),
            "alpha": ("alpha", float), "z_anchor": ("z_anchor", float),
@@ -90,42 +91,32 @@ _SCHEMA: dict[str | None, dict[str, tuple[str, object]]] = {
 _FIELDS = {name: (key if group is None else f"{group}.{key}", kind)
            for group, keys in _SCHEMA.items()
            for key, (name, kind) in keys.items()}
-_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string",
-               dict: "an object"}
-# the types stored in the file as a JSON object, the spec's asdict: key ->
-# type of each field; a kernel bandwidth may also be "auto"
-_SPECS = {KernelSpec: {"family": str, "bandwidth": float},
-          LossSpec: {"family": str, "a": float, "t": float}}
+_KIND_NAMES = {str: "a string", dict: "an object"}
 
 
 def _checked(label: str, kind, value):
     """value if it has the given type, else a ValueError naming label.
     Numbers come back as float or int, so equal configs hash equally; a
     list type gives a tuple of its items. A spec type takes the spec or
-    its JSON object and rebuilds the spec from the object's checked
-    fields (label.field): a missing key takes its default, and the spec's
-    constructor raises TypeError on an unknown one."""
+    its JSON object and rebuilds the spec, which checks and normalises its
+    own fields: label goes in front of its ValueError (label.field ...), a
+    missing key takes its default, and an unknown one raises TypeError."""
     if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{label} must be a list, got {value!r}")
         return tuple(_checked(f"{label}[{i}]", kind[0], v)
                      for i, v in enumerate(value))
-    if kind in _SPECS:
+    if kind in (float, int):
+        return (check_real if kind is float else check_int)(label, value)
+    if is_dataclass(kind):
         obj = asdict(value) if isinstance(value, kind) else _checked(label, dict, value)
-        types = _SPECS[kind]
-        return kind(**{
-            key: v if key not in types or (key, v) == ("bandwidth", "auto")
-            else _checked(f"{label}.{key}", types[key], v) for key, v in obj.items()})
-    if kind is float:
-        ok = isinstance(value, numbers.Real) and math.isfinite(value)
-    elif kind is int:
-        ok = isinstance(value, numbers.Integral)
-    else:
-        ok = isinstance(value, kind)
-    if not ok or isinstance(value, bool):
-        name = _KIND_NAMES.get(kind, f"a {kind.__name__}")
-        raise ValueError(f"{label} must be {name}, got {value!r}")
-    return kind(value) if kind in (float, int) else value
+        try:
+            return kind(**obj)
+        except ValueError as exc:
+            raise ValueError(f"{label}.{exc}") from None
+    if not isinstance(value, kind):
+        raise ValueError(f"{label} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -163,8 +154,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
                 object.__setattr__(self, f.name, _checked(*_FIELDS[f.name], value))
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (0.0 <= self.lambda_r < 1.0):
             raise ValueError(f"lambda rule exponent must lie in [0, 1), got {self.lambda_r}")
         if self.lambda_fixed is not None and self.lambda_fixed <= 0:
@@ -216,7 +206,7 @@ class ExperimentConfig:
             block = out if group is None else out.setdefault(group, {})
             for key, (name, _) in keys.items():
                 value = getattr(self, name)
-                block[key] = asdict(value) if type(value) in _SPECS else value
+                block[key] = asdict(value) if is_dataclass(value) else value
         rule = out["lambda_rule"]
         # a fixed lambda replaces the c * (n+1)^(-r) rule in the file
         if self.lambda_fixed is not None:
@@ -237,7 +227,7 @@ class ExperimentConfig:
     def grid_for(self, Y, m: int | None = None) -> YGrid:
         m = self.grid_m if m is None else m
         if self.grid_lo is not None:
-            return YGrid(float(self.grid_lo), float(self.grid_hi), m)
+            return YGrid(self.grid_lo, self.grid_hi, m)
         return YGrid.from_targets(Y, m=m, margin=self.grid_margin)
 
 

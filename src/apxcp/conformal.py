@@ -8,7 +8,6 @@ Lebesgue measures of the discretized set (step times cell count).
 
 from __future__ import annotations
 
-import numbers
 import os
 import sys
 import warnings
@@ -17,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_io import write_json, write_table
+from .data_io import (check_int, check_real, check_sample, write_json,
+                      write_table)
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
 from .solver import (SolverError, WeightedProblem, augmented_problem,
@@ -26,7 +26,8 @@ from .solver import (SolverError, WeightedProblem, augmented_problem,
 
 @dataclass(frozen=True)
 class YGrid:
-    """Uniform candidate-output grid with m points spanning [lo, hi]."""
+    """Uniform candidate-output grid with m >= 2 points spanning [lo, hi],
+    lo < hi finite numbers a finite distance apart."""
 
     lo: float
     hi: float
@@ -34,13 +35,12 @@ class YGrid:
 
     def __post_init__(self) -> None:
         for name in ("lo", "hi"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"grid bound {name} must be a real number, got {value!r}")
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
-        if not isinstance(self.m, numbers.Integral):
-            raise ValueError(f"grid size m must be an integer, got {self.m!r}")
+            object.__setattr__(self, name, check_real(f"grid bound {name}", getattr(self, name)))
+        object.__setattr__(self, "m", check_int("grid size m", self.m))
+        # a span that overflows to inf would make the grid values inf and nan
+        if not 0.0 < self.hi - self.lo < np.inf:
+            raise ValueError(f"need lo < hi a finite distance apart, "
+                             f"got lo={self.lo}, hi={self.hi}")
         if self.m < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.m}")
 
@@ -57,7 +57,11 @@ class YGrid:
     @classmethod
     def from_targets(cls, Y, m: int = 512, margin: float = 0.5) -> "YGrid":
         """Default grid: the observed output range padded by margin*range
-        on each side, so regions are unlikely to be clipped."""
+        on each side, so regions are unlikely to be clipped; margin is a
+        finite number at least 0."""
+        margin = check_real("margin", margin)
+        if margin < 0:
+            raise ValueError(f"margin must be nonnegative, got {margin}")
         Y = np.asarray(Y, dtype=float)
         bad = np.flatnonzero(~np.isfinite(Y))
         if bad.size:
@@ -71,10 +75,7 @@ class YGrid:
 
     def nearest_index(self, y: float) -> int:
         """Index of the grid cell whose center is closest to y."""
-        y = float(y)
-        if not np.isfinite(y):
-            raise ValueError(f"y must be finite to find its grid cell, got {y}")
-        idx = int(round((y - self.lo) / self.step))
+        idx = int(round((check_real("y", y) - self.lo) / self.step))
         return min(max(idx, 0), self.m - 1)
 
 
@@ -168,7 +169,7 @@ def _rank_pvalues(counts, n: int) -> np.ndarray:
 
 
 def _check_alpha(alpha) -> None:
-    if not 0.0 < alpha < 1.0:  # a NaN fails here too
+    if not 0.0 < check_real("alpha", alpha) < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
@@ -235,7 +236,7 @@ def oracle_pvalues(problem: WeightedProblem, y_true: float,
     solver.check_z_anchored).
     """
     check_z_anchored(problem, problem.anchors[0], "oracle problem")
-    counts, _ = _refit_counts(problem, float(y_true), grid.values)
+    counts, _ = _refit_counts(problem, check_real("y_true", y_true), grid.values)
     pvals = _rank_pvalues(counts, problem.n)
     return PValueCurve(grid, pvals, pvals)
 
@@ -256,7 +257,7 @@ def _holdout_counts(X, Y, keep, held_out, x_query, grid: YGrid, lam: float,
     weights = np.r_[np.ones(keep.size), 0.0, 0.0]
     pred = fit(augmented_problem(X_keep, Y[keep], x_query, (0.0, 0.0), weights,
                                  lam, loss, kernel))
-    pts = np.vstack([X_keep, np.atleast_2d(x_query)])
+    pts = np.vstack([X_keep, x_query])
     rows = gram_between(kernel, pts, X[held_out])
     scores = np.sort(np.abs(Y[held_out] - pred.coeffs @ rows))
     return _count_at_least(scores, np.abs(grid.values - pred.query_prediction()))
@@ -266,10 +267,9 @@ def split_pvalues(X, Y, x_query, grid: YGrid, lam: float,
                   loss: LossSpec, kernel: KernelSpec,
                   split_fraction: float = 0.5, seed=None) -> PValueCurve:
     """Split conformal p-values: train on one part, calibrate on the rest."""
-    if not (0.0 < split_fraction < 1.0):
+    if not 0.0 < check_real("split_fraction", split_fraction) < 1.0:
         raise ValueError(f"split_fraction must lie in (0, 1), got {split_fraction}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float)
+    X, Y, x_query = check_sample(X, Y, x_query)
     n = Y.size
     if n < 2:
         raise ValueError("split conformal needs at least 2 points so calibration is nonempty")
@@ -298,11 +298,10 @@ def cross_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     Every point is scored by the fit that left its fold out; the pooled
     indicator count feeds a single p-value with denominator n+1.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float)
+    X, Y, x_query = check_sample(X, Y, x_query)
     n = Y.size
-    if not (isinstance(V, numbers.Integral) and 2 <= V <= n):
-        raise ValueError(f"fold count V must be an integer with 2 <= V <= n={n}, got {V!r}")
+    if not 2 <= check_int("fold count V", V) <= n:
+        raise ValueError(f"fold count V must lie in 2 <= V <= n={n}, got {V!r}")
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, V)
     counts = np.zeros(grid.m, dtype=np.int64)
@@ -333,9 +332,7 @@ def empirical_coverage(region_builder, generator, reps: int, alpha: float,
     the seed derived from (seed, repetition index), so results do not
     depend on execution order.
     """
-    if not isinstance(reps, numbers.Integral):
-        raise ValueError(f"reps must be an integer, got {reps!r}")
-    if reps < 1:
+    if check_int("reps", reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     hits = 0
     for i in range(reps):

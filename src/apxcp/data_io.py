@@ -1,14 +1,20 @@
-"""Synthetic regression data and file persistence.
+"""Synthetic regression data, file persistence, and the input rules.
 
 write_table and write_json are the only writers of output files: every
 CSV table and JSON sidecar of the package goes through them, so the
 comment-line stamp, the float format and the JSON layout live here.
+
+check_real, check_int and check_sample are the only checks of what a
+number and a sample are: every function taking one from a caller calls
+them, and keeps only its range rule (positive, at least 2, ...) to
+itself.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,19 +22,56 @@ from pathlib import Path
 import numpy as np
 
 
+def check_real(name: str, value) -> float:
+    """value as a float if it is a finite real number, else a ValueError
+    naming name. A bool is not a number here; numpy floats and integers
+    pass."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def check_int(name: str, value) -> int:
+    """value as an int if it is an integer, else a ValueError naming name.
+    A bool or an integral float is not an integer here; numpy integers
+    pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_sample(X, Y, x_query=None):
+    """(X, Y, x_query) as float arrays if they form a sample, else a
+    ValueError naming the first input that breaks the rule: X is 2-d
+    (n, d), Y is 1-d of length n, x_query (when given) is one point of
+    width d, returned as a (1, d) row, and all of them are finite."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    xq = None if x_query is None else np.atleast_2d(np.asarray(x_query, dtype=float))
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-d (n, d) array, got shape {X.shape}")
+    if Y.shape != X.shape[:1]:
+        raise ValueError(f"Y must be 1-d, matching the {X.shape[0]} rows of X, "
+                         f"got shape {Y.shape}")
+    if xq is not None and xq.shape != (1, X.shape[1]):
+        raise ValueError(f"x_query must be one point of width {X.shape[1]} "
+                         f"like the rows of X, got shape {np.shape(x_query)}")
+    for name, arr in (("X", X), ("Y", Y), ("x_query", xq)):
+        if arr is not None and not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    return X, Y, xq
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix, targets, and generation metadata."""
+    """Feature matrix, targets, and generation metadata; X and Y follow
+    check_sample."""
 
     X: np.ndarray
     Y: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.size:
-            raise ValueError("X must be (n, d) and Y (n,) with matching n")
+        X, Y, _ = check_sample(self.X, self.Y)
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -53,10 +96,11 @@ def friedman1(n: int, noise_sd: float = 0.0, seed: int | None = None) -> Dataset
     the seed; noise_sd = 0 skips the noise draw entirely so noiseless
     datasets share the feature stream of their noisy counterparts.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (noise_sd >= 0 and np.isfinite(noise_sd)):
-        raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
+    n, noise_sd = check_int("n", n), check_real("noise_sd", noise_sd)
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if noise_sd < 0:
+        raise ValueError(f"noise_sd must be nonnegative, got {noise_sd}")
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(n, 10))
     Y = (10.0 * np.sin(np.pi * X[:, 0] * X[:, 1])

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import check_real
+
 KERNEL_FAMILIES = ("laplacian", "gaussian_rbf")
 
 # Shared relative eigenvalue cutoff: eigenvalues at or below
@@ -43,29 +45,31 @@ class KernelSpec:
         One of ``"laplacian"`` (exp(-gamma * ||x - x'||_1)) or
         ``"gaussian_rbf"`` (exp(-gamma * ||x - x'||_2^2)).
     bandwidth : float or "auto"
-        Positive scale gamma. ``"auto"`` resolves to 1/d, where d is the
-        input dimension, at evaluation time.
+        Positive finite scale gamma, stored as a float. ``"auto"``
+        resolves to 1/d, where d is the input dimension, at evaluation
+        time.
     """
 
     family: str = "laplacian"
     bandwidth: float | str = "auto"
 
     def __post_init__(self) -> None:
+        # every message starts with the field's name, which the config
+        # prefixes with its key ("kernel.")
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
         if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "auto":
-                raise ValueError(f"bandwidth must be positive or 'auto', got {self.bandwidth!r}")
-        elif not (float(self.bandwidth) > 0.0 and np.isfinite(self.bandwidth)):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+            raise ValueError(f"family must be one of {KERNEL_FAMILIES}, got {self.family!r}")
+        if not (isinstance(self.bandwidth, str) and self.bandwidth == "auto"):
+            object.__setattr__(self, "bandwidth", check_real("bandwidth", self.bandwidth))
+            if self.bandwidth <= 0:
+                raise ValueError(f"bandwidth must be positive or 'auto', got {self.bandwidth}")
 
     def resolve_bandwidth(self, dim: int) -> float:
         """Concrete gamma for inputs of the given dimension."""
         if dim < 1:
             raise ValueError(f"input dimension must be >= 1, got {dim}")
-        if self.bandwidth == "auto":
-            return 1.0 / dim
-        return float(self.bandwidth)
+        return 1.0 / dim if self.bandwidth == "auto" else self.bandwidth
 
 
 def _retained(w: np.ndarray) -> np.ndarray:

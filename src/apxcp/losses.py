@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_io import check_real
+
 LOSS_FAMILIES = ("logcosh", "pseudo_huber", "smoothed_pinball", "squared")
 
 _LOG2 = float(np.log(2.0))
@@ -42,12 +44,18 @@ class LossSpec:
     t: float = 0.5
 
     def __post_init__(self) -> None:
+        # every message starts with the field's name, which the config
+        # prefixes with its key ("loss.")
+        if not isinstance(self.family, str):
+            raise ValueError(f"family must be a string, got {self.family!r}")
         if self.family not in LOSS_FAMILIES:
-            raise ValueError(f"unknown loss family {self.family!r}")
-        if not (self.a > 0 and np.isfinite(self.a)):
-            raise ValueError(f"scale a must be positive and finite, got {self.a}")
-        if not (0.0 < self.t < 1.0):
-            raise ValueError(f"quantile level t must lie in (0, 1), got {self.t}")
+            raise ValueError(f"family must be one of {LOSS_FAMILIES}, got {self.family!r}")
+        for name in ("a", "t"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        if self.a <= 0:
+            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0.0 < self.t < 1.0:
+            raise ValueError(f"t, the quantile level, must lie in (0, 1), got {self.t}")
 
 
 @dataclass(frozen=True)

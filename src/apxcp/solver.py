@@ -15,11 +15,11 @@ prediction space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data_io import check_real, check_sample
 from .kernels import GramMatrix, KernelSpec, gram
 from .losses import LossSpec, loss_d, loss_value
 
@@ -74,25 +74,24 @@ class WeightedProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", _readonly(self.targets))
         object.__setattr__(self, "weights", _readonly(self.weights))
-        object.__setattr__(self, "anchors", (float(self.anchors[0]), float(self.anchors[1])))
-        for name, anchor in zip("zy", self.anchors):
-            if not math.isfinite(anchor):
-                raise ValueError(f"anchor {name} must be finite, got {anchor}")
+        object.__setattr__(self, "anchors", tuple(
+            check_real(f"anchor {name}", a) for name, a in zip("zy", self.anchors)))
+        object.__setattr__(self, "lam", check_real("lam", self.lam))
         n = self.targets.size
         if self.gram.n != n + 1:
-            raise ValueError(f"gram has {self.gram.n} points but targets has {n} entries")
-        if not np.isfinite(self.targets).all():
-            raise ValueError("targets must be finite")
+            raise ValueError(f"gram has {self.gram.n} points but targets has {n} entries; "
+                             f"it needs n + 1 = {n + 1}, the inputs and the query input")
         if self.weights.shape != (n + 2,):
             raise ValueError(f"weights must have length {n + 2}, got {self.weights.shape}")
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
+        for name in ("targets", "weights"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         negative = np.flatnonzero(self.weights < 0)
         if negative.size:
             i = int(negative[0])
             raise ValueError(f"weights must be nonnegative, got {self.weights[i]} at index {i}")
-        if not (self.lam > 0 and np.isfinite(self.lam)):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if self.lam <= 0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
 
     @property
     def n(self) -> int:
@@ -295,20 +294,10 @@ def rkhs_norm_diff(a1: np.ndarray, a2: np.ndarray, gram: GramMatrix) -> float:
 def augmented_problem(X, Y, x_query, anchors: tuple[float, float],
                       weights: np.ndarray, lam: float, loss: LossSpec,
                       kernel: KernelSpec) -> WeightedProblem:
-    """Assemble a WeightedProblem over (X_1, ..., X_n, x_query)."""
-    X = np.asarray(X, dtype=float)
-    xq = np.atleast_2d(np.asarray(x_query, dtype=float))
-    if X.ndim != 2:
-        raise ValueError(f"X must be a 2-d (n, d) array, got shape {X.shape}")
-    if xq.shape != (1, X.shape[1]):
-        raise ValueError(f"x_query must be one point of width {X.shape[1]} "
-                         f"like the rows of X, got shape {np.shape(x_query)}")
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
-    if not np.isfinite(xq).all():
-        raise ValueError("x_query must be finite")
-    G = gram(kernel, np.vstack([X, xq]))
-    return WeightedProblem(gram=G, targets=np.asarray(Y, dtype=float),
+    """Assemble a WeightedProblem over (X_1, ..., X_n, x_query), the
+    three a sample (data_io.check_sample)."""
+    X, Y, xq = check_sample(X, Y, x_query)
+    return WeightedProblem(gram=gram(kernel, np.vstack([X, xq])), targets=Y,
                            anchors=anchors, weights=weights, lam=lam, loss=loss)
 
 
@@ -316,8 +305,7 @@ def z_anchored_problem(X, Y, x_query, z: float, lam: float, loss: LossSpec,
                        kernel: KernelSpec) -> WeightedProblem:
     """The data plus the query input anchored at output z: anchors (z, z),
     weights anchor_z_weights."""
-    Y = np.asarray(Y, dtype=float)
-    return augmented_problem(X, Y, x_query, (z, z), anchor_z_weights(Y.size),
+    return augmented_problem(X, Y, x_query, (z, z), anchor_z_weights(np.size(Y)),
                              lam, loss, kernel)
 
 

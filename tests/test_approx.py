@@ -50,10 +50,10 @@ def test_method_validation():
     assert [ApproxMethod(k).level for k in APPROX_KINDS] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("z_anchor", ["x", None, "0.5"])
+@pytest.mark.parametrize("z_anchor", ["x", None, "0.5", True])
 def test_method_rejects_a_non_real_anchor(z_anchor):
     # a string anchor used to fail inside np.isfinite with a ufunc TypeError
-    message = re.escape(f"z_anchor must be a finite real number, got {z_anchor!r}")
+    message = re.escape(f"z_anchor must be a finite number, got {z_anchor!r}")
     with pytest.raises(ValueError, match=message):
         ApproxMethod("uniform_stability", z_anchor)
 
@@ -796,7 +796,8 @@ def test_region_scan_holds_blocks_not_grids(kind):
 def test_regions_reject_alpha_outside_unit_interval(alpha):
     X, Y, xq, _ = _instance(34, 8)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
-    with pytest.raises(ValueError, match="alpha must lie in"):
+    message = "alpha must lie in" if np.isfinite(alpha) else "alpha must be a finite number"
+    with pytest.raises(ValueError, match=message):
         approx_regions(base, YGrid(-1.0, 1.0, 5), ["local_stability"],
                        alpha)
 
@@ -1025,18 +1026,38 @@ def test_thickness_bound_uniform_golden_value():
 
 
 @pytest.mark.parametrize("kind, lam, sup_tau, message", [
-    ("uniform_stability", 0.0, None, "lam must be positive and finite, got 0.0"),
-    ("local_stability", -1.0, None, "lam must be positive and finite, got -1.0"),
-    ("uniform_stability", "0.1", None, "lam must be positive and finite, got '0.1'"),
-    ("influence_function", np.inf, 0.2, "lam must be positive and finite, got inf"),
-    ("influence_function", 1.0, np.nan, "sup_tau must be finite and nonnegative, got nan"),
-    ("influence_function", 1.0, -0.1, "sup_tau must be finite and nonnegative, got -0.1"),
+    ("uniform_stability", 0.0, None, "lam must be positive, got 0.0"),
+    ("local_stability", -1.0, None, "lam must be positive, got -1.0"),
+    ("uniform_stability", "0.1", None, "lam must be a finite number, got '0.1'"),
+    ("influence_function", np.inf, 0.2, "lam must be a finite number, got inf"),
+    ("influence_function", 1.0, np.nan, "sup_tau must be a finite number, got nan"),
+    ("influence_function", 1.0, -0.1, "sup_tau must be nonnegative, got -0.1"),
+    ("uniform_stability", True, None, "lam must be a finite number, got True"),
+    ("influence_function", 1.0, "0.2", "sup_tau must be a finite number, got '0.2'"),
 ])
 def test_thickness_bound_rejects_bad_numbers(kind, lam, sup_tau, message):
     # lam = 0 used to raise ZeroDivisionError and a nan sup_tau to return a
     # nan bound
     with pytest.raises(ValueError, match=re.escape(message)):
         thickness_bound(kind, UNIT_GRAM, LOGCOSH_CONSTANTS, lam, sup_tau)
+
+
+@pytest.mark.parametrize("rows, targets", [(6, (5,)), (5, (6,)), (5, (5, 1))])
+def test_base_fit_and_curves_name_x_and_y_on_a_size_mismatch(rows, targets):
+    # 5 rows and 6 targets used to raise "gram has 6 points but targets has
+    # 6 entries", and Y of shape (5, 1) "only 0-dimensional arrays ..."
+    X, Y, xq, _ = _instance(22, 8)
+    Xs, Ys = X[:rows], Y[:int(np.prod(targets))].reshape(targets)
+    grid = YGrid.from_targets(Y, m=11)
+    method = ApproxMethod("local_stability")
+    message = rf"Y must be 1-d, matching the {rows} rows of X"
+    with pytest.raises(ValueError, match=message):
+        base_fit(Xs, Ys, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    with pytest.raises(ValueError, match=message):
+        approx_pvalue_curves(Xs, Ys, xq, grid, method, 0.5, LOGCOSH, KERNEL)
+    base = base_fit(X[:5], Y[:5], xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    with pytest.raises(ValueError, match=message):
+        approx_pvalue_curves(Xs, Ys, xq, grid, method, 0.5, LOGCOSH, KERNEL, base=base)
 
 
 def test_thickness_bound_accepts_numpy_floats():

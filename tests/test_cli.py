@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -92,8 +93,9 @@ def test_config_unknown_keys_rejected():
     {"noise_sd": math.nan},
     {"lambda_c": math.nan},
     {"lambda_fixed": math.inf},
-    {"kernel": KernelSpec("laplacian", True)},
-    {"loss": LossSpec("logcosh", True)},
+    # the specs reject these themselves (see test_kernels and test_losses)
+    {"kernel": {"family": "laplacian", "bandwidth": True}},
+    {"loss": {"family": "logcosh", "a": True}},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -121,6 +123,20 @@ def test_config_validation(kwargs):
 ])
 def test_config_type_errors_name_the_key(raw, message):
     with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"kernel": {"family": "mystery"}}, "kernel.family must be one of ("),
+    ({"kernel": {"bandwidth": -1}}, "kernel.bandwidth must be positive or 'auto', got -1.0"),
+    ({"loss": {"a": 0}}, "loss.a must be positive, got 0.0"),
+    ({"loss": {"t": 1.5}}, "loss.t, the quantile level, must lie in (0, 1), got 1.5"),
+    ({"grid": {"margin": True}}, "grid.margin must be a finite number, got True"),
+    ({"seed": True}, "seed must be an integer, got True"),
+])
+def test_config_errors_of_a_spec_or_number_name_the_key(raw, message):
+    # a spec checks its own fields; the config puts the key in front
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         ExperimentConfig.from_dict(raw)
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import warnings
 
@@ -92,9 +93,9 @@ def test_grid_nearest_index_clips():
 def test_region_contains_rejects_nonfinite_y(bad):
     g = YGrid(0.0, 1.0, 11)
     region = PredictionRegion.from_mask(g, np.arange(11) == 5)
-    with pytest.raises(ValueError, match=f"y must be finite.*got {bad}"):
+    with pytest.raises(ValueError, match=f"y must be a finite number, got {bad}"):
         region.contains(bad)
-    with pytest.raises(ValueError, match="y must be finite"):
+    with pytest.raises(ValueError, match="y must be a finite number"):
         g.nearest_index(bad)
 
 
@@ -224,14 +225,16 @@ def test_region_contains_uses_nearest_cell():
     assert not region.contains(0.56)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan, np.inf, "0.1", True])
 def test_region_rejects_alpha_outside_unit_interval(alpha):
     g = YGrid(0.0, 1.0, 5)
     curve = PValueCurve(g, np.full(5, 0.5), np.full(5, 0.25))
+    message = ("alpha must lie in" if isinstance(alpha, float) and math.isfinite(alpha)
+               else "alpha must be a finite number")
     for side in ("upper", "lower"):
-        with pytest.raises(ValueError, match="alpha must lie in"):
+        with pytest.raises(ValueError, match=message):
             region_from_curve(curve, alpha, side)
-    with pytest.raises(ValueError, match="alpha must lie in"):
+    with pytest.raises(ValueError, match=message):
         _min_count(10, alpha)
 
 
@@ -257,9 +260,36 @@ def test_min_count_is_the_order_statistic_of_the_rank_rule(n):
 def test_grid_rejects_a_non_real_bound(lo, hi, name):
     # a string bound used to fail inside np.isfinite with a ufunc TypeError
     bad = lo if name == "lo" else hi
-    message = re.escape(f"grid bound {name} must be a real number, got {bad!r}")
+    message = re.escape(f"grid bound {name} must be a finite number, got {bad!r}")
     with pytest.raises(ValueError, match=message):
         YGrid(lo, hi, 5)
+
+
+@pytest.mark.parametrize("margin, message", [
+    ("x", "margin must be a finite number, got 'x'"),
+    (True, "margin must be a finite number, got True"),
+    (math.nan, "margin must be a finite number, got nan"),
+    (math.inf, "margin must be a finite number, got inf"),
+    (-0.2, "margin must be nonnegative, got -0.2"),
+])
+def test_grid_from_targets_rejects_a_bad_margin(margin, message):
+    # "x" used to fail with "can't multiply sequence", nan without naming
+    # margin, and -0.2 returned a grid narrower than the data
+    with pytest.raises(ValueError, match=re.escape(message)):
+        YGrid.from_targets([2.0, 6.0], m=11, margin=margin)
+
+
+def test_grid_from_targets_accepts_a_numpy_margin():
+    assert (YGrid.from_targets([2.0, 6.0], m=11, margin=np.float32(0.25))
+            == YGrid.from_targets([2.0, 6.0], m=11, margin=0.25))
+
+
+def test_grid_rejects_bounds_a_non_finite_distance_apart():
+    # hi - lo overflowed to inf, and .values read [nan, inf, 1.5e308]
+    with pytest.raises(ValueError, match=re.escape("got lo=-1.5e+308, hi=1.5e+308")):
+        YGrid(-1.5e308, 1.5e308, 3)
+    wide = YGrid(-8e307, 8e307, 3)
+    np.testing.assert_array_equal(wide.values, [-8e307, 0.0, 8e307])
 
 
 def test_grid_accepts_numpy_float_bounds():
@@ -494,17 +524,52 @@ def test_cross_fold_count_validation():
         cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=1)
 
 
-@pytest.mark.parametrize("V", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("V", [2.5, 3.0, "3", True])
 def test_cross_rejects_a_non_integral_fold_count(V):
     # V = 2.5 used to run 2 folds, as np.array_split truncates the count
     X, Y, xq, _ = _instance(9, 6)
     grid = YGrid.from_targets(Y, m=21)
-    with pytest.raises(ValueError, match=re.escape(f"fold count V must be an integer "
-                                                   f"with 2 <= V <= n=6, got {V!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"fold count V must be an integer, "
+                                                   f"got {V!r}")):
         cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=V)
     same = cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=np.int64(3), seed=1)
     np.testing.assert_array_equal(
         same.upper, cross_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, V=3, seed=1).upper)
+
+
+@pytest.mark.parametrize("rows, targets, message", [
+    (6, (5,), r"Y must be 1-d, matching the 6 rows of X, got shape \(5,\)"),
+    (5, (6,), r"Y must be 1-d, matching the 5 rows of X, got shape \(6,\)"),
+    (5, (5, 1), r"Y must be 1-d, matching the 5 rows of X, got shape \(5, 1\)"),
+])
+@pytest.mark.parametrize("method", ["split", "cross", "full"])
+def test_exact_methods_name_x_and_y_on_a_size_mismatch(method, rows, targets, message):
+    # split and cross used to drop a row silently (6 rows, 5 targets) or
+    # raise IndexError (5 rows, 6 targets); full named the Gram matrix
+    X, Y, xq, _ = _instance(12, 8)
+    Xs, Ys = X[:rows], Y[:int(np.prod(targets))].reshape(targets)
+    grid = YGrid.from_targets(Y, m=11)
+    calls = {"split": lambda: split_pvalues(Xs, Ys, xq, grid, 0.5, LOGCOSH, KERNEL),
+             "cross": lambda: cross_pvalues(Xs, Ys, xq, grid, 0.5, LOGCOSH, KERNEL, V=2),
+             "full": lambda: full_conformal_pvalues(Xs, Ys, xq, grid, 0.5, LOGCOSH, KERNEL)}
+    with pytest.raises(ValueError, match=message):
+        calls[method]()
+
+
+@pytest.mark.parametrize("fraction", ["0.5", True, math.nan])
+def test_split_rejects_a_fraction_that_is_not_a_number(fraction):
+    X, Y, xq, _ = _instance(12, 8)
+    with pytest.raises(ValueError, match=re.escape(f"split_fraction must be a finite "
+                                                   f"number, got {fraction!r}")):
+        split_pvalues(X, Y, xq, YGrid.from_targets(Y, m=11), 0.5, LOGCOSH, KERNEL, fraction)
+
+
+def test_split_accepts_a_numpy_fraction():
+    X, Y, xq, _ = _instance(12, 8)
+    grid = YGrid.from_targets(Y, m=11)
+    same = split_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, np.float32(0.25), seed=2)
+    np.testing.assert_array_equal(
+        same.upper, split_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL, 0.25, seed=2).upper)
 
 
 def test_exact_curves_share_one_pvalue_array():
@@ -591,7 +656,7 @@ def test_empirical_coverage_needs_a_repetition(reps):
         empirical_coverage(never_called, never_called, reps, 0.1)
 
 
-@pytest.mark.parametrize("reps", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("reps", [2.5, 3.0, "3", True])
 def test_empirical_coverage_needs_an_integer_count(reps):
     # a float count used to pass the reps < 1 check, then fail inside range
     def never_called(*args):

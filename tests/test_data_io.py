@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from apxcp.data_io import (Dataset, friedman1, load_csv, save_csv, write_json,
-                           write_table)
+from apxcp.data_io import (Dataset, check_int, check_real, check_sample, friedman1,
+                           load_csv, save_csv, write_json, write_table)
 
 from oracles import friedman1_mean
 
@@ -62,10 +62,11 @@ def test_generator_validation():
         friedman1(5, noise_sd=-1.0)
 
 
-@pytest.mark.parametrize("n", [2.5, 3.0, "5", None])
+@pytest.mark.parametrize("n", [2.5, 3.0, "5", None, True])
 def test_generator_rejects_a_non_integer_size(n):
-    # a float size used to pass the n < 1 check, then fail inside numpy
-    with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+    # a float size used to pass the n < 1 check, then fail inside numpy,
+    # and True there with "an integer is required"
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
         friedman1(n)
 
 
@@ -74,11 +75,19 @@ def test_generator_accepts_a_numpy_integer_size():
     np.testing.assert_array_equal(ds.Y, friedman1(5, seed=1).Y)
 
 
-@pytest.mark.parametrize("noise_sd", [math.nan, math.inf])
+@pytest.mark.parametrize("noise_sd", [math.nan, math.inf, "x", True])
 def test_generator_rejects_nonfinite_noise(noise_sd):
-    # a nan noise_sd used to skip the noise draw and return noiseless data
-    with pytest.raises(ValueError, match="noise_sd must be finite"):
+    # a nan noise_sd used to skip the noise draw and return noiseless data,
+    # and "x" failed in a comparison TypeError
+    with pytest.raises(ValueError, match=re.escape(f"noise_sd must be a finite number, "
+                                                   f"got {noise_sd!r}")):
         friedman1(5, noise_sd=noise_sd)
+
+
+def test_generator_accepts_numpy_scalars():
+    ds = friedman1(np.int64(5), noise_sd=np.float32(0.5), seed=1)
+    np.testing.assert_array_equal(ds.Y, friedman1(5, noise_sd=0.5, seed=1).Y)
+    assert type(ds.meta["n"]) is int and type(ds.meta["noise_sd"]) is float
 
 
 def test_generator_metadata():
@@ -89,11 +98,75 @@ def test_generator_metadata():
     assert ds.meta["rng"] == "numpy-pcg64"
 
 
+# --- the input rules ---
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None, [1.0],
+                                   math.nan, math.inf, -math.inf])
+def test_check_real_rejects_what_is_not_a_finite_number(value):
+    with pytest.raises(ValueError, match=re.escape(f"width must be a finite number, "
+                                                   f"got {value!r}")):
+        check_real("width", value)
+
+
+@pytest.mark.parametrize("value", [0.25, 3, np.float64(0.25), np.float32(0.25),
+                                   np.int64(3), -1e308])
+def test_check_real_returns_a_plain_float(value):
+    out = check_real("width", value)
+    assert type(out) is float and out == float(value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 3.0, np.float64(3.0), "3", None])
+def test_check_int_rejects_what_is_not_an_integer(value):
+    with pytest.raises(ValueError, match=re.escape(f"size must be an integer, got {value!r}")):
+        check_int("size", value)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), -2])
+def test_check_int_returns_a_plain_int(value):
+    out = check_int("size", value)
+    assert type(out) is int and out == int(value)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({"X": (5,)}, r"X must be a 2-d \(n, d\) array, got shape \(5,\)"),
+    ({"X": (6, 2)}, r"Y must be 1-d, matching the 6 rows of X, got shape \(5,\)"),
+    ({"Y": (6,)}, r"Y must be 1-d, matching the 5 rows of X, got shape \(6,\)"),
+    ({"Y": (5, 1)}, r"Y must be 1-d, matching the 5 rows of X, got shape \(5, 1\)"),
+    ({"x_query": (3,)}, r"x_query must be one point of width 2 .*got shape \(3,\)"),
+    ({"x_query": (2, 2)}, r"x_query must be one point of width 2 .*got shape \(2, 2\)"),
+])
+def test_check_sample_names_the_input_of_the_wrong_shape(shape, message):
+    sample = {"X": (5, 2), "Y": (5,), "x_query": (2,)} | shape
+    with pytest.raises(ValueError, match=message):
+        check_sample(*(np.ones(sample[name]) for name in ("X", "Y", "x_query")))
+
+
+@pytest.mark.parametrize("name", ["X", "Y", "x_query"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_sample_names_the_input_that_is_not_finite(name, bad):
+    sample = {"X": np.ones((5, 2)), "Y": np.ones(5), "x_query": np.ones(2)}
+    sample[name].flat[1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        check_sample(*sample.values())
+
+
+def test_check_sample_returns_float_arrays_and_a_query_row():
+    X, Y, xq = check_sample([[1, 2], [3, 4]], [1, 2], [5, 6])
+    assert X.dtype == Y.dtype == xq.dtype == float
+    assert X.shape == (2, 2) and Y.shape == (2,) and xq.shape == (1, 2)
+    assert check_sample(X, Y)[2] is None
+
+
 # --- dataset container ---
 
 def test_dataset_validation_and_immutability():
     with pytest.raises(ValueError, match="matching"):
         Dataset(X=np.zeros((3, 2)), Y=np.zeros(4))
+    # the sample rule of check_sample, finiteness included
+    with pytest.raises(ValueError, match="Y must be 1-d"):
+        Dataset(X=np.zeros((3, 2)), Y=np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="X must be finite"):
+        Dataset(X=np.full((3, 2), np.nan), Y=np.zeros(3))
     ds = Dataset(X=np.ones((2, 2)), Y=np.ones(2))
     with pytest.raises(ValueError):
         ds.X[0, 0] = 5.0

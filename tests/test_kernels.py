@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -50,6 +51,29 @@ def test_bandwidth_validation():
         KernelSpec("laplacian", "wide")
     with pytest.raises(ValueError):
         KernelSpec("mystery", 1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"family": None}, "family must be a string, got None"),
+    ({"family": "mystery"}, "family must be one of ("),
+    ({"bandwidth": True}, "bandwidth must be a finite number, got True"),
+    ({"bandwidth": "1"}, "bandwidth must be a finite number, got '1'"),
+    ({"bandwidth": [0.5]}, "bandwidth must be a finite number, got [0.5]"),
+    ({"bandwidth": math.inf}, "bandwidth must be a finite number, got inf"),
+    ({"bandwidth": 0.0}, "bandwidth must be positive or 'auto', got 0.0"),
+])
+def test_spec_rejects_bad_fields_naming_them(kwargs, message):
+    # a bool bandwidth used to pass here while the config refused it; every
+    # message starts with the field, which the config prefixes with "kernel."
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        KernelSpec(**{"family": "laplacian", **kwargs})
+
+
+def test_spec_stores_numpy_scalars_as_plain_floats():
+    spec = KernelSpec("gaussian_rbf", np.float32(0.5))
+    assert spec == KernelSpec("gaussian_rbf", 0.5) and type(spec.bandwidth) is float
+    assert type(KernelSpec("laplacian", 2).bandwidth) is float
+    assert KernelSpec("laplacian", 2).resolve_bandwidth(3) == 2.0
 
 
 @pytest.mark.parametrize("dim", [0, -1])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict
 
@@ -33,6 +34,30 @@ def test_spec_validation():
         LossSpec("logcosh", a=0.0)
     with pytest.raises(ValueError, match="quantile"):
         LossSpec("smoothed_pinball", a=1.0, t=1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"family": 3}, "family must be a string, got 3"),
+    ({"family": "absolute"}, "family must be one of ("),
+    ({"a": "x"}, "a must be a finite number, got 'x'"),
+    ({"a": True}, "a must be a finite number, got True"),
+    ({"a": math.nan}, "a must be a finite number, got nan"),
+    ({"a": -1.0}, "a must be positive, got -1.0"),
+    ({"t": "0.5"}, "t must be a finite number, got '0.5'"),
+    ({"t": 1.0}, "t, the quantile level, must lie in (0, 1), got 1.0"),
+])
+def test_spec_rejects_bad_fields_naming_them(kwargs, message):
+    # a="x" used to fail in a comparison TypeError; every message starts
+    # with the field, which the config prefixes with "loss."
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        LossSpec(**kwargs)
+
+
+def test_spec_stores_numpy_scalars_as_plain_floats():
+    spec = LossSpec("smoothed_pinball", np.float32(2.0), np.float64(0.25))
+    assert spec == LossSpec("smoothed_pinball", 2.0, 0.25)
+    assert type(spec.a) is float and type(spec.t) is float
+    assert type(LossSpec("logcosh", 2).a) is float
 
 
 def test_spec_config_round_trip():

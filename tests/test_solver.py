@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -47,6 +49,33 @@ def test_problem_validation():
         WeightedProblem(G, np.ones(3), (0.0, 0.0), anchor_z_weights(3), 1.0, LossSpec())
 
 
+@pytest.mark.parametrize("lam, message", [
+    ("0.5", "lam must be a finite number, got '0.5'"),
+    (True, "lam must be a finite number, got True"),
+    (math.nan, "lam must be a finite number, got nan"),
+    (0.0, "lam must be positive, got 0.0"),
+])
+def test_problem_rejects_a_bad_lam_naming_it(lam, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WeightedProblem(gram(KERNEL, [[0.0], [1.0]]), np.zeros(1), (0.0, 0.0),
+                        anchor_z_weights(1), lam, LossSpec())
+
+
+def test_problem_stores_numpy_scalars_as_plain_floats():
+    problem = WeightedProblem(gram(KERNEL, [[0.0], [1.0]]), np.zeros(1),
+                              (np.float32(0.5), np.int64(1)), anchor_y_weights(1),
+                              np.float64(0.5), LossSpec())
+    assert problem.anchors == (0.5, 1.0) and problem.lam == 0.5
+    assert all(type(v) is float for v in (*problem.anchors, problem.lam))
+
+
+def test_hand_built_problem_states_the_gram_size_it_needs():
+    with pytest.raises(ValueError, match=re.escape(
+            "gram has 3 points but targets has 5 entries; it needs n + 1 = 6")):
+        WeightedProblem(gram(KERNEL, [[0.0], [1.0], [2.0]]), np.zeros(5), (0.0, 0.0),
+                        anchor_z_weights(5), 1.0, LossSpec())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_problem_rejects_nonfinite_weights(bad):
     G = gram(KERNEL, [[0.0], [1.0]])
@@ -67,7 +96,7 @@ def test_problem_rejects_negative_weight_naming_its_index():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where, message", [("Y", "targets must be finite"),
+@pytest.mark.parametrize("where, message", [("Y", "Y must be finite"),
                                             ("X", "X must be finite"),
                                             ("x_query", "x_query must be finite")])
 def test_augmented_problem_rejects_nonfinite_inputs(where, message, bad):
@@ -80,7 +109,7 @@ def test_augmented_problem_rejects_nonfinite_inputs(where, message, bad):
                           anchor_z_weights(6), 0.5, LossSpec("logcosh"), KERNEL)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "x", True])
 @pytest.mark.parametrize("name", ["z", "y"])
 def test_nonfinite_anchor_rejected_naming_it(name, bad):
     # before the check, inf ran 2000 Newton iterations into SolverError
@@ -88,12 +117,14 @@ def test_nonfinite_anchor_rejected_naming_it(name, bad):
     rng = np.random.default_rng(43)
     X, Y, x_query = rng.uniform(size=(6, 3)), rng.normal(size=6), rng.uniform(size=3)
     pair = (bad, 0.0) if name == "z" else (0.0, bad)
-    with pytest.raises(ValueError, match=f"anchor {name} must be finite, got {bad}"):
+    with pytest.raises(ValueError, match=re.escape(f"anchor {name} must be a finite number, "
+                                                   f"got {bad!r}")):
         augmented_problem(X, Y, x_query, pair, anchor_y_weights(6), 0.5,
                           LossSpec("logcosh"), KERNEL)
     problem = solver.z_anchored_problem(X, Y, x_query, 0.0, 0.5, LossSpec("logcosh"), KERNEL)
     grid = conformal.YGrid.from_targets(Y, 11)
-    with pytest.raises(ValueError, match=f"anchor z must be finite, got {bad}"):
+    with pytest.raises(ValueError, match=re.escape(f"y_true must be a finite number, "
+                                                   f"got {bad!r}")):
         conformal.oracle_pvalues(problem, bad, grid)
 
 

@@ -5,8 +5,11 @@ Usage: python tools/cli_digest.py SRC OUT
 SRC is the source directory holding the ``apxcp`` package (``src`` of a
 checkout) and OUT a scratch directory for the outputs. The script runs
 ``region`` for every method, ``compare``, ``sweep --desk`` and
-``select-lambda`` for two approximate methods, then prints one
-``sha256  path`` line per output file. Timing columns are dropped from
+``select-lambda`` for two approximate methods, all with the default
+logcosh loss and laplacian kernel; then ``region`` with the pseudo_huber,
+smoothed_pinball (t = 0.8) and squared losses and ``compare`` with the
+gaussian_rbf kernel, whose configs spell some numbers as JSON integers.
+It prints one ``sha256  path`` line per output file. Timing columns are dropped from
 the CSVs before hashing, so two checkouts whose numeric outputs agree
 print the same lines: diff the output of two runs to check that a
 refactor left the CLI outputs byte-identical. Each run's wall seconds go
@@ -37,6 +40,20 @@ FIXED_RUNS += [(f"select-lambda-{method}", ["select-lambda"],
                 {"n": 16, "grid": {"m": 101}, "method": method,
                  "lambda_grid": [0.5, 1.0], "seed": 4})
                for method in ("influence_function", "uniform_stability")]
+# the other losses and kernel; a JSON integer where the spec takes a float
+# must give the outputs of the float
+FIXED_RUNS += [
+    (f"region-{loss['family']}", ["region"],
+     {"n": 40, "grid": {"m": 101}, "method": method, "loss": loss, "seed": 3})
+    for method, loss in (("influence_function", {"family": "pseudo_huber", "a": 2}),
+                         ("local_stability",
+                          {"family": "smoothed_pinball", "a": 0.5, "t": 0.8}),
+                         ("full", {"family": "squared"}))]
+FIXED_RUNS += [
+    ("compare-gaussian_rbf", ["compare"],
+     {"n": 30, "grid": {"m": 101}, "compare": {"repetitions": 2}, "seed": 5,
+      "kernel": {"family": "gaussian_rbf", "bandwidth": 1}}),
+]
 
 
 def runs(region_methods) -> list:
