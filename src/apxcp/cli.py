@@ -29,9 +29,9 @@ import numpy as np
 from . import __version__ as VERSION
 from .approx import (APPROX_KINDS, ApproxMethod, approx_pvalue_curves,
                      approx_regions, base_fit, thickness_bound, thickness_gap)
-from .conformal import (YGrid, _check_alpha, cross_pvalues, full_conformal_pvalues,
-                        oracle_pvalues, region_from_curve, split_pvalues,
-                        write_region_csv, write_region_json)
+from .conformal import (YGrid, cross_pvalues, full_conformal_pvalues, oracle_pvalues,
+                        region_from_curve, split_pvalues, write_region_csv,
+                        write_region_json)
 from .data_io import (check_int, check_real, friedman1, load_csv, save_csv,
                       write_json, write_table)
 from .kernels import KernelSpec
@@ -62,67 +62,83 @@ def _log_ints(lo: int, hi: int, k: int) -> tuple[int, ...]:
 DEFAULT_SCHEDULE = _log_ints(128, 1024, 15)
 DESK_SCHEDULE = _log_ints(32, 256, 8)
 
-# The JSON config file: group -> key -> (ExperimentConfig field, type),
-# where group None holds the top-level keys. from_dict and to_dict walk
-# this table, and construction checks every field against its type: float
-# and int by data_io.check_real and check_int, (float,) and (int,) a list
-# of them, a spec type by the spec itself; None passes where it is the
-# field's default.
-_SCHEMA: dict[str | None, dict[str, tuple[str, object]]] = {
-    None: {"kernel": ("kernel", KernelSpec), "loss": ("loss", LossSpec),
-           "alpha": ("alpha", float), "z_anchor": ("z_anchor", float),
-           "seed": ("seed", int), "n": ("n", int),
-           "noise_sd": ("noise_sd", float), "method": ("method", str),
-           "data_csv": ("data_csv", str),
-           "lambda_grid": ("lambda_grid", (float,)),
-           "n_schedule": ("n_schedule", (int,))},
-    "grid": {"m": ("grid_m", int), "lo": ("grid_lo", float),
-             "hi": ("grid_hi", float), "margin": ("grid_margin", float)},
-    "lambda_rule": {"fixed": ("lambda_fixed", float),
-                    "c": ("lambda_c", float), "r": ("lambda_r", float)},
-    "sweep": {"repetitions": ("sweep_repetitions", int),
-              "grid_m": ("sweep_grid_m", int)},
-    "compare": {"repetitions": ("compare_repetitions", int),
-                "split_fraction": ("split_fraction", float),
-                "cross_folds": ("cross_folds", int)},
-    "select": {"d1_fraction": ("d1_fraction", float)},
+# range rules: (predicate, phrase), the phrase completing "<key> ..."
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "must be >= 2")
+
+# The JSON config file: group -> key -> (ExperimentConfig field, type,
+# range rule or None), where group None holds the top-level keys.
+# from_dict and to_dict walk this table, and construction checks every
+# field against its type, then its rule: float and int by
+# data_io.check_real and check_int, (float,) and (int,) a list of them
+# with the rule applied to each item, a spec type by the spec itself;
+# None passes where it is the field's default.
+_SCHEMA: dict[str | None, dict[str, tuple]] = {
+    None: {"kernel": ("kernel", KernelSpec, None), "loss": ("loss", LossSpec, None),
+           "alpha": ("alpha", float, _OPEN_UNIT), "z_anchor": ("z_anchor", float, None),
+           "seed": ("seed", int, _NONNEGATIVE), "n": ("n", int, _AT_LEAST_2),
+           "noise_sd": ("noise_sd", float, _NONNEGATIVE),
+           "method": ("method", str, (lambda v: v in REGION_METHODS,
+                                      f"must be one of {REGION_METHODS}")),
+           "data_csv": ("data_csv", str, None),
+           "lambda_grid": ("lambda_grid", (float,), _POSITIVE),
+           "n_schedule": ("n_schedule", (int,), _AT_LEAST_1)},
+    "grid": {"m": ("grid_m", int, _AT_LEAST_2), "lo": ("grid_lo", float, None),
+             "hi": ("grid_hi", float, None),
+             "margin": ("grid_margin", float, _NONNEGATIVE)},
+    "lambda_rule": {"fixed": ("lambda_fixed", float, _POSITIVE),
+                    "c": ("lambda_c", float, _POSITIVE),
+                    "r": ("lambda_r", float, (lambda v: 0 <= v < 1, "must lie in [0, 1)"))},
+    "sweep": {"repetitions": ("sweep_repetitions", int, _AT_LEAST_1),
+              "grid_m": ("sweep_grid_m", int, _AT_LEAST_2)},
+    "compare": {"repetitions": ("compare_repetitions", int, _AT_LEAST_1),
+                "split_fraction": ("split_fraction", float, _OPEN_UNIT),
+                "cross_folds": ("cross_folds", int, _AT_LEAST_2)},
+    "select": {"d1_fraction": ("d1_fraction", float, _OPEN_UNIT)},
 }
-# field -> (its key as the file spells it, type)
-_FIELDS = {name: (key if group is None else f"{group}.{key}", kind)
+# field -> (its key as the file spells it, type, rule)
+_FIELDS = {name: (key if group is None else f"{group}.{key}", kind, rule)
            for group, keys in _SCHEMA.items()
-           for key, (name, kind) in keys.items()}
+           for key, (name, kind, rule) in keys.items()}
 _KIND_NAMES = {str: "a string", dict: "an object"}
 
 
-def _checked(label: str, kind, value):
-    """value if it has the given type, else a ValueError naming label.
-    Numbers come back as float or int, so equal configs hash equally; a
-    list type gives a tuple of its items. A spec type takes the spec or
-    its JSON object and rebuilds the spec, which checks and normalises its
-    own fields: label goes in front of its ValueError (label.field ...), a
+def _checked(label: str, kind, value, rule=None):
+    """value if it has the given type and keeps the rule, else a
+    ValueError naming label. Numbers come back as float or int, so equal
+    configs hash equally; a list type gives a tuple of its items, each
+    checked against the rule. A spec type takes the spec or its JSON
+    object and rebuilds the spec, which checks and normalises its own
+    fields: label goes in front of its ValueError (label.field ...), a
     missing key takes its default, and an unknown one raises TypeError."""
     if isinstance(kind, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{label} must be a list, got {value!r}")
-        return tuple(_checked(f"{label}[{i}]", kind[0], v)
+        return tuple(_checked(f"{label}[{i}]", kind[0], v, rule)
                      for i, v in enumerate(value))
     if kind in (float, int):
-        return (check_real if kind is float else check_int)(label, value)
-    if is_dataclass(kind):
+        value = (check_real if kind is float else check_int)(label, value)
+    elif is_dataclass(kind):
         obj = asdict(value) if isinstance(value, kind) else _checked(label, dict, value)
         try:
             return kind(**obj)
         except ValueError as exc:
             raise ValueError(f"{label}.{exc}") from None
-    if not isinstance(value, kind):
+    elif not isinstance(value, kind):
         raise ValueError(f"{label} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if rule is not None and not rule[0](value):
+        raise ValueError(f"{label} {rule[1]}, got {value!r}")
     return value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment settings; from_dict/to_dict read and write the
-    JSON file through _SCHEMA, whose types construction checks."""
+    JSON file through _SCHEMA, whose types and range rules construction
+    checks."""
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
     loss: LossSpec = field(default_factory=LossSpec)
@@ -153,37 +169,15 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
-                object.__setattr__(self, f.name, _checked(*_FIELDS[f.name], value))
-        _check_alpha(self.alpha)
-        if not (0.0 <= self.lambda_r < 1.0):
-            raise ValueError(f"lambda rule exponent must lie in [0, 1), got {self.lambda_r}")
-        if self.lambda_fixed is not None and self.lambda_fixed <= 0:
-            raise ValueError("fixed lambda must be positive")
-        if self.lambda_c <= 0:
-            raise ValueError("lambda rule constant must be positive")
-        if self.sweep_repetitions < 1 or self.compare_repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.n < 2:
-            raise ValueError("n must be >= 2 (one query row is split off)")
-        if self.method not in REGION_METHODS:
-            raise ValueError(f"method must be one of {REGION_METHODS}, got {self.method!r}")
-        if not self.lambda_grid or any(l <= 0 for l in self.lambda_grid):
-            raise ValueError("lambda_grid must be nonempty and positive")
-        if not (0.0 < self.split_fraction < 1.0) or not (0.0 < self.d1_fraction < 1.0):
-            raise ValueError("split fractions must lie in (0, 1)")
-        if self.cross_folds < 2:
-            raise ValueError("cross_folds must be >= 2")
-        if self.grid_m < 2 or self.sweep_grid_m < 2:
-            raise ValueError("grid sizes must be >= 2")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+                key, kind, rule = _FIELDS[f.name]
+                object.__setattr__(self, f.name, _checked(key, kind, value, rule))
+        if not self.lambda_grid:
+            raise ValueError("lambda_grid must be nonempty")
         if (self.grid_lo is None) != (self.grid_hi is None):
             raise ValueError("grid.lo and grid.hi must be set together")
         if self.grid_lo is not None and not self.grid_lo < self.grid_hi:
             raise ValueError(f"grid.lo must be below grid.hi, got "
                              f"[{self.grid_lo}, {self.grid_hi}]")
-        if self.grid_margin < 0:
-            raise ValueError(f"grid.margin must be nonnegative, got {self.grid_margin}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -196,7 +190,7 @@ class ExperimentConfig:
             if unknown:
                 where = "config keys" if group is None else f"keys in {group!r}"
                 raise ValueError(f"unknown {where}: {sorted(unknown)}")
-            kw.update((name, block[key]) for key, (name, _) in keys.items()
+            kw.update((name, block[key]) for key, (name, *_) in keys.items()
                       if key in block)
         return cls(**kw)
 
@@ -204,7 +198,7 @@ class ExperimentConfig:
         out: dict = {}
         for group, keys in _SCHEMA.items():
             block = out if group is None else out.setdefault(group, {})
-            for key, (name, _) in keys.items():
+            for key, (name, *_) in keys.items():
                 value = getattr(self, name)
                 block[key] = asdict(value) if is_dataclass(value) else value
         rule = out["lambda_rule"]

@@ -71,7 +71,12 @@ class YGrid:
         span = hi - lo
         if span <= 0.0:
             span = max(1.0, abs(hi))
-        return cls(lo - margin * span, hi + margin * span, m)
+        pad = margin * span
+        # a padded span past the float range would fail YGrid's span rule
+        if not (hi + pad) - (lo - pad) < np.inf:
+            raise ValueError(f"margin {margin} pads the targets' range [{lo}, {hi}] "
+                             f"beyond the float range")
+        return cls(lo - pad, hi + pad, m)
 
     def nearest_index(self, y: float) -> int:
         """Index of the grid cell whose center is closest to y."""

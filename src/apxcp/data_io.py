@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,8 +26,10 @@ import numpy as np
 def check_real(name: str, value) -> float:
     """value as a float if it is a finite real number, else a ValueError
     naming name. A bool is not a number here; numpy floats and integers
-    pass."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    pass, and so does a Python int within the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            abs(value) <= sys.float_info.max if isinstance(value, int)
+            else math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -93,6 +93,8 @@ def test_config_unknown_keys_rejected():
     {"noise_sd": math.nan},
     {"lambda_c": math.nan},
     {"lambda_fixed": math.inf},
+    {"seed": -1},
+    {"n_schedule": (-3, 1, 2, 3)},
     # the specs reject these themselves (see test_kernels and test_losses)
     {"kernel": {"family": "laplacian", "bandwidth": True}},
     {"loss": {"family": "logcosh", "a": True}},
@@ -120,6 +122,7 @@ def test_config_validation(kwargs):
     ({"loss": {"a": "1"}}, "loss.a must be a finite number, got '1'"),
     ({"loss": {"t": None}}, "loss.t must be a finite number, got None"),
     ({"loss": {"family": None}}, "loss.family must be a string, got None"),
+    ({"noise_sd": 10**400}, "noise_sd must be a finite number, got 1000"),
 ])
 def test_config_type_errors_name_the_key(raw, message):
     with pytest.raises(ValueError, match=message):
@@ -133,11 +136,44 @@ def test_config_type_errors_name_the_key(raw, message):
     ({"loss": {"t": 1.5}}, "loss.t, the quantile level, must lie in (0, 1), got 1.5"),
     ({"grid": {"margin": True}}, "grid.margin must be a finite number, got True"),
     ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ({"sweep": {"repetitions": 0}}, "sweep.repetitions must be >= 1, got 0"),
+    ({"compare": {"repetitions": 0}}, "compare.repetitions must be >= 1, got 0"),
+    ({"sweep": {"grid_m": 1}}, "sweep.grid_m must be >= 2, got 1"),
+    ({"select": {"d1_fraction": 1.0}}, "select.d1_fraction must lie in (0, 1), got 1.0"),
+    ({"lambda_grid": [0.5, -0.1]}, "lambda_grid[1] must be positive, got -0.1"),
+    ({"n_schedule": [-3, 1, 2, 3]}, "n_schedule[0] must be >= 1, got -3"),
+    ({"lambda_grid": []}, "lambda_grid must be nonempty"),
 ])
 def test_config_errors_of_a_spec_or_number_name_the_key(raw, message):
     # a spec checks its own fields; the config puts the key in front
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         ExperimentConfig.from_dict(raw)
+
+
+# values tried against every range rule of the config table, by type
+_RULE_PROBES = {float: (-1.0, 0.0, 0.5, 1.0, 2.0), int: (-1, 0, 1, 2, 3),
+                str: ("bogus", "full")}
+
+
+@pytest.mark.parametrize("name", [name for name, (*_, rule) in cli._FIELDS.items()
+                                  if rule is not None])
+def test_config_table_holds_every_range_rule(name):
+    # the table's rule alone decides each probe: a value it rejects fails
+    # naming the key path, one it keeps builds a config (so no range check
+    # outside the table rejects it)
+    key, kind, (keeps, _) = cli._FIELDS[name]
+    item = kind[0] if isinstance(kind, tuple) else kind
+    rejected = 0
+    for probe in _RULE_PROBES[item]:
+        value = (probe,) if isinstance(kind, tuple) else probe
+        if keeps(probe):
+            ExperimentConfig(**{name: value})
+            continue
+        rejected += 1
+        with pytest.raises(ValueError, match="^" + re.escape(key)):
+            ExperimentConfig(**{name: value})
+    assert rejected
 
 
 @pytest.mark.parametrize("raw, want", [

@@ -271,10 +271,12 @@ def test_grid_rejects_a_non_real_bound(lo, hi, name):
     (math.nan, "margin must be a finite number, got nan"),
     (math.inf, "margin must be a finite number, got inf"),
     (-0.2, "margin must be nonnegative, got -0.2"),
+    (1e308, "margin 1e+308 pads the targets' range [2.0, 6.0] beyond the float range"),
 ])
 def test_grid_from_targets_rejects_a_bad_margin(margin, message):
     # "x" used to fail with "can't multiply sequence", nan without naming
-    # margin, and -0.2 returned a grid narrower than the data
+    # margin, -0.2 returned a grid narrower than the data, and 1e308 failed
+    # the grid's span rule, naming neither margin nor the targets
     with pytest.raises(ValueError, match=re.escape(message)):
         YGrid.from_targets([2.0, 6.0], m=11, margin=margin)
 

@@ -75,10 +75,11 @@ def test_generator_accepts_a_numpy_integer_size():
     np.testing.assert_array_equal(ds.Y, friedman1(5, seed=1).Y)
 
 
-@pytest.mark.parametrize("noise_sd", [math.nan, math.inf, "x", True])
+@pytest.mark.parametrize("noise_sd", [math.nan, math.inf, "x", True, 10**400])
 def test_generator_rejects_nonfinite_noise(noise_sd):
     # a nan noise_sd used to skip the noise draw and return noiseless data,
-    # and "x" failed in a comparison TypeError
+    # "x" failed in a comparison TypeError, and a 400-digit int in an
+    # OverflowError
     with pytest.raises(ValueError, match=re.escape(f"noise_sd must be a finite number, "
                                                    f"got {noise_sd!r}")):
         friedman1(5, noise_sd=noise_sd)
@@ -101,7 +102,7 @@ def test_generator_metadata():
 # --- the input rules ---
 
 @pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None, [1.0],
-                                   math.nan, math.inf, -math.inf])
+                                   math.nan, math.inf, -math.inf, 10**400, -10**400])
 def test_check_real_rejects_what_is_not_a_finite_number(value):
     with pytest.raises(ValueError, match=re.escape(f"width must be a finite number, "
                                                    f"got {value!r}")):
@@ -109,7 +110,7 @@ def test_check_real_rejects_what_is_not_a_finite_number(value):
 
 
 @pytest.mark.parametrize("value", [0.25, 3, np.float64(0.25), np.float32(0.25),
-                                   np.int64(3), -1e308])
+                                   np.int64(3), -1e308, -10**308])
 def test_check_real_returns_a_plain_float(value):
     out = check_real("width", value)
     assert type(out) is float and out == float(value)

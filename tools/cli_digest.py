@@ -8,7 +8,11 @@ checkout) and OUT a scratch directory for the outputs. The script runs
 ``select-lambda`` for two approximate methods, all with the default
 logcosh loss and laplacian kernel; then ``region`` with the pseudo_huber,
 smoothed_pinball (t = 0.8) and squared losses and ``compare`` with the
-gaussian_rbf kernel, whose configs spell some numbers as JSON integers.
+gaussian_rbf kernel, whose configs spell some numbers as JSON integers;
+then a ``region`` (cross) and a ``compare`` run that move every checked
+number the other runs leave at its default (alpha, z_anchor, noise_sd,
+the grid, a fixed lambda, the compare split fraction and fold count) and
+a ``select-lambda`` run with its own d1 fraction and grid margin.
 It prints one ``sha256  path`` line per output file. Timing columns are dropped from
 the CSVs before hashing, so two checkouts whose numeric outputs agree
 print the same lines: diff the output of two runs to check that a
@@ -53,6 +57,21 @@ FIXED_RUNS += [
     ("compare-gaussian_rbf", ["compare"],
      {"n": 30, "grid": {"m": 101}, "compare": {"repetitions": 2}, "seed": 5,
       "kernel": {"family": "gaussian_rbf", "bandwidth": 1}}),
+]
+
+# every checked number off its default; region and compare pin the grid
+# (lo, hi), so the select-lambda run is the one whose own margin pads it
+OFF_DEFAULT = {"alpha": 0.2, "z_anchor": 1.5, "noise_sd": 0.5,
+               "grid": {"m": 101, "lo": -5.0, "hi": 35.0, "margin": 0.25},
+               "lambda_rule": {"fixed": 0.3},
+               "compare": {"repetitions": 2, "split_fraction": 0.4, "cross_folds": 3}}
+FIXED_RUNS += [
+    ("region-off-default", ["region"],
+     OFF_DEFAULT | {"n": 40, "method": "cross", "seed": 6}),
+    ("compare-off-default", ["compare"], OFF_DEFAULT | {"n": 30, "seed": 7}),
+    ("select-lambda-off-default", ["select-lambda"],
+     {"n": 16, "grid": {"m": 101, "margin": 0.25}, "method": "local_stability",
+      "lambda_grid": [0.5, 1.0], "select": {"d1_fraction": 0.4}, "seed": 8}),
 ]
 
 
