@@ -231,7 +231,11 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         cfg = ExperimentConfig()
     else:
         with open(path) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"config file {path} is not valid JSON: {err}") from None
+        cfg = ExperimentConfig.from_dict(raw)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     return cfg
@@ -588,8 +592,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config, seed_override=args.seed)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = load_config(args.config, seed_override=args.seed)
+    except (OSError, TypeError, ValueError) as err:
+        # a config that cannot be read or fails a rule is a usage error:
+        # usage line and message on stderr, exit code 2
+        parser.error(str(err))
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     if args.command == "gen-data":

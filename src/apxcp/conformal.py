@@ -20,7 +20,7 @@ from .data_io import (check_int, check_real, check_sample, write_json,
                       write_table)
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
-from .solver import (SolverError, WeightedProblem, augmented_problem,
+from .solver import (SolverError, WeightedProblem, _ChordFactor, augmented_problem,
                      check_z_anchored, fit, z_anchored_problem)
 
 
@@ -186,12 +186,14 @@ def _min_count(n: int, alpha: float) -> int:
     return int(np.argmax(_rank_pvalues(np.arange(n + 1), n) > alpha))
 
 
-def _refit_counts(problem: WeightedProblem, y: float, tests, init=None):
+def _refit_counts(problem: WeightedProblem, y: float, tests, init=None,
+                  chord: _ChordFactor | None = None):
     """The exact refit at y: problem, z-anchored on the sample, re-anchored
-    at y and fit from init (zero when None). Returns, for each test value
-    t, the count of data scores at least |t - query prediction|, and the
-    fit."""
-    pred = fit(replace(problem, anchors=(y, y)), init=init)
+    at y and fit from init (zero when None), by chord steps with the given
+    factor or, without one, by full Newton (solver.fit). Returns, for each
+    test value t, the count of data scores at least |t - query prediction|,
+    and the fit."""
+    pred = fit(replace(problem, anchors=(y, y)), init=init, chord=chord)
     preds = pred.predictions()
     scores = np.sort(np.abs(problem.targets - preds[:problem.n]))
     return _count_at_least(scores, np.abs(tests - preds[problem.n])), pred
@@ -205,15 +207,19 @@ def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     sample is refit (_refit_counts, the oracle's refit at y), warm-started
     from the previous grid point's coefficients (the fixed gradient
     tolerance makes this agree with a refit from scratch). One Gram
-    matrix serves every refit.
+    matrix serves every refit, and one chord factor (solver._ChordFactor)
+    their steps: the refits differ only in the query anchor, so one
+    inverse of the Newton matrix serves many of them, rebuilt only when a
+    chord step contracts the gradient poorly.
     """
     problem = z_anchored_problem(X, Y, x_query, grid.lo, lam, loss, kernel)
     counts = np.empty(grid.m, dtype=np.int64)
     init = None
+    chord = _ChordFactor()
     for j, y in enumerate(grid.values):
         y = float(y)
         try:
-            counts[j], pred = _refit_counts(problem, y, y, init)
+            counts[j], pred = _refit_counts(problem, y, y, init, chord)
         except SolverError as err:
             raise SolverError(f"refit failed at grid index {j} (y={y}): {err}",
                               err.coeffs, err.grad_norm) from err

@@ -8,9 +8,13 @@ covers the base fit (z_anchored_problem: anchor z active, both anchors
 at z), the exact refit at a candidate y (the same problem re-anchored
 at y), and the interpolated weights from the z anchor to the y anchor
 that the influence-function check differentiates along. Weights are
-nonnegative, so every weighted
-curvature is too, and each Newton step is one positive definite solve in
-prediction space.
+nonnegative, so every weighted curvature is too, and each Newton step is
+one positive definite solve in prediction space.
+
+A fit from scratch takes full Newton steps. The warm-started refits along
+a full conformal grid share one _ChordFactor instead: a cached inverse of
+the Newton matrix at earlier curvatures, so that a step costs two
+matrix-vector products in place of a factorization (the chord method).
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
 DEFAULT_MAX_ITERS = 2000
 BASE_TOL = 1e-10
+# a chord step that leaves more than this fraction of the gradient norm
+# has the factor rebuilt at the current curvatures before the next step
+CHORD_REBUILD_RATIO = 0.1
 
 
 def anchor_z_weights(n: int) -> np.ndarray:
@@ -128,22 +135,56 @@ def _weighted_derivatives(problem: WeightedProblem, preds: np.ndarray,
     return out
 
 
-def _curvature_solve(problem: WeightedProblem, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + diag(W) K) x = rhs for W = d / (2 lam (n+1)), d >= 0.
-
-    Computes x = rhs - s * B^{-1} (s * K rhs) with s = sqrt(W) and
-    B = I + diag(s) K diag(s), whose eigenvalues are all at least one
-    (Rasmussen & Williams, GPML, Alg. 3.1). The risk Hessian at curvatures
-    d is H = 2 lam K (I + diag(W) K), so H x = 2 lam K rhs: x agrees with
-    H^+ (2 lam K rhs) up to the null space of K.
-    """
+def _curvature_matrix(problem: WeightedProblem,
+                      d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = sqrt(W) and B = I + diag(s) K diag(s) for W = d / (2 lam (n+1)),
+    d >= 0; the eigenvalues of B are all at least one."""
     K = problem.gram.entries
     s = np.sqrt(d / (2.0 * problem.lam * problem.gram.n))
     B = s[:, None] * K * s
     B.flat[::B.shape[0] + 1] += 1.0
+    return s, B
+
+
+def _curvature_solve(problem: WeightedProblem, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + diag(W) K) x = rhs for W = d / (2 lam (n+1)), d >= 0.
+
+    Computes x = rhs - s * B^{-1} (s * K rhs) with s and B from
+    _curvature_matrix (Rasmussen & Williams, GPML, Alg. 3.1). The risk
+    Hessian at curvatures d is H = 2 lam K (I + diag(W) K), so
+    H x = 2 lam K rhs: x agrees with H^+ (2 lam K rhs) up to the null
+    space of K.
+    """
+    K = problem.gram.entries
+    s, B = _curvature_matrix(problem, d)
     # numpy, not scipy.linalg: the two load separate OpenBLAS thread pools,
     # and cho_factor/cho_solve ran the compare benchmark 3.7x slower on 2 vCPUs
     return rhs - s * np.linalg.solve(B, s * (K @ rhs))
+
+
+class _ChordFactor:
+    """The Newton matrix of one earlier step, kept for chord steps.
+
+    Holds s0 and B0^{-1} (numpy.linalg.inv, numpy for the reason given in
+    _curvature_solve) of _curvature_matrix at curvatures d0, and applies
+    them as x = rhs - s0 * B0^{-1} (s0 * K rhs), which solves
+    (I + diag(W0) K) x = rhs. That is a Newton step at curvatures d0; at
+    any W0 >= 0 it is a descent direction, so fit's line search and
+    tolerance apply unchanged. inv is None until fit first rebuilds it;
+    fit rebuilds it again after a chord step that contracts the gradient
+    poorly (CHORD_REBUILD_RATIO).
+    """
+
+    def __init__(self) -> None:
+        self.s = self.inv = None
+
+    def rebuild(self, problem: WeightedProblem, d: np.ndarray) -> None:
+        self.inv = None  # freed before inv allocates its copy and output
+        self.s, B = _curvature_matrix(problem, d)
+        self.inv = np.linalg.inv(B)
+
+    def step(self, K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return rhs - self.s * (self.inv @ (self.s * (K @ rhs)))
 
 
 def risk(problem: WeightedProblem, a: np.ndarray) -> float:
@@ -192,14 +233,17 @@ class Predictor:
     """Fitted coefficient vector with convergence diagnostics.
 
     coeffs lies in the range of the Gram matrix; risk_path records the
-    objective after every accepted step (monotone by construction). fit
-    returns one only on convergence.
+    objective after every accepted step (monotone by construction).
+    factorizations counts the O(n^3) factorizations of the Newton matrix
+    the fit made: one linear solve per Newton step, or one inversion per
+    chord factor rebuild. fit returns one only on convergence.
     """
 
     coeffs: np.ndarray
     problem: WeightedProblem
     grad_norm: float
     n_iters: int
+    factorizations: int
     risk_path: tuple = field(repr=False, default=())
 
     def predictions(self) -> np.ndarray:
@@ -210,16 +254,23 @@ class Predictor:
         return float(self.coeffs @ self.problem.gram.query_column)
 
 
-def fit(problem: WeightedProblem, init: np.ndarray | None = None) -> Predictor:
+def fit(problem: WeightedProblem, init: np.ndarray | None = None,
+        chord: _ChordFactor | None = None) -> Predictor:
     """Minimize the weighted regularized risk by damped Newton.
 
     With g and d the weighted loss derivatives and curvatures at K a,
     the Newton system H delta = -gradient reduces to
     (I + diag(W) K) delta = -(g/(2 lam (n+1)) + a), W = d/(2 lam (n+1)),
     one positive definite solve even when K is rank-deficient (see
-    _curvature_solve). A plain gradient step is the fallback when that
-    direction fails to descend. Step sizes come from Armijo backtracking
-    with constant 1e-4 and at most 60 halvings, for at most
+    _curvature_solve). With a chord factor (the warm-started refits of
+    conformal.full_conformal_pvalues; every other fit passes none and
+    takes full Newton steps) the step reuses its cached W0 instead
+    (_ChordFactor.step), rebuilt at the current curvatures when it has
+    none yet or when the last chord step left more than
+    CHORD_REBUILD_RATIO of the gradient norm; the factor carries over to
+    the next fit that is handed it. A plain gradient step is the fallback
+    when the direction fails to descend. Step sizes come from Armijo
+    backtracking with constant 1e-4 and at most 60 halvings, for at most
     DEFAULT_MAX_ITERS steps, from init (finite, of length n+1) or zero.
     The gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)).
     The risk reads a only through K a, so only the converged coefficients
@@ -240,6 +291,8 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None) -> Predictor:
     current = risk(problem, a)
     path = [current]
     grad_norm = np.inf
+    factorizations = 0
+    before_chord = None  # the gradient norm before the last chord step
     for it in range(1, DEFAULT_MAX_ITERS + 1):
         preds = K @ a
         g = _weighted_derivatives(problem, preds, 1)
@@ -248,9 +301,18 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None) -> Predictor:
         if grad_norm <= tol:
             a = np.ascontiguousarray(G.project_onto_range(a))
             a.setflags(write=False)
-            return Predictor(a, problem, grad_norm, it - 1, tuple(path))
-        d = _weighted_derivatives(problem, preds, 2)
-        direction = _curvature_solve(problem, d, -(g / (two_lam * (n + 1)) + a))
+            return Predictor(a, problem, grad_norm, it - 1, factorizations, tuple(path))
+        rhs = -(g / (two_lam * (n + 1)) + a)
+        if chord is None:
+            direction = _curvature_solve(problem, _weighted_derivatives(problem, preds, 2), rhs)
+            factorizations += 1
+        else:
+            if chord.inv is None or (before_chord is not None
+                                     and grad_norm > CHORD_REBUILD_RATIO * before_chord):
+                chord.rebuild(problem, _weighted_derivatives(problem, preds, 2))
+                factorizations += 1
+            direction = chord.step(K, rhs)
+            before_chord = grad_norm
         slope = float(grad @ direction)
         if slope >= 0.0:
             direction = -grad

@@ -7,6 +7,8 @@ between the two is evidence rather than tautology.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -208,3 +210,26 @@ def eigh_newton_fit(problem, risk, gradient, hessian, init=None, max_iters=100):
         a, current = candidate, value
     raise RuntimeError(f"no convergence after {max_iters} iterations, "
                        f"gradient norm {grad_norm:.3e}")
+
+
+def newton_grid_pvalues(problem, grid_values, fit):
+    """Full conformal p-values by one plain Newton refit per grid point.
+
+    `problem` is a z-anchored WeightedProblem; for each y in grid_values
+    it is re-anchored at y (dataclasses.replace of its anchors) and fit
+    by fit(problem, init=...), warm-started from the previous grid
+    point's coefficients, with no chord factor. The p-value at y is
+    (1 + #{i : |Y_i - pred_i| >= |y - query pred|}) / (n + 1).
+    """
+    n = problem.n
+    K = problem.gram.entries
+    pvals = np.empty(len(grid_values))
+    init = None
+    for j, y in enumerate(grid_values):
+        pred = fit(replace(problem, anchors=(float(y), float(y))), init=init)
+        preds = K @ pred.coeffs
+        scores = np.abs(problem.targets - preds[:n])
+        count = int(np.sum(scores >= abs(float(y) - preds[n])))
+        pvals[j] = (1.0 + count) / (n + 1.0)
+        init = pred.coeffs
+    return pvals

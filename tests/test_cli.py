@@ -786,6 +786,34 @@ def test_main_region_from_config_file(tmp_path, capsys):
     assert (out / "region.json").exists()
 
 
+@pytest.mark.parametrize("config, argv, named", [
+    (None, ["--seed", "-1"], "seed must be nonnegative"),
+    ({"grid": {"m": 1}}, [], "grid.m"),
+    ({"kernel": {"bogus": 1}}, [], "bogus"),
+    ("{not json", [], "cfg.json is not valid JSON: Expecting property name"),
+])
+def test_main_reports_a_bad_config_as_a_usage_error(tmp_path, capsys, config, argv,
+                                                     named):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv = argv + ["--config", str(cfg_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(["region", *argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: apxcp") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_reports_a_missing_config_file_as_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["region", "--config", str(missing), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_main_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

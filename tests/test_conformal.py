@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apxcp import conformal
+from apxcp import conformal, solver
+from apxcp.cli import ExperimentConfig
 from apxcp.conformal import (CoverageResult, PredictionRegion, PValueCurve,
                              YGrid, _count_at_least, _min_count, _rank_pvalues,
                              cross_pvalues, empirical_coverage,
@@ -24,7 +25,7 @@ from apxcp.solver import (SolverError, anchor_y_weights, anchor_z_weights,
                            augmented_problem, z_anchored_problem)
 
 from oracles import (bruteforce_ridge_region, conformal_pvalue, laplacian_gram,
-                     pvalue_by_hand)
+                     newton_grid_pvalues, pvalue_by_hand)
 
 KERNEL = KernelSpec("laplacian", 0.5)
 LOGCOSH = LossSpec("logcosh")
@@ -330,11 +331,11 @@ def test_full_conformal_refit_error_names_the_grid_point(monkeypatch):
     grid = YGrid.from_targets(Y, m=7)
     real, calls = conformal.fit, []
 
-    def fail_on_the_third(problem, init=None):
+    def fail_on_the_third(problem, *args, **kwargs):
         calls.append(None)
         if len(calls) == 3:
             raise SolverError("stalled", np.full(problem.gram.n, 0.25), 1.5)
-        return real(problem, init=init)
+        return real(problem, *args, **kwargs)
 
     monkeypatch.setattr(conformal, "fit", fail_on_the_third)
     y = float(grid.values[2])
@@ -343,6 +344,43 @@ def test_full_conformal_refit_error_names_the_grid_point(monkeypatch):
         full_conformal_pvalues(X, Y, xq, grid, 0.5, LOGCOSH, KERNEL)
     np.testing.assert_array_equal(info.value.coeffs, np.full(Y.size + 1, 0.25))
     assert info.value.grad_norm == 1.5
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("lam", [0.433, 0.01, 1e-4])
+@pytest.mark.parametrize("kernel", [KernelSpec("laplacian"), KernelSpec("gaussian_rbf")])
+@pytest.mark.parametrize("loss", [LOGCOSH, LossSpec("pseudo_huber"),
+                                  LossSpec("smoothed_pinball")])
+def test_full_conformal_chord_refits_match_plain_newton(loss, kernel, lam, seed):
+    # the informative regime (noise_sd 1), where small lambda makes the
+    # chord factor go stale and be rebuilt along the curve
+    X, Y, xq, _ = friedman1(41, 1.0, seed=seed).split_query()
+    grid = YGrid.from_targets(Y, m=41)
+    curve = full_conformal_pvalues(X, Y, xq, grid, lam, loss, kernel)
+    problem = z_anchored_problem(X, Y, xq, grid.lo, lam, loss, kernel)
+    expected = newton_grid_pvalues(problem, grid.values, solver.fit)
+    np.testing.assert_array_equal(curve.upper, expected)
+    np.testing.assert_array_equal(curve.lower, expected)
+
+
+def test_exact_refit_curve_factors_the_newton_matrix_a_handful_of_times(monkeypatch):
+    # the exact-refit benchmark's config: n = 200, a grid of 200 points,
+    # the default loss, kernel and lambda rule; full Newton factors about
+    # 100 times along such a curve
+    cfg = ExperimentConfig(method="full", n=200, grid_m=200)
+    X, Y, xq, _ = friedman1(cfg.n + 1, seed=3).split_query()
+    real, fits = conformal.fit, []
+
+    def counted(*args, **kwargs):
+        fits.append(real(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(conformal, "fit", counted)
+    full_conformal_pvalues(X, Y, xq, cfg.grid_for(Y), cfg.lambda_for(Y.size + 1),
+                           cfg.loss, cfg.kernel)
+    assert len(fits) == 200
+    assert sum(p.n_iters for p in fits) > 100
+    assert 1 <= sum(p.factorizations for p in fits) <= 5
 
 
 def test_full_conformal_low_alpha_gives_full_grid():

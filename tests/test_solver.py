@@ -15,7 +15,7 @@ from apxcp.kernels import GramMatrix, KernelSpec, gram
 from apxcp.losses import LossSpec
 from apxcp.solver import (SolverError, WeightedProblem, anchor_y_weights,
                           anchor_z_weights, augmented_problem, fit, gradient,
-                          hessian, risk, rkhs_norm_diff)
+                          hessian, risk, rkhs_norm_diff, z_anchored_problem)
 
 from oracles import central_difference, eigh_newton_fit, ridge_closed_form
 
@@ -318,6 +318,29 @@ def test_fit_warm_start_agrees_with_cold_start():
     preds_cold = cold.predictions()
     preds_warm = warm.predictions()
     np.testing.assert_allclose(preds_warm, preds_cold, atol=1e-8)
+
+
+def test_newton_fit_factors_once_per_step():
+    pred = fit(_random_problem(np.random.default_rng(9), n=10, lam=0.05))
+    assert pred.n_iters > 1 and pred.factorizations == pred.n_iters
+
+
+@pytest.mark.parametrize("stale", ["lam", "anchor"])
+def test_fit_rebuilds_a_stale_chord_factor(stale):
+    X, Y, xq, _ = friedman1(41, 1.0, seed=0).split_query()
+    problem = z_anchored_problem(X, Y, xq, 20.0, 0.01, LossSpec("logcosh"),
+                                 KernelSpec())
+    other = (replace(problem, lam=1e-4) if stale == "lam"
+             else replace(problem, anchors=(0.0, 0.0)))
+    chord = solver._ChordFactor()
+    init = fit(other, chord=chord).coeffs
+    stale_inv = chord.inv
+    pred = fit(problem, init=init, chord=chord)
+    assert chord.inv is not stale_inv and pred.factorizations >= 1
+    tol = solver.BASE_TOL * (1 + np.linalg.norm(problem.effective_targets()) / (problem.n + 1))
+    assert pred.grad_norm <= tol
+    np.testing.assert_allclose(pred.predictions(), fit(problem, init=init).predictions(),
+                               rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("init, message", [

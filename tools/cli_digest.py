@@ -12,8 +12,11 @@ gaussian_rbf kernel, whose configs spell some numbers as JSON integers;
 then a ``region`` (cross) and a ``compare`` run that move every checked
 number the other runs leave at its default (alpha, z_anchor, noise_sd,
 the grid, a fixed lambda, the compare split fraction and fold count) and
-a ``select-lambda`` run with its own d1 fraction and grid margin.
-It prints one ``sha256  path`` line per output file. Timing columns are dropped from
+a ``select-lambda`` run with its own d1 fraction and grid margin; last,
+a ``region`` (full) run in the informative regime (noise_sd 1, a fixed
+lambda of 0.01, the pseudo_huber loss), whose exact refits rebuild their
+chord factor several times along the grid. It prints one
+``sha256  path`` line per output file. Timing columns are dropped from
 the CSVs before hashing, so two checkouts whose numeric outputs agree
 print the same lines: diff the output of two runs to check that a
 refactor left the CLI outputs byte-identical. Each run's wall seconds go
@@ -72,6 +75,9 @@ FIXED_RUNS += [
     ("select-lambda-off-default", ["select-lambda"],
      {"n": 16, "grid": {"m": 101, "margin": 0.25}, "method": "local_stability",
       "lambda_grid": [0.5, 1.0], "select": {"d1_fraction": 0.4}, "seed": 8}),
+    ("region-full-informative", ["region"],
+     {"n": 40, "grid": {"m": 101}, "method": "full", "noise_sd": 1,
+      "lambda_rule": {"fixed": 0.01}, "loss": {"family": "pseudo_huber"}, "seed": 9}),
 ]
 
 
