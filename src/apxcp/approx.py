@@ -545,29 +545,20 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
 
 class ApproxRegionResult:
     """Upper and lower sandwich regions plus the grid supremum of their
-    envelope. Each region, and its warning when it touches the grid
-    boundary, is built the first time it is read."""
+    envelope. Each region is built the first time it is read."""
 
     def __init__(self, grid: YGrid, upper_mask: np.ndarray, lower_mask: np.ndarray,
                  sup_tau: float):
         self.grid, self.sup_tau = grid, sup_tau
-        self._masks = {"upper": upper_mask, "lower": lower_mask}
-        self._regions: dict[str, PredictionRegion] = {}
+        self._upper_mask, self._lower_mask = upper_mask, lower_mask
 
-    def _region(self, side: str) -> PredictionRegion:
-        # not a cached_property: its frame, outside the package, would
-        # take the warning's caller line
-        if side not in self._regions:
-            self._regions[side] = PredictionRegion.from_mask(self.grid, self._masks[side])
-        return self._regions[side]
-
-    @property
+    @cached_property
     def upper(self) -> PredictionRegion:
-        return self._region("upper")
+        return PredictionRegion.from_mask(self.grid, self._upper_mask)
 
-    @property
+    @cached_property
     def lower(self) -> PredictionRegion:
-        return self._region("lower")
+        return PredictionRegion.from_mask(self.grid, self._lower_mask)
 
 
 def approx_regions(base: Predictor, grid: YGrid, kinds,

@@ -71,6 +71,9 @@ _AT_LEAST_2 = (lambda v: v >= 2, "must be >= 2")
 
 # The JSON config file: group -> key -> (ExperimentConfig field, type,
 # range rule or None), where group None holds the top-level keys.
+# compare.split_fraction also drives `region --method split`, and
+# compare.cross_folds drives only `region --method cross`: cmd_compare
+# runs no cross-conformal (renaming the keys would change every hash).
 # from_dict and to_dict walk this table, and construction checks every
 # field against its type, then its rule: float and int by
 # data_io.check_real and check_int, (float,) and (int,) a list of them
@@ -251,9 +254,19 @@ def _write_meta(out: Path, cfg: ExperimentConfig, command: str, **extra) -> None
                                    **_file_meta(cfg), **extra})
 
 
+def _warn_clipped(flags) -> None:
+    """The command's one warning about its regions that reach an end of
+    the grid, flags listing each region's PredictionRegion.clipped."""
+    if any(flags):
+        warnings.warn(f"{sum(flags)} of {len(flags)} prediction region(s) touch(es) "
+                      "the grid boundary and may be clipped", RuntimeWarning)
+
+
 def _write_region(out: Path, cfg: ExperimentConfig, curve, region, extras,
                   **json_extra) -> None:
-    """region.csv and region.json of one curve, both stamped."""
+    """region.csv and region.json of one curve, both stamped, with the
+    clipping warning when the region touches the grid boundary."""
+    _warn_clipped([region.clipped])
     write_region_csv(out / "region.csv", curve, region, extras=extras,
                      meta=_file_meta(cfg))
     write_region_json(out / "region.json", region, cfg.alpha, cfg.method,
@@ -358,13 +371,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
     recorded in all three rows, not raised. The three methods share one
     base fit and one joint scan of the grid, and each row's seconds count
     both, the same for the three rows. Slopes come from every successful
-    row with a positive value.
+    row with a positive value. One warning counts the upper regions that
+    touch the grid boundary.
     """
     schedule = DESK_SCHEDULE if desk else cfg.n_schedule
     if len(schedule) < 4:
         raise ValueError("the sweep needs a schedule with at least 4 points")
     constants = smoothness_constants(cfg.loss)
-    rows = []
+    rows, clipped = [], []
     for n in schedule:
         lam = cfg.lambda_for(n + 1)
         for rep in range(cfg.sweep_repetitions):
@@ -381,6 +395,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
                 for kind, result in zip(APPROX_KINDS, approx_regions(base, grid, APPROX_KINDS,
                                                                      cfg.alpha)):
                     delta = thickness_gap(result.upper, result.lower)
+                    clipped.append(result.upper.clipped)
                     bound = thickness_bound(kind, base.problem.gram, constants,
                                             lam, result.sup_tau)
                     cells.append((delta, bound.value, "" if bound.refined is None
@@ -391,6 +406,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, desk: bool = False) -> dict:
             seconds = time.perf_counter() - start
             rows.extend([n, rep, kind, lam, gap, value, refined, seconds, status]
                         for kind, (gap, value, refined, status) in zip(APPROX_KINDS, cells))
+    _warn_clipped(clipped)
     header = ["n", "rep", "method", "lam", "delta", "bound", "bound_refined",
               "seconds", "status"]
     write_table(out / "sweep.csv", header, rows, _file_meta(cfg))
@@ -434,9 +450,10 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     three; the oracle refits the base fit's problem at the true output.
     Each row's seconds count the shared work it uses plus its own: the
     approximate rows read the same seconds, and the oracle row is charged
-    the Gram build as set-up."""
+    the Gram build as set-up. One warning counts the ok rows' regions that
+    touch the grid boundary."""
     smoothness_constants(cfg.loss)  # a loss without them fails before any work
-    rows = []
+    rows, clipped = [], []
     for rep in range(cfg.compare_repetitions):
         ds = friedman1(cfg.n, cfg.noise_sd, seed=(cfg.seed, rep))
         X, Y, x_query, y_true = ds.split_query()
@@ -467,9 +484,11 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
                 rows.append([rep, name, float("nan"), 0, seconds, float("nan"),
                              f"solver_error: {region}"])
             else:
+                clipped.append(region.clipped)
                 rows.append([rep, name, region.measure, int(region.contains(y_true)),
                              seconds, seconds / oracle_seconds if timed else float("nan"),
                              "ok"])
+    _warn_clipped(clipped)
     header = ["rep", "method", "length", "covered", "seconds", "rel_time", "status"]
     write_table(out / "compare.csv", header, rows, _file_meta(cfg))
 
@@ -509,6 +528,8 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
     region measure wins, ties to the largest. The final region uses the
     second part as training data. Only the three approximate methods are
     eligible: the procedure scores candidates by upper-region measure.
+    Only the final region is reported when it touches the grid boundary;
+    the all_regions_full column sums up the leave-one-out regions.
     """
     if cfg.method not in APPROX_KINDS:
         raise ValueError(f"select-lambda needs an approximate method, got {cfg.method!r}")
@@ -533,12 +554,7 @@ def cmd_select_lambda(cfg: ExperimentConfig, out: Path) -> dict:
                                      lambdas[0], cfg.loss, cfg.kernel)
         for i, lam in enumerate(lambdas):
             base = fit(replace(problem, lam=lam))
-            with warnings.catch_warnings():
-                # degenerate full-grid regions are expected while scanning
-                # oversized candidates; they surface in the summary instead
-                # (the fit stays outside, so its own warnings still show)
-                warnings.simplefilter("ignore", RuntimeWarning)
-                region = approx_regions(base, grid, [cfg.method], cfg.alpha)[0].upper
+            region = approx_regions(base, grid, [cfg.method], cfg.alpha)[0].upper
             measures[i, j] = region.measure
             all_full[i] &= bool(region.mask.all())
     averages = [float(row.mean()) for row in measures]

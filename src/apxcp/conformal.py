@@ -8,9 +8,6 @@ Lebesgue measures of the discretized set (step times cell count).
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -93,8 +90,10 @@ class PValueCurve:
     lower: np.ndarray
 
     def __post_init__(self) -> None:
-        up = np.asarray(self.upper, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writeable; an
+        # exact method's one array for both sides stays one
+        up = np.array(self.upper, dtype=float)
+        lo = up if self.lower is self.upper else np.array(self.lower, dtype=float)
         if up.shape != (self.grid.m,) or lo.shape != (self.grid.m,):
             raise ValueError("p-value arrays must match the grid size")
         if (lo > up).any():
@@ -103,21 +102,6 @@ class PValueCurve:
         lo.setflags(write=False)
         object.__setattr__(self, "upper", up)
         object.__setattr__(self, "lower", lo)
-
-
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
-
-
-def _caller_stacklevel() -> int:
-    """The warnings.warn stacklevel, for the function calling this one,
-    of the innermost frame outside this package: a warning then names the
-    line of the code that called into the package, however deep inside it
-    the warning is raised, and the once-per-location filter keeps apart
-    the warnings of different callers."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 @dataclass(frozen=True)
@@ -134,9 +118,6 @@ class PredictionRegion:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (grid.m,):
             raise ValueError("mask must match the grid size")
-        if mask.size and (mask[0] or mask[-1]):
-            warnings.warn("prediction region touches the grid boundary and may be clipped",
-                          RuntimeWarning, stacklevel=_caller_stacklevel())
         # the mask changes at each run's first cell and one past its last
         edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
         starts, ends = edges[::2], edges[1::2] - 1
@@ -146,6 +127,12 @@ class PredictionRegion:
         mask = mask.copy()
         mask.setflags(write=False)
         return cls(grid=grid, mask=mask, intervals=intervals, measure=measure)
+
+    @property
+    def clipped(self) -> bool:
+        """Whether the region reaches either end of the grid, so that the
+        region over the real line may extend past what the grid shows."""
+        return bool(self.mask[0] or self.mask[-1])
 
     def contains(self, y: float) -> bool:
         """Membership by nearest grid cell."""
@@ -341,10 +328,14 @@ def empirical_coverage(region_builder, generator, reps: int, alpha: float,
     generator(rng) must return (X, Y, x_query, y_true); region_builder
     (X, Y, x_query) must return a PredictionRegion. Each repetition owns
     the seed derived from (seed, repetition index), so results do not
-    depend on execution order.
+    depend on execution order. alpha must lie in (0, 1) and seed be an
+    integer at least 0, or a ValueError names it.
     """
     if check_int("reps", reps) < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_alpha(alpha)
+    if check_int("seed", seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     hits = 0
     for i in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))

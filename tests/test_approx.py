@@ -239,11 +239,9 @@ def test_only_fit_reads_the_gram_spectrum(monkeypatch):
     monkeypatch.setattr(GramMatrix, "project_onto_range", forbidden)
     monkeypatch.setattr(GramMatrix, "eigenpairs", property(forbidden))
     assert influence_direction(base).shape == (Y.size + 1,)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        [result] = approx_regions(base, YGrid.from_targets(Y, m=51),
-                                  ["influence_function"], 0.1)
-        assert result.upper.mask.any()
+    [result] = approx_regions(base, YGrid.from_targets(Y, m=51),
+                              ["influence_function"], 0.1)
+    assert result.upper.mask.any()
 
 
 def test_influence_vector_zero_derivative():
@@ -578,33 +576,33 @@ def test_regions_match_thresholded_curves(family, lam):
         grid = YGrid.from_targets(Y, m=301)
         base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, kernel)
         single = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # full regions
-            for kind in APPROX_KINDS:
-                method = ApproxMethod(kind)
-                [res] = approx_regions(base, grid, [kind], alpha)
-                curves = approx_pvalue_curves(X, Y, xq, grid, method, lam,
-                                              LOGCOSH, kernel, base=base)
-                assert res.sup_tau == curves.taus.sup_tau()
-                for side in ("upper", "lower"):
-                    _assert_same_region(getattr(res, side),
-                                        region_from_curve(curves.curve, alpha, side),
-                                        (seed, kind, side))
-                single[kind] = res
-            _assert_joint_regions_match(base, grid, alpha, single)
+        for kind in APPROX_KINDS:
+            method = ApproxMethod(kind)
+            [res] = approx_regions(base, grid, [kind], alpha)
+            curves = approx_pvalue_curves(X, Y, xq, grid, method, lam,
+                                          LOGCOSH, kernel, base=base)
+            assert res.sup_tau == curves.taus.sup_tau()
+            for side in ("upper", "lower"):
+                _assert_same_region(getattr(res, side),
+                                    region_from_curve(curves.curve, alpha, side),
+                                    (seed, kind, side))
+            single[kind] = res
+        _assert_joint_regions_match(base, grid, alpha, single)
 
 
-def test_regions_warn_of_clipping_at_the_callers_line():
+def test_regions_report_clipping_as_data_without_a_warning():
+    # a narrow grid clips both sides; whether a region is clipped is read
+    # from the region, and neither the scan nor a read of a region warns
     X, Y, xq, _ = _instance(33, 10)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # none before a read
+        warnings.simplefilter("error")
         [result] = approx_regions(base, YGrid(-1.0, 1.0, 5),
                                   ["uniform_stability"], 0.1)
-    for side in ("upper", "lower"):
-        with pytest.warns(RuntimeWarning, match="boundary") as caught:
-            getattr(result, side)
-        assert caught and {w.filename for w in caught} == {__file__}
+        assert result.upper.clipped and result.lower.clipped
+        [result] = approx_regions(base, YGrid.from_targets(Y, m=51, margin=2.0),
+                                  ["uniform_stability"], 0.4)
+        assert not result.upper.clipped and not result.lower.clipped
 
 
 def test_regions_are_built_once_and_only_when_read(monkeypatch):
@@ -696,9 +694,7 @@ def test_one_joint_scan_shares_the_per_problem_and_per_block_work(monkeypatch):
     monkeypatch.setattr(_SortedScan, "test_scores",
                         counter("test_scores", _SortedScan.test_scores))
     monkeypatch.setattr(approx, "_SortedScan", counter("sort", _SortedScan))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        approx_regions(base, grid, APPROX_KINDS, 0.1)
+    approx_regions(base, grid, APPROX_KINDS, 0.1)
     assert calls == {"influence": 1, "sort": 1, "gap": 3, "test_scores": 6}
     calls.update(dict.fromkeys(calls, 0))
     approx_regions(base, grid, ["uniform_stability", "local_stability"], 0.1)
@@ -724,49 +720,47 @@ def test_blocks_are_invisible_at_block_boundaries(m):
     # a grid step that puts the upper end of the level-2 upper region for
     # c* = 1 between grid points B - 1 and B
     coarse = YGrid.from_targets(Y, m=2001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # full regions
-        [edge] = approx_regions(base, coarse, ["influence_function"],
-                                alphas[1])
-        edge = edge.upper.intervals[0][1]
-        step = (coarse.hi - coarse.lo) / (2 * B + 2)
-        lo = edge - (B - 0.5) * step
-        grid = YGrid(lo, lo + (m - 1) * step, m)
-        single = {alpha: {} for alpha in alphas.values()}
-        for kind in APPROX_KINDS:
-            method = ApproxMethod(kind)
-            res = approx_pvalue_curves(X, Y, xq, grid, method, lam, LOGCOSH,
-                                       KERNEL, base=base)
-            # the envelope and the scan of the whole grid at once
-            want = tau_profile(method.level, base.problem.gram, LOGCOSH_CONSTANTS,
-                               lam, m, None if method.level == 0
-                               else rho1(grid.values, 0.0, base, LOGCOSH))
-            _assert_same_envelope(res.taus, want)
-            k_dir, shift = _scan_shift(res, kind, grid)
-            dense = dense_sandwich_curves(Y, base.predictions(), want.radial,
-                                          want.scale, grid.values, k_dir, shift)
-            np.testing.assert_array_equal(res.curve.upper, dense[0])
-            np.testing.assert_array_equal(res.curve.lower, dense[1])
-            for c_star, alpha in alphas.items():
-                assert _min_count(n, alpha) == c_star
-                [regions] = approx_regions(base, grid, [kind], alpha)
-                single[alpha][kind] = regions
-                assert regions.sup_tau == want.sup_tau()
-                for side, pvals in zip(("upper", "lower"), dense):
-                    mask = getattr(regions, side).mask
-                    np.testing.assert_array_equal(mask, pvals > alpha)
-                    np.testing.assert_array_equal(
-                        mask, region_from_curve(res.curve, alpha, side).mask)
-            if kind == "influence_function" and m > B:
-                # the shift leaves the upper side undecided for c* = 1 on
-                # both sides of the boundary, so both blocks count exactly
-                scan = _SortedScan(Y, base.predictions(), k_dir, want.scale)
-                block = _block(scan, grid.values, shift, want.radial)
-                lo, hi = block.bracket(*block.sides[0])
-                s = scan.sorted_scores[n - 1]
-                assert lo[B - 1] <= s <= hi[B - 1] and lo[B] <= s <= hi[B]
-        for alpha, results in single.items():
-            _assert_joint_regions_match(base, grid, alpha, results)
+    [edge] = approx_regions(base, coarse, ["influence_function"],
+                            alphas[1])
+    edge = edge.upper.intervals[0][1]
+    step = (coarse.hi - coarse.lo) / (2 * B + 2)
+    lo = edge - (B - 0.5) * step
+    grid = YGrid(lo, lo + (m - 1) * step, m)
+    single = {alpha: {} for alpha in alphas.values()}
+    for kind in APPROX_KINDS:
+        method = ApproxMethod(kind)
+        res = approx_pvalue_curves(X, Y, xq, grid, method, lam, LOGCOSH,
+                                   KERNEL, base=base)
+        # the envelope and the scan of the whole grid at once
+        want = tau_profile(method.level, base.problem.gram, LOGCOSH_CONSTANTS,
+                           lam, m, None if method.level == 0
+                           else rho1(grid.values, 0.0, base, LOGCOSH))
+        _assert_same_envelope(res.taus, want)
+        k_dir, shift = _scan_shift(res, kind, grid)
+        dense = dense_sandwich_curves(Y, base.predictions(), want.radial,
+                                      want.scale, grid.values, k_dir, shift)
+        np.testing.assert_array_equal(res.curve.upper, dense[0])
+        np.testing.assert_array_equal(res.curve.lower, dense[1])
+        for c_star, alpha in alphas.items():
+            assert _min_count(n, alpha) == c_star
+            [regions] = approx_regions(base, grid, [kind], alpha)
+            single[alpha][kind] = regions
+            assert regions.sup_tau == want.sup_tau()
+            for side, pvals in zip(("upper", "lower"), dense):
+                mask = getattr(regions, side).mask
+                np.testing.assert_array_equal(mask, pvals > alpha)
+                np.testing.assert_array_equal(
+                    mask, region_from_curve(res.curve, alpha, side).mask)
+        if kind == "influence_function" and m > B:
+            # the shift leaves the upper side undecided for c* = 1 on
+            # both sides of the boundary, so both blocks count exactly
+            scan = _SortedScan(Y, base.predictions(), k_dir, want.scale)
+            block = _block(scan, grid.values, shift, want.radial)
+            lo, hi = block.bracket(*block.sides[0])
+            s = scan.sorted_scores[n - 1]
+            assert lo[B - 1] <= s <= hi[B - 1] and lo[B] <= s <= hi[B]
+    for alpha, results in single.items():
+        _assert_joint_regions_match(base, grid, alpha, results)
 
 
 @pytest.mark.parametrize("kind", APPROX_KINDS)
@@ -781,9 +775,7 @@ def test_region_scan_holds_blocks_not_grids(kind):
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     tracemalloc.start()
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            [result] = approx_regions(base, grid, [kind], 0.1)
+        [result] = approx_regions(base, grid, [kind], 0.1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -973,33 +965,25 @@ def test_upper_regions_cover_where_regions_are_informative():
             [regions] = approx_regions(base, YGrid.from_targets(Y, m=200),
                                        [kind], alpha)
             upper = regions.upper
-            clipped.append(bool(upper.mask[0] or upper.mask[-1]))
+            clipped.append(upper.clipped)
             return upper
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # clipped regions
-            result = empirical_coverage(builder, generator, reps, alpha, seed=0)
+        result = empirical_coverage(builder, generator, reps, alpha, seed=0)
         assert result.ci_hi >= 1.0 - alpha, (kind, result)
         assert sum(clipped) < 0.1 * reps, kind
 
 
 # --- thickness ---
 
-def _region(mask, grid):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # full masks touch the edge
-        return PredictionRegion.from_mask(grid, mask)
-
-
 def test_thickness_gap_examples():
     grid = YGrid(0.0, 10.0, 101)  # step 0.1
-    full = _region(np.ones(101, bool), grid)
-    empty = _region(np.zeros(101, bool), grid)
+    full = PredictionRegion.from_mask(grid, np.ones(101, bool))
+    empty = PredictionRegion.from_mask(grid, np.zeros(101, bool))
     assert thickness_gap(full, full) == 0.0
     assert thickness_gap(full, empty) == pytest.approx(10.1)
     other = YGrid(0.0, 10.0, 51)
     with pytest.raises(ValueError, match="grid"):
-        thickness_gap(full, _region(np.ones(51, bool), other))
+        thickness_gap(full, PredictionRegion.from_mask(other, np.ones(51, bool)))
 
 
 def test_thickness_gap_brackets_regions_from_curves():

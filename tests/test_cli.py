@@ -700,12 +700,12 @@ def test_select_lambda_small_run(tmp_path):
 
 
 def _count_regions(monkeypatch):
-    """Record every PredictionRegion.from_mask call."""
+    """Record the mask of every PredictionRegion.from_mask call."""
     calls = []
     real = PredictionRegion.from_mask.__func__
 
     def counted(cls, grid, mask):
-        calls.append(grid.m)
+        calls.append(np.array(mask, dtype=bool))
         return real(cls, grid, mask)
 
     monkeypatch.setattr(PredictionRegion, "from_mask", classmethod(counted))
@@ -760,6 +760,84 @@ def test_select_lambda_degenerate_full_regions_warn(tmp_path):
     with pytest.warns(RuntimeWarning, match="full-grid"):
         result = cmd_select_lambda(cfg, tmp_path)
     assert result["lam"] == 1.0  # tie rule picks the largest candidate
+
+
+# --- clipping warnings ---
+
+def _warnings_of(command, *args):
+    """One command call's result and the (category, message) of every
+    warning it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = command(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _clipping(count: int, total: int):
+    return (RuntimeWarning, f"{count} of {total} prediction region(s) touch(es) "
+                            "the grid boundary and may be clipped")
+
+
+@pytest.mark.parametrize("method", ["full", "influence_function"])
+def test_region_warns_once_when_a_pinned_narrow_grid_clips_it(tmp_path, method):
+    narrow = _tiny_cfg(method=method, grid_lo=10.0, grid_hi=11.0)
+    assert _warnings_of(cmd_region, narrow, tmp_path)[1] == [_clipping(1, 1)]
+    # a wider grid, on more data at a larger alpha, holds the whole region
+    wide = _tiny_cfg(method=method, n=60, alpha=0.3, grid_margin=1.0)
+    assert _warnings_of(cmd_region, wide, tmp_path)[1] == []
+
+
+def test_compare_warns_once_with_the_count_of_clipped_regions(tmp_path, monkeypatch):
+    cfg = replace(COMPARE_CFG, alpha=0.5, grid_margin=1.0)
+    masks = _count_regions(monkeypatch)
+    _, caught = _warnings_of(cmd_compare, cfg, tmp_path)
+    # one region per row, some of them clipped
+    clipped = sum(bool(mask[0] or mask[-1]) for mask in masks)
+    assert 0 < clipped < len(masks) == 10
+    assert caught == [_clipping(clipped, len(masks))]
+
+
+def test_sweep_warns_once_with_the_count_of_clipped_upper_regions(tmp_path):
+    cfg = replace(SWEEP_CFG, alpha=0.5, grid_margin=1.0)
+    result, caught = _warnings_of(cmd_sweep, cfg, tmp_path)
+    clipped = 0
+    for n, rep, kind, lam, *_ in result["rows"]:
+        X, Y, xq, _ = friedman1(n + 1, cfg.noise_sd, seed=(cfg.seed, n, rep)).split_query()
+        upper = approx_pvalue_curves(
+            X, Y, xq, cfg.grid_for(Y, m=cfg.sweep_grid_m), ApproxMethod(kind, cfg.z_anchor),
+            lam, cfg.loss, cfg.kernel).curve.upper > cfg.alpha
+        clipped += bool(upper[0] or upper[-1])
+    assert 0 < clipped < len(result["rows"]) == 12
+    assert caught == [_clipping(clipped, 12)]
+
+
+def test_select_lambda_never_warns_of_its_leave_one_out_regions(tmp_path, monkeypatch):
+    # every leave-one-out region reaches the grid's ends, the final one
+    # does not
+    loo = []
+    real = cli.approx_regions
+
+    def recorded(*args):
+        results = real(*args)
+        loo.append(results[0].upper.clipped)
+        return results
+
+    monkeypatch.setattr(cli, "approx_regions", recorded)
+    cfg = ExperimentConfig(n=100, grid_m=101, lambda_grid=(0.5, 1.0), alpha=0.3,
+                           grid_margin=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = cmd_select_lambda(cfg, tmp_path)
+    assert len(loo) == 100 and all(loo)
+    assert not result["region"].clipped
+    # a clipped final region is the one clipping warning
+    loo.clear()
+    degenerate = ExperimentConfig(n=12, seed=3, grid_m=51, method="uniform_stability",
+                                  alpha=0.001, lambda_grid=(0.5, 1.0))
+    _, caught = _warnings_of(cmd_select_lambda, degenerate, tmp_path)
+    assert len(loo) > 1 and all(loo)
+    assert caught[1:] == [_clipping(1, 1)]
+    assert "full-grid" in caught[0][1]
 
 
 # --- argv plumbing ---

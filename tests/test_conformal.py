@@ -146,6 +146,17 @@ def test_curve_rejects_the_wrong_size(upper, lower):
         PValueCurve(YGrid(0.0, 1.0, 3), upper=upper, lower=lower)
 
 
+def test_curve_freezes_copies_and_leaves_the_callers_arrays_writeable():
+    p, q = np.array([0.5, 0.2, 0.1]), np.array([0.25, 0.2, 0.0])
+    same, apart = (PValueCurve(YGrid(0.0, 1.0, 3), p, lower) for lower in (p, q))
+    assert p.flags.writeable and q.flags.writeable
+    for curve in (same, apart):
+        assert not curve.upper.flags.writeable and not curve.lower.flags.writeable
+    p[0] = q[0] = 0.0
+    assert same.upper[0] == same.lower[0] == apart.upper[0] == 0.5
+    assert apart.lower[0] == 0.25
+
+
 @pytest.mark.parametrize("mask", [np.zeros(2, bool), np.zeros(4, bool),
                                   np.zeros((3, 1), bool)])
 def test_region_from_mask_rejects_the_wrong_size(mask):
@@ -198,23 +209,28 @@ _MASKS = {"all False": [False] * 7, "all True": [True] * 7,
 def test_region_intervals_match_run_length_loop(cells):
     g = YGrid(-1.0, 2.0, len(cells))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # runs at the edges
+        warnings.simplefilter("error")  # clipping is data, not a warning
         region = PredictionRegion.from_mask(g, np.array(cells, dtype=bool))
+    assert region.clipped == (cells[0] or cells[-1])
     runs = _runs_by_loop(cells)
     assert region.intervals == tuple((float(g.values[a]), float(g.values[b]))
                                      for a, b in runs)
     assert region.measure == g.step * sum(b - a + 1 for a, b in runs)
 
 
-def test_region_boundary_warning():
-    # a warning naming a library line would show once per run under the
-    # default once-per-location filter, whoever clips a region later
+def test_region_clipped_flags_the_grid_ends():
+    # a region from a mask or a curve says whether it reaches an end of
+    # the grid, and building it raises no warning
     g = YGrid(0.0, 1.0, 5)
-    pvals = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
-    with pytest.warns(RuntimeWarning, match="boundary") as caught:
-        PredictionRegion.from_mask(g, np.array([1, 1, 0, 0, 0], dtype=bool))
-        region_from_curve(PValueCurve(g, pvals, pvals), 0.1)
-    assert [w.filename for w in caught] == [__file__, __file__]
+    for cells, clipped in (([1, 1, 0, 0, 0], True), ([0, 0, 0, 0, 1], True),
+                           ([1, 1, 1, 1, 1], True), ([0, 1, 1, 1, 0], False),
+                           ([0, 0, 0, 0, 0], False)):
+        pvals = np.where(cells, 0.5, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            regions = [PredictionRegion.from_mask(g, np.array(cells, dtype=bool)),
+                       region_from_curve(PValueCurve(g, pvals, pvals), 0.1)]
+        assert [r.clipped for r in regions] == [clipped, clipped], cells
 
 
 def test_region_contains_uses_nearest_cell():
@@ -387,10 +403,12 @@ def test_full_conformal_low_alpha_gives_full_grid():
     X, Y, xq, _ = _instance(1, 12)
     grid = YGrid.from_targets(Y, m=41)
     # p >= 1/(n+1) everywhere, so alpha below that floor keeps every cell
-    with pytest.warns(RuntimeWarning, match="boundary"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         region = full_region_bruteforce(X, Y, xq, grid, 1.0 / 26, 0.5,
                                         LOGCOSH, KERNEL)
     assert region.mask.all()
+    assert region.clipped
 
 
 def test_full_conformal_pvalue_range():
@@ -673,11 +691,9 @@ def test_empirical_coverage_full_and_empty():
     def generator(rng):
         return np.zeros((2, 1)), np.zeros(2), np.zeros(1), 0.5
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the full mask touches the edge
-        full = empirical_coverage(
-            lambda X, Y, xq: PredictionRegion.from_mask(grid, np.ones(11, bool)),
-            generator, reps=13, alpha=0.1)
+    full = empirical_coverage(
+        lambda X, Y, xq: PredictionRegion.from_mask(grid, np.ones(11, bool)),
+        generator, reps=13, alpha=0.1)
     empty = empirical_coverage(
         lambda X, Y, xq: PredictionRegion.from_mask(grid, np.zeros(11, bool)),
         generator, reps=13, alpha=0.1)
@@ -704,6 +720,25 @@ def test_empirical_coverage_needs_an_integer_count(reps):
 
     with pytest.raises(ValueError, match=re.escape(f"reps must be an integer, got {reps!r}")):
         empirical_coverage(never_called, never_called, reps, 0.1)
+
+
+@pytest.mark.parametrize("alpha, seed, message", [
+    (5.0, 0, "alpha must lie in (0, 1), got 5.0"),
+    (0.0, 0, "alpha must lie in (0, 1), got 0.0"),
+    (float("nan"), 0, "alpha must be a finite number, got nan"),
+    ("0.1", 0, "alpha must be a finite number, got '0.1'"),
+    (0.1, -1, "seed must be nonnegative, got -1"),
+    (0.1, 1.5, "seed must be an integer, got 1.5"),
+    (0.1, None, "seed must be an integer, got None"),
+])
+def test_empirical_coverage_checks_alpha_and_seed(alpha, seed, message):
+    # alpha=5.0 used to pass into the result and seed=-1 to fail inside
+    # numpy without naming the argument
+    def never_called(*args):
+        raise AssertionError("no repetition may run")
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        empirical_coverage(never_called, never_called, 3, alpha, seed=seed)
 
 
 def test_empirical_coverage_accepts_a_numpy_integer_count():
