@@ -70,11 +70,11 @@ import numpy as np
 
 from .conformal import (PredictionRegion, PValueCurve, YGrid, _min_count,
                         _rank_pvalues)
-from .data_io import check_real, check_sample
+from .data_io import check_int, check_real, check_sample, check_vector
 from .kernels import GramMatrix, KernelSpec
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
 from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
-                     check_z_anchored, fit, z_anchored_problem)
+                     check_lam, check_z_anchored, fit, z_anchored_problem)
 
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
 
@@ -169,7 +169,7 @@ def _derivative_gap(y, z, base: Predictor, loss: LossSpec):
 def rho1(y, z: float, base: Predictor, loss: LossSpec):
     """Local stability radius: half the derivative gap between the two
     anchor outputs at the base fit's query prediction. Never exceeds rho."""
-    return 0.5 * np.abs(_derivative_gap(y, z, base, loss))
+    return 0.5 * np.abs(_derivative_gap(y, check_real("z", z), base, loss))
 
 
 def influence_direction(base: Predictor) -> np.ndarray:
@@ -195,8 +195,8 @@ def influence_vector(z_prime: float, base: Predictor,
     z_prime: -(1/(n+1)) * d1loss(z_prime, query prediction) * direction,
     with d1loss the first derivative of the loss in its second argument
     and direction = influence_direction(base)."""
-    m_q = base.query_prediction()
-    d1 = loss_d(base.problem.loss, 1, float(z_prime), m_q)
+    direction = check_vector("direction", direction, base.problem.gram.n)
+    d1 = loss_d(base.problem.loss, 1, check_real("z_prime", z_prime), base.query_prediction())
     return (-d1 / base.problem.gram.n) * direction
 
 
@@ -208,7 +208,8 @@ def if_predictor(y: float, z: float, base: Predictor,
     at y, along direction = influence_direction(base); only the scalar
     derivative factor depends on y.
     """
-    c = _derivative_gap(float(y), float(z), base, base.problem.loss)
+    direction = check_vector("direction", direction, base.problem.gram.n)
+    c = _derivative_gap(check_real("y", y), check_real("z", z), base, base.problem.loss)
     return base.coeffs + (c / base.problem.gram.n) * direction
 
 
@@ -255,10 +256,17 @@ def tau_profile(level: int, gram: GramMatrix, constants: SmoothnessConstants,
     factor is rho/(lam (n+1)) at level 0, constant in y;
     rho1/(lam (n+1)) at level 1; and the capped second-order radius
     min(rho2/(lam^3 (n+1)^2), 2*rho1/(lam (n+1))) at level 2. Levels 1
-    and 2 take the local radius rho1 per grid point (see rho1); level 0
-    needs none.
+    and 2 take the local radius rho1 per grid point (see rho1), m of
+    them; level 0 needs none. A level other than the integers 0, 1 and 2,
+    an m below 1, a lam that is not positive or an rho1_val that is not
+    a finite vector of m entries raises ValueError naming it.
     """
-    r1 = None if level == 0 else np.asarray(rho1_val, dtype=float)
+    level, m, lam = check_int("level", level), check_int("m", m), check_lam(lam)
+    if level not in (0, 1, 2):
+        raise ValueError(f"level must be 0, 1 or 2, got {level}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    r1 = None if level == 0 else check_vector("rho1_val", rho1_val, m)
     radial, r2 = _level_radial(level, gram, constants, lam, r1)
     if level == 0:
         radial = np.full(m, radial)
@@ -269,7 +277,7 @@ def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float,
     """RKHS-norm bound on exact refit minus influence-function predictor:
     sqrt(K_qq) times tau_profile's level-2 radius, shaped like rho1_val."""
     r1 = np.asarray(rho1_val, dtype=float)
-    radius = tau_profile(2, gram, constants, lam, r1.size, r1).radial
+    radius = tau_profile(2, gram, constants, lam, r1.size, r1.ravel()).radial
     return np.sqrt(gram.diagonal[-1]) * radius.reshape(r1.shape)
 
 
@@ -620,9 +628,7 @@ def thickness_bound(kind: str, gram: GramMatrix,
     otherwise the crude branch 8 * (sup_tau + rho-term) is returned and
     flagged via refined=False.
     """
-    lam = check_real("lam", lam)
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    lam = check_lam(lam)
     np1 = gram.n
     kmax = gram.diag_max
     rho_term = constants.rho * kmax / (lam * np1)

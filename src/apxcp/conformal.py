@@ -53,9 +53,13 @@ class YGrid:
 
     @classmethod
     def from_targets(cls, Y, m: int = 512, margin: float = 0.5) -> "YGrid":
-        """Default grid: the observed output range padded by margin*range
-        on each side, so regions are unlikely to be clipped; margin is a
-        finite number at least 0."""
+        """Default grid: the observed output range [min Y, max Y] padded
+        by margin * (max Y - min Y) on each side (margin a finite number
+        at least 0; a range of zero width counts as max(1, |max Y|)).
+        The padding follows the targets, not the regions, which are
+        centred on the query prediction: at the CLI defaults every region
+        reaches the grid's lower end. PredictionRegion.clipped tells
+        whether a region does."""
         margin = check_real("margin", margin)
         if margin < 0:
             raise ValueError(f"margin must be nonnegative, got {margin}")

@@ -4,10 +4,10 @@ write_table and write_json are the only writers of output files: every
 CSV table and JSON sidecar of the package goes through them, so the
 comment-line stamp, the float format and the JSON layout live here.
 
-check_real, check_int and check_sample are the only checks of what a
-number and a sample are: every function taking one from a caller calls
-them, and keeps only its range rule (positive, at least 2, ...) to
-itself.
+check_real, check_int, check_vector and check_sample are the only
+checks of what a number, a vector and a sample are: every function
+taking one from a caller calls them, and keeps only its range rule
+(positive, at least 2, ...) to itself.
 """
 
 from __future__ import annotations
@@ -41,6 +41,17 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_vector(name: str, value, size: int) -> np.ndarray:
+    """value as a new float array if it is a finite vector of shape
+    (size,), else a ValueError naming name."""
+    vec = np.array(value, dtype=float)
+    if vec.shape != (size,):
+        raise ValueError(f"{name} must have length {size}, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite")
+    return vec
 
 
 def check_sample(X, Y, x_query=None):

@@ -122,11 +122,6 @@ class GramMatrix:
         return float(self._diagonal.max())
 
     @property
-    def query_column(self) -> np.ndarray:
-        """Last column, the kernel sections evaluated at the query input."""
-        return self._entries[:, -1]
-
-    @property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached (eigenvalues, eigenvectors) with eigenvalues ascending."""
         if self._eig is None:

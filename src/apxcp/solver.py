@@ -2,14 +2,20 @@
 empirical risk over coefficient vectors in the range of the Gram matrix.
 
 A problem couples n labeled points with one query input carrying two
-candidate outputs, the anchors (z, y). A weight vector v of length n+2
+candidate outputs, the anchors (z, y). Its risk has n + 2 weighted loss
+terms: the n data points at their predictions K a, and the two anchors,
+both at the query prediction (K a)_n. A weight vector v of length n+2
 switches the data terms and either anchor on or off, so one objective
 covers the base fit (z_anchored_problem: anchor z active, both anchors
 at z), the exact refit at a candidate y (the same problem re-anchored
 at y), and the interpolated weights from the z anchor to the y anchor
-that the influence-function check differentiates along. Weights are
-nonnegative, so every weighted curvature is too, and each Newton step is
-one positive definite solve in prediction space.
+that the influence-function check differentiates along. risk and
+_weighted_derivatives each evaluate the loss once over all n + 2 terms.
+Weights are nonnegative, so every weighted curvature is too, and each
+Newton step is one positive definite solve in prediction space. A fit
+keeps the predictions K a its convergence test was made at, and every
+reader takes its predictions, the query prediction among them, from
+there.
 
 A fit from scratch takes full Newton steps. The warm-started refits along
 a full conformal grid share one _ChordFactor instead: a cached inverse of
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import check_real, check_sample
+from .data_io import check_real, check_sample, check_vector
 from .kernels import GramMatrix, KernelSpec, gram
 from .losses import LossSpec, loss_d, loss_value
 
@@ -52,8 +58,18 @@ def anchor_y_weights(n: int) -> np.ndarray:
     return v
 
 
-def _readonly(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def check_lam(lam) -> float:
+    """lam as a float if it is a positive finite number, the ridge
+    penalty's rule, else a ValueError naming it."""
+    lam = check_real("lam", lam)
+    if lam <= 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    return lam
+
+
+def _readonly_vector(name: str, value, size: int) -> np.ndarray:
+    """check_vector's new array, made read-only."""
+    out = check_vector(name, value, size)
     out.setflags(write=False)
     return out
 
@@ -79,26 +95,19 @@ class WeightedProblem:
     loss: LossSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", _readonly(self.targets))
-        object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "anchors", tuple(
             check_real(f"anchor {name}", a) for name, a in zip("zy", self.anchors)))
-        object.__setattr__(self, "lam", check_real("lam", self.lam))
-        n = self.targets.size
+        object.__setattr__(self, "lam", check_lam(self.lam))
+        n = np.size(self.targets)
         if self.gram.n != n + 1:
             raise ValueError(f"gram has {self.gram.n} points but targets has {n} entries; "
                              f"it needs n + 1 = {n + 1}, the inputs and the query input")
-        if self.weights.shape != (n + 2,):
-            raise ValueError(f"weights must have length {n + 2}, got {self.weights.shape}")
-        for name in ("targets", "weights"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "targets", _readonly_vector("targets", self.targets, n))
+        object.__setattr__(self, "weights", _readonly_vector("weights", self.weights, n + 2))
         negative = np.flatnonzero(self.weights < 0)
         if negative.size:
             i = int(negative[0])
             raise ValueError(f"weights must be nonnegative, got {self.weights[i]} at index {i}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
 
     @property
     def n(self) -> int:
@@ -112,27 +121,23 @@ class WeightedProblem:
         return np.append(self.targets, v[self.n] * z + v[self.n + 1] * y)
 
 
-def _anchor_terms(problem: WeightedProblem, query_pred: float, order: int) -> float:
-    """Weighted loss values (order 0) or derivatives of the two anchors at
-    the query prediction. An anchor of weight 0 is skipped, since
-    x + 0 * f equals x: a z- or y-anchored problem evaluates one anchor."""
-    total = 0.0
-    for weight, anchor in zip(problem.weights[problem.n:], problem.anchors):
-        if weight != 0.0:
-            total += weight * (loss_value(problem.loss, anchor, query_pred) if order == 0
-                               else loss_d(problem.loss, order, anchor, query_pred))
-    return total
+def _loss_terms(problem: WeightedProblem, preds: np.ndarray):
+    """Targets (Y, z, y) and predictions (K a, (K a)_n, (K a)_n) of the
+    n + 2 weighted loss terms at the predictions preds = K a."""
+    return (np.concatenate((problem.targets, problem.anchors)),
+            np.concatenate((preds, preds[problem.n:])))
 
 
 def _weighted_derivatives(problem: WeightedProblem, preds: np.ndarray,
                           order: int) -> np.ndarray:
-    """Loss derivatives of the given order at the predictions K a, data
-    term i weighted by v_i and the two anchors combined at index n."""
+    """Loss derivatives of the given order at the predictions K a, term i
+    weighted by v_i and the two anchor terms summed into index n. An
+    anchor of weight 0 adds exactly nothing while its derivative is
+    finite, since x + 0 * f equals x."""
     n = problem.n
-    out = np.empty(n + 1)
-    out[:n] = problem.weights[:n] * loss_d(problem.loss, order, problem.targets, preds[:n])
-    out[n] = _anchor_terms(problem, float(preds[n]), order)
-    return out
+    out = problem.weights * loss_d(problem.loss, order, *_loss_terms(problem, preds))
+    out[n] += out[n + 1]
+    return out[:n + 1]
 
 
 def _curvature_matrix(problem: WeightedProblem,
@@ -188,14 +193,11 @@ class _ChordFactor:
 
 
 def risk(problem: WeightedProblem, a: np.ndarray) -> float:
-    """Weighted empirical risk plus lam * a^T K a."""
+    """Weighted empirical risk over the n + 2 terms plus lam * a^T K a."""
     a = np.asarray(a, dtype=float)
-    K = problem.gram.entries
-    preds = K @ a
-    n = problem.n
-    data = float(problem.weights[:n] @ loss_value(problem.loss, problem.targets, preds[:n]))
-    total = data + _anchor_terms(problem, float(preds[n]), order=0)
-    return total / (n + 1) + problem.lam * float(a @ preds)
+    preds = problem.gram.entries @ a
+    total = float(problem.weights @ loss_value(problem.loss, *_loss_terms(problem, preds)))
+    return total / (problem.n + 1) + problem.lam * float(a @ preds)
 
 
 def gradient(problem: WeightedProblem, a: np.ndarray) -> np.ndarray:
@@ -230,16 +232,22 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Predictor:
-    """Fitted coefficient vector with convergence diagnostics.
+    """Fitted coefficient vector, its predictions, and convergence
+    diagnostics.
 
-    coeffs lies in the range of the Gram matrix; risk_path records the
-    objective after every accepted step (monotone by construction).
-    factorizations counts the O(n^3) factorizations of the Newton matrix
-    the fit made: one linear solve per Newton step, or one inversion per
-    chord factor rebuild. fit returns one only on convergence.
+    coeffs lies in the range of the Gram matrix. fitted holds the
+    predictions K a at all n+1 sample inputs that fit's convergence test
+    was made at (read-only): exactly K coeffs at full rank, and within
+    rounding of it otherwise, where the converged coefficients are then
+    projected onto the range. risk_path records the objective after
+    every accepted step (monotone by construction). factorizations counts
+    the O(n^3) factorizations of the Newton matrix the fit made: one
+    linear solve per Newton step, or one inversion per chord factor
+    rebuild. fit returns one only on convergence.
     """
 
     coeffs: np.ndarray
+    fitted: np.ndarray = field(repr=False)
     problem: WeightedProblem
     grad_norm: float
     n_iters: int
@@ -247,16 +255,18 @@ class Predictor:
     risk_path: tuple = field(repr=False, default=())
 
     def predictions(self) -> np.ndarray:
-        """Fitted values at all n+1 sample inputs."""
-        return self.problem.gram.entries @ self.coeffs
+        """Fitted values at all n+1 sample inputs, the read-only fitted."""
+        return self.fitted
 
     def query_prediction(self) -> float:
-        return float(self.coeffs @ self.problem.gram.query_column)
+        """Fitted value at the query input, the last of predictions()."""
+        return float(self.fitted[-1])
 
 
 def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         chord: _ChordFactor | None = None) -> Predictor:
-    """Minimize the weighted regularized risk by damped Newton.
+    """Minimize the weighted regularized risk over its n + 2 terms by
+    damped Newton.
 
     With g and d the weighted loss derivatives and curvatures at K a,
     the Newton system H delta = -gradient reduces to
@@ -275,7 +285,9 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     The gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)).
     The risk reads a only through K a, so only the converged coefficients
     are projected onto the range of the Gram matrix, where the minimizer
-    is unique; no other code in the package reads the Gram spectrum.
+    is unique; no other code in the package reads the Gram spectrum. The
+    returned Predictor keeps the K a of the final gradient check as its
+    predictions, so no reader multiplies by K again.
     """
     G = problem.gram
     K = G.entries
@@ -283,11 +295,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     two_lam = 2.0 * problem.lam
     scale = float(np.linalg.norm(problem.effective_targets())) / (n + 1)
     tol = BASE_TOL * (1.0 + scale)
-    a = np.zeros(n + 1) if init is None else np.array(init, dtype=float)
-    if a.shape != (n + 1,):
-        raise ValueError(f"init must have length {n + 1}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("init must be finite")
+    a = np.zeros(n + 1) if init is None else check_vector("init", init, n + 1)
     current = risk(problem, a)
     path = [current]
     grad_norm = np.inf
@@ -301,7 +309,9 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         if grad_norm <= tol:
             a = np.ascontiguousarray(G.project_onto_range(a))
             a.setflags(write=False)
-            return Predictor(a, problem, grad_norm, it - 1, factorizations, tuple(path))
+            preds.setflags(write=False)
+            return Predictor(a, preds, problem, grad_norm, it - 1, factorizations,
+                             tuple(path))
         rhs = -(g / (two_lam * (n + 1)) + a)
         if chord is None:
             direction = _curvature_solve(problem, _weighted_derivatives(problem, preds, 2), rhs)
@@ -346,10 +356,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
 def rkhs_norm_diff(a1: np.ndarray, a2: np.ndarray, gram: GramMatrix) -> float:
     """RKHS norm of the difference of two coefficient vectors,
     sqrt((a1 - a2)^T K (a1 - a2)), clamped at zero."""
-    a1, a2 = np.asarray(a1, dtype=float), np.asarray(a2, dtype=float)
-    if a1.shape != (gram.n,) or a2.shape != (gram.n,):
-        raise ValueError(f"coefficient vectors must have length {gram.n}")
-    d = a1 - a2
+    d = check_vector("a1", a1, gram.n) - check_vector("a2", a2, gram.n)
     return float(np.sqrt(max(float(d @ (gram.entries @ d)), 0.0)))
 
 

@@ -152,6 +152,32 @@ def dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir=None, shift=None,
     return upper, lower
 
 
+def term_by_term_objective(K, targets, anchors, weights, lam, a, loss):
+    """The weighted risk, its gradient and Hessian, and the per-index
+    weighted first and second loss derivatives, summed term by term over
+    the n + 2 terms: data term i at (Y_i, (K a)_i) and the two anchor
+    terms at (z, (K a)_n) and (y, (K a)_n), term j weighted by
+    weights[j]. loss(order, y, u) is the loss (order 0) or its
+    derivative of that order in u. Returns (risk, gradient, hessian,
+    first derivatives, second derivatives)."""
+    K = np.asarray(K, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n = len(targets)
+    preds = K @ a
+    terms = [(float(targets[i]), i) for i in range(n)]
+    terms += [(float(anchors[0]), n), (float(anchors[1]), n)]
+    total = 0.0
+    d1, d2 = np.zeros(n + 1), np.zeros(n + 1)
+    for j, (target, i) in enumerate(terms):
+        total += weights[j] * loss(0, target, preds[i])
+        d1[i] += weights[j] * loss(1, target, preds[i])
+        d2[i] += weights[j] * loss(2, target, preds[i])
+    value = total / (n + 1) + lam * float(a @ K @ a)
+    grad = K @ d1 / (n + 1) + 2.0 * lam * K @ a
+    hess = K @ np.diag(d2) @ K / (n + 1) + 2.0 * lam * K
+    return value, grad, hess, d1, d2
+
+
 def eigh_newton_fit(problem, risk, gradient, hessian, init=None, max_iters=100):
     """Damped Newton with the spectral pseudo-inverse step, the fit the
     package's Newton step in prediction space replaces.

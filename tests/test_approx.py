@@ -155,6 +155,29 @@ def test_tau1_below_tau0():
     assert np.all(t1 <= t0 + 1e-12)
 
 
+@pytest.mark.parametrize("family", ["laplacian", "gaussian_rbf"])
+@pytest.mark.parametrize("loss", [LOGCOSH, LossSpec("pseudo_huber"),
+                                  LossSpec("smoothed_pinball", a=0.5, t=0.3),
+                                  LossSpec("squared")], ids=lambda loss: loss.family)
+def test_every_reader_centres_on_the_fits_own_query_prediction(family, loss):
+    # one prediction vector per fit: the query prediction is its last
+    # entry, the derivative gap (rho1, the influence update) and the
+    # scan's test scores are centred on it, and at full rank it is K a
+    X, Y, xq, _ = friedman1(21, noise_sd=1.0, seed=3).split_query()
+    base = base_fit(X, Y, xq, 1.5, 0.3, loss, KernelSpec(family, "auto"))
+    preds = base.predictions()
+    m_q = base.query_prediction()
+    assert m_q == preds[-1]
+    assert np.array_equal(preds, base.problem.gram.entries @ base.coeffs)
+    ys = np.linspace(-20.0, 40.0, 31)
+    np.testing.assert_array_equal(approx._derivative_gap(ys, 1.5, base, loss),
+                                  loss_d(loss, 1, 1.5, m_q) - loss_d(loss, 1, ys, m_q))
+    if loss.family != "squared":  # the squared loss has no envelope to scan
+        scan = approx._ProblemScan(base, YGrid(-20.0, 40.0, 31), APPROX_KINDS).scan
+        assert scan.test_pred == m_q
+        np.testing.assert_array_equal(scan.test_scores(ys, 0.0), np.abs(ys - m_q))
+
+
 # --- second-order radii ---
 
 def test_rho_tilde1_golden_value():
@@ -197,7 +220,7 @@ def test_influence_direction_solves_hessian_system():
     base = _base(seed=6, n=12)
     direction = influence_direction(base)
     H = hessian(base.problem, base.coeffs)
-    np.testing.assert_allclose(H @ direction, base.problem.gram.query_column,
+    np.testing.assert_allclose(H @ direction, base.problem.gram.entries[:, -1],
                                atol=1e-8)
 
 
@@ -321,6 +344,82 @@ def test_if_error_bound_dominates_exact_refit_gap():
         bound = if_error_bound(gram, LOGCOSH_CONSTANTS, lam,
                                rho1(y, z, base, LOGCOSH))
         assert gap <= bound + 1e-9
+
+
+@pytest.mark.parametrize("level", [5, -1, 3, "local_stability", 1.0, True])
+def test_tau_profile_accepts_only_the_levels_0_1_and_2(level):
+    # every other level used to fall through to the influence-function
+    # envelope
+    with pytest.raises(ValueError, match="level must be"):
+        tau_profile(level, UNIT_GRAM, LOGCOSH_CONSTANTS, 0.1, 2, np.array([0.5, 0.2]))
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("rho1_val", [np.array([0.5, 0.2]), None, np.full((3, 1), 0.5)],
+                         ids=["two radii", "none", "a column"])
+def test_tau_profile_needs_m_local_radii(level, rho1_val):
+    # m = 3 with two radii used to return a two-point profile
+    with pytest.raises(ValueError, match="rho1_val must have length 3"):
+        tau_profile(level, UNIT_GRAM, LOGCOSH_CONSTANTS, 0.1, 3, rho1_val)
+
+
+@pytest.mark.parametrize("m", [0, -2, 2.0])
+def test_tau_profile_checks_m(m):
+    with pytest.raises(ValueError, match="m must be"):
+        tau_profile(0, UNIT_GRAM, LOGCOSH_CONSTANTS, 0.1, m)
+
+
+@pytest.mark.parametrize("lam, message", [(-1.0, "lam must be positive"),
+                                          (0.0, "lam must be positive"),
+                                          (np.nan, "lam must be a finite number")])
+def test_envelope_builders_name_a_bad_lam(lam, message):
+    # a bad lam used to fail as "tau factors must be nonnegative" or "finite"
+    r1 = np.array([0.5, 0.2])
+    for level in (0, 1, 2):
+        with pytest.raises(ValueError, match=message):
+            tau_profile(level, UNIT_GRAM, LOGCOSH_CONSTANTS, lam, 2, r1)
+    with pytest.raises(ValueError, match=message):
+        if_error_bound(UNIT_GRAM, LOGCOSH_CONSTANTS, lam, r1)
+
+
+def test_if_error_bound_keeps_the_shape_of_its_radii():
+    r1 = np.array([[0.5, 0.2], [0.0, 0.1]])
+    bound = if_error_bound(UNIT_GRAM, LOGCOSH_CONSTANTS, 0.5, r1)
+    assert bound.shape == (2, 2)
+    np.testing.assert_array_equal(bound.ravel(),
+                                  if_error_bound(UNIT_GRAM, LOGCOSH_CONSTANTS, 0.5, r1.ravel()))
+    assert np.ndim(if_error_bound(UNIT_GRAM, LOGCOSH_CONSTANTS, 0.5, 0.5)) == 0
+
+
+@pytest.mark.parametrize("direction, message", [
+    (np.ones(3), re.escape("direction must have length 16, got shape (3,)")),
+    (np.ones((16, 1)), re.escape("direction must have length 16, got shape (16, 1)")),
+    (np.r_[np.ones(15), np.nan], "direction must be finite"),
+    (np.r_[np.ones(15), np.inf], "direction must be finite"),
+], ids=["three entries", "a column", "nan", "inf"])
+def test_influence_helpers_check_the_direction(direction, message):
+    # a 3-entry direction at n + 1 = 16 used to give a 3-vector from
+    # influence_vector and fail inside numpy broadcasting in if_predictor
+    base = _base(seed=12)
+    with pytest.raises(ValueError, match=message):
+        influence_vector(1.0, base, direction)
+    with pytest.raises(ValueError, match=message):
+        if_predictor(1.0, 0.0, base, direction)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "1.0", None])
+def test_influence_helpers_and_rho1_name_a_bad_output(bad):
+    # a NaN output used to give NaN coefficients or radii
+    base = _base(seed=12)
+    direction = influence_direction(base)
+    with pytest.raises(ValueError, match="z_prime must be a finite number"):
+        influence_vector(bad, base, direction)
+    with pytest.raises(ValueError, match="y must be a finite number"):
+        if_predictor(bad, 0.0, base, direction)
+    with pytest.raises(ValueError, match="z must be a finite number"):
+        if_predictor(1.0, bad, base, direction)
+    with pytest.raises(ValueError, match="z must be a finite number"):
+        rho1(np.linspace(-1.0, 1.0, 5), bad, base, LOGCOSH)
 
 
 # --- sandwich p-values ---

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from apxcp.data_io import (Dataset, check_int, check_real, check_sample, friedman1,
-                           load_csv, save_csv, write_json, write_table)
+from apxcp.data_io import (Dataset, check_int, check_real, check_sample, check_vector,
+                           friedman1, load_csv, save_csv, write_json, write_table)
 
 from oracles import friedman1_mean
 
@@ -126,6 +126,27 @@ def test_check_int_rejects_what_is_not_an_integer(value):
 def test_check_int_returns_a_plain_int(value):
     out = check_int("size", value)
     assert type(out) is int and out == int(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.zeros(2), r"init must have length 3, got shape \(2,\)"),
+    (np.zeros((3, 1)), r"init must have length 3, got shape \(3, 1\)"),
+    (0.0, r"init must have length 3, got shape \(\)"),
+    ([0.0, math.nan, 1.0], "init must be finite"),
+    ([0.0, 1.0, -math.inf], "init must be finite"),
+])
+def test_check_vector_names_the_vector_that_breaks_the_rule(value, message):
+    with pytest.raises(ValueError, match=message):
+        check_vector("init", value, 3)
+
+
+def test_check_vector_returns_a_new_float_array():
+    value = np.array([1, 2, 3])
+    out = check_vector("init", value, 3)
+    assert out.dtype == float and out.flags.writeable
+    np.testing.assert_array_equal(out, value)
+    out[0] = 7.0
+    assert value[0] == 1
 
 
 @pytest.mark.parametrize("shape, message", [

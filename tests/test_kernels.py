@@ -190,11 +190,12 @@ def test_gram_between_consistency():
         gram_between(spec, pts, rng.uniform(size=(4, 3)))
 
 
-def test_diag_max_and_query_column():
+def test_diag_max_and_diagonal():
     pts = np.array([[0.0], [1.0], [3.0]])
     G = gram(KernelSpec("laplacian", 1.0), pts)
     assert G.diag_max == 1.0
-    np.testing.assert_allclose(G.query_column, G.entries[:, -1])
+    np.testing.assert_array_equal(G.diagonal, np.diag(G.entries))
+    assert not G.diagonal.flags.writeable
 
 
 def test_pseudo_inverse_identity():

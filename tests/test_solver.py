@@ -12,12 +12,13 @@ import pytest
 from apxcp import approx, conformal, kernels, solver
 from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec, gram
-from apxcp.losses import LossSpec
+from apxcp.losses import LossSpec, loss_d, loss_value
 from apxcp.solver import (SolverError, WeightedProblem, anchor_y_weights,
                           anchor_z_weights, augmented_problem, fit, gradient,
                           hessian, risk, rkhs_norm_diff, z_anchored_problem)
 
-from oracles import central_difference, eigh_newton_fit, ridge_closed_form
+from oracles import (central_difference, eigh_newton_fit, ridge_closed_form,
+                     term_by_term_objective)
 
 KERNEL = KernelSpec("laplacian", 1.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +75,14 @@ def test_hand_built_problem_states_the_gram_size_it_needs():
             "gram has 3 points but targets has 5 entries; it needs n + 1 = 6")):
         WeightedProblem(gram(KERNEL, [[0.0], [1.0], [2.0]]), np.zeros(5), (0.0, 0.0),
                         anchor_z_weights(5), 1.0, LossSpec())
+
+
+def test_problem_rejects_targets_that_are_not_a_vector():
+    # a column of targets used to pass and fail inside the first risk call
+    with pytest.raises(ValueError, match=re.escape("targets must have length 2, "
+                                                   "got shape (2, 1)")):
+        WeightedProblem(gram(KERNEL, [[0.0], [1.0], [2.0]]), np.zeros((2, 1)), (0.0, 0.0),
+                        anchor_z_weights(2), 1.0, LossSpec())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -163,6 +172,72 @@ def test_risk_single_point_toy():
     problem = WeightedProblem(G, np.array([0.0]), (0.0, 0.0),
                               anchor_z_weights(1), 1.0, LossSpec("logcosh"))
     assert risk(problem, np.zeros(2)) == 0.0
+
+
+_ALL_LOSSES = (LossSpec("logcosh"), LossSpec("pseudo_huber"),
+               LossSpec("smoothed_pinball", a=0.5, t=0.3), LossSpec("squared"))
+
+
+@pytest.mark.parametrize("loss", _ALL_LOSSES, ids=lambda loss: loss.family)
+def test_objective_matches_a_term_by_term_reference(loss):
+    # the objective is n + 2 weighted loss terms, the two anchors at the
+    # query prediction (K a)_n; z != y so that each anchor term shows
+    rng = np.random.default_rng(17)
+    n = 9
+
+    def scalar_loss(order, y, u):
+        return loss_value(loss, y, u) if order == 0 else loss_d(loss, order, y, u)
+
+    # the z-anchored, the anchor-free and an interpolated weighting
+    for tail in ((1.0, 0.0), (0.0, 0.0), (0.7, 0.3)):
+        weights = np.r_[np.ones(n), tail]
+        problem = _random_problem(rng, n=n, loss=loss, anchors=(0.7, -1.9),
+                                  weights=weights)
+        a = rng.normal(scale=0.5, size=n + 1)
+        want_risk, want_grad, want_hess, want_d1, want_d2 = term_by_term_objective(
+            problem.gram.entries, problem.targets, problem.anchors, weights,
+            problem.lam, a, scalar_loss)
+        preds = problem.gram.entries @ a
+        assert risk(problem, a) == pytest.approx(want_risk, rel=1e-13)
+        np.testing.assert_allclose(gradient(problem, a), want_grad, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(hessian(problem, a), want_hess, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(solver._weighted_derivatives(problem, preds, 1), want_d1)
+        np.testing.assert_array_equal(solver._weighted_derivatives(problem, preds, 2), want_d2)
+
+
+@pytest.mark.parametrize("loss", _ALL_LOSSES, ids=lambda loss: loss.family)
+def test_moving_a_zero_weight_anchor_changes_nothing(loss):
+    # an anchor of weight 0 adds exactly nothing, wherever it sits
+    rng = np.random.default_rng(18)
+    n = 8
+    base = _random_problem(rng, n=n, loss=loss, anchors=(0.4, 0.4))
+    a = rng.normal(scale=0.5, size=n + 1)
+    for weights, moved_anchors in ((anchor_z_weights(n), (0.4, -30.0)),
+                                   (np.r_[np.ones(n), 0.0, 0.0], (25.0, -30.0))):
+        here = replace(base, weights=weights)
+        there = replace(here, anchors=moved_anchors)
+        assert risk(here, a) == risk(there, a)
+        assert np.array_equal(gradient(here, a), gradient(there, a))
+        fit_here, fit_there = fit(here), fit(there)
+        assert np.array_equal(fit_here.coeffs, fit_there.coeffs)
+        assert np.array_equal(fit_here.predictions(), fit_there.predictions())
+
+
+def test_rank_deficient_fit_keeps_the_predictions_of_its_convergence_test():
+    # with repeated inputs the converged coefficients are projected onto
+    # the range of K after the test; the stored predictions are those the
+    # test was made at, within rounding of K times the projected ones
+    rng = np.random.default_rng(19)
+    X = rng.uniform(size=(10, 3))
+    X = np.vstack([X, X[:3]])
+    Y = rng.normal(scale=2.0, size=13)
+    problem = augmented_problem(X, Y, X[4], (0.5, 0.5), anchor_z_weights(13),
+                                0.05, LossSpec("logcosh"), KERNEL)
+    pred = fit(problem)
+    K = problem.gram.entries
+    np.testing.assert_allclose(pred.predictions(), K @ pred.coeffs, rtol=0,
+                               atol=1e-12 * np.abs(K @ pred.coeffs).max())
+    assert pred.query_prediction() == pred.predictions()[-1]
 
 
 def test_gradient_matches_finite_differences():
@@ -392,16 +467,27 @@ def test_rkhs_norm_diff_examples():
                                     (np.zeros(2), np.zeros(3)),
                                     (np.zeros((2, 2)), np.zeros(2))])
 def test_rkhs_norm_diff_rejects_the_wrong_length(a1, a2):
-    with pytest.raises(ValueError, match="coefficient vectors must have length 2"):
+    with pytest.raises(ValueError, match=r"a[12] must have length 2, got shape"):
         rkhs_norm_diff(a1, a2, GramMatrix(np.eye(2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rkhs_norm_diff_rejects_a_nonfinite_vector(bad):
+    # a NaN coefficient used to give a NaN norm
+    with pytest.raises(ValueError, match="a2 must be finite"):
+        rkhs_norm_diff(np.zeros(2), np.array([0.0, bad]), GramMatrix(np.eye(2)))
+
+
 def test_query_prediction_matches_predict():
+    # at full rank the stored predictions are K a bit for bit, and the
+    # query prediction is their last entry
     rng = np.random.default_rng(12)
     problem = _random_problem(rng, n=5)
     pred = fit(problem)
-    assert pred.query_prediction() == pytest.approx(
-        float(pred.coeffs @ problem.gram.query_column), rel=1e-14)
+    preds = pred.predictions()
+    assert np.array_equal(preds, problem.gram.entries @ pred.coeffs)
+    assert pred.query_prediction() == preds[-1]
+    assert not preds.flags.writeable
 
 
 def test_coeffs_live_in_range_of_gram():
