@@ -30,35 +30,42 @@ exactly. A curve over m grid points costs one fit, one linear solve and
 O((m + n) log n) counting, and gives bit for bit the p-values of
 scoring all m * (n+1) pairs. approx_regions needs only whether that
 count reaches c*, the least count whose p-value exceeds alpha, which
-one order statistic of the base scores decides: O(m) comparisons, plus
-an exact count at the few influence-function grid points the shift
-leaves open. Its masks equal the thresholded curves. It takes only the
-base fit, whose problem holds the targets, Gram matrix, lam, loss and
-anchor z, and a sequence of level names, and returns one result per
-name, whose regions are built when first read; approx_pvalue_curves
-takes the inputs and an ApproxMethod (a level name plus z) and fits
-them, or checks a supplied fit against them.
+one order statistic s of the base scores decides. A region holds the
+y whose distance |y - p| to the test prediction p stays within s plus
+or minus an envelope, so only grid points near a region's edges can
+turn on the envelope's value at y. Per block of grid points the scan
+takes the block's least and largest radius and largest
+influence-function shift, and settles every grid point whose distance
+lies below the inner or beyond the outer radius these allow, with a
+rounding slack, by binary search over the sorted grid values. Only the
+band between them gets the exact comparison of the curves: at the
+sweep workload's 100 000 grid points, none of them at levels 0 and 1
+and about 0.1% at level 2. So a region costs O(m) for the derivative
+gap (levels 1 and 2), O(log m) per block and level, and the band. Its
+masks equal the thresholded curves. It takes only the base fit, whose
+problem holds the targets, Gram matrix, lam, loss and anchor z, and a
+sequence of level names, and returns one result per name, whose
+regions are built when first read; approx_pvalue_curves takes the
+inputs and an ApproxMethod (a level name plus z) and fits them, or
+checks a supplied fit against them.
 
 The per-problem work runs once per call, whatever the levels: the
 checks, the base predictions, the sort of the base scores, and the
-influence direction when level 2 is asked for. One loop,
-_ProblemScan.run, then evaluates the grid DEFAULT_CHUNK points at a
-time; each reduction only hands it the function that reduces one
-block. Per block the derivative gap runs once for levels 1 and 2 and
-the test scores once for levels 0 and 1, whose shift is the scalar
-zero; level 0's radius is one scalar. Then, one level at a time, come
-each level's envelope, shift, thresholds and bracket, with the p-values
-or masks written into arrays the loop allocates once for the whole
-grid. Of the envelope, approx_regions keeps only its grid supremum;
-approx_pvalue_curves, whose callers print the envelope, builds it once
-over the whole grid. A block's float temporaries take 64 KiB each. At
-that size the C heap reuses them from block to block, and they stay in
-cache; grid-length temporaries would be mapped afresh by each call and
+influence direction when level 2 is asked for. _ProblemScan then walks
+the grid DEFAULT_CHUNK points at a time, and per block the derivative
+gap runs once for levels 1 and 2; level 0's radius is one scalar. The
+curves score every grid point of the block, and hand their local radii
+to the printed envelope, so the gap runs once per grid point; the
+regions keep of the envelope only its grid supremum, the largest block
+maximum. The p-values or masks go into arrays allocated once for the
+whole grid. A block's float temporaries take 64 KiB each. At that size
+the C heap reuses them from block to block, and they stay in cache;
+grid-length temporaries would be mapped afresh by each call and
 page-faulted in on first touch, which took about 40% of the sweep
 workload's time at m = 100 000. Every float expression is the same
 elementwise as on the whole grid and for a level scanned alone, so
-neither the block split nor the shared work change any bit of any
-result.
+neither the block split, the band nor the shared work change any bit
+of any result.
 """
 
 from __future__ import annotations
@@ -83,6 +90,7 @@ APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
 # under glibc's 128 KiB mmap threshold, so it is reused from the heap and
 # stays in cache instead of being mapped and faulted in afresh
 DEFAULT_CHUNK = 8192
+_EPS = float(np.finfo(float).eps)
 
 
 def _level(kind: str) -> int:
@@ -293,8 +301,9 @@ class _SortedScan:
 
     The data indices are sorted by base score |Y_i - preds_i|; a
     _ScanBlock makes the comparisons of a block of grid points against
-    them. Deciding an index by its base score needs one tau for
-    every data index, i.e. a constant scale[:n].
+    them, and settle decides a block's region masks from its extremes
+    outside a band that needs them. Deciding an index by its base score
+    needs one tau for every data index, i.e. a constant scale[:n].
     """
 
     def __init__(self, Y, preds, k_dir, scale):
@@ -311,11 +320,64 @@ class _SortedScan:
         self.Ys, self.ps, self.ks = Y[order], preds[order], k_dir[order]
         self.k_max = np.max(np.abs(k_dir[:n]))
         self.data_magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n]))
+        # the scalars of settle, as floats
+        self.width = float(self.data_scale + self.test_scale)
+        self.shift_reach = float(self.k_max + abs(self.test_dir))
+        self.magnitude = float(self.data_magnitude + abs(self.test_pred))
 
     def test_scores(self, ys, shift):
         """The test scores of grid values ys, their prediction shifted by
         shift * k_dir."""
         return np.abs(ys - (self.test_pred + shift * self.test_dir))
+
+    def settle(self, ys, c_star: int, r_lo, r_hi, shift_max, masks):
+        """Decide a block's sorted grid values ys from its extremes alone,
+        except in a band near the region's edges, whose indices it returns.
+
+        Each grid point's radius lies in [r_lo, r_hi] and its shift's
+        size is at most shift_max, which moves a data score by at most
+        shift_max * max|k_dir| and the test prediction by shift_max *
+        |k_dir_n|. So a side's count reaches c_star (at least c_star
+        sorted indices, those from n - c_star up, pass) wherever |y - p|,
+        p the test prediction, lies below an inner radius, and falls short
+        of it (the indices up to n - c_star fail) wherever |y - p| lies
+        beyond an outer radius, each radius with a rounding slack of 32
+        ulps of every magnitude in a score or a comparison, as in
+        _ScanBlock.bracket. The inner run of each side of masks (upper,
+        lower) is set; masks must start False. The band, the sorted
+        indices of either side between its two radii, is returned, or
+        None when it is empty.
+        """
+        # an infinite score passes every comparison: every count reaches 0
+        s = float(self.sorted_scores[self.n - c_star]) if c_star else np.inf
+        p, width = float(self.test_pred), self.width
+        reach = shift_max * self.shift_reach
+        magnitude = (self.magnitude + reach + max(abs(float(ys[0])), abs(float(ys[-1])))
+                     + r_hi * width)
+        slack = reach + 32.0 * _EPS * magnitude
+        # (inner, outer) radius of the upper side, which adds each radius
+        # to the data score and takes it from the test score, and of the
+        # lower side, which does the reverse
+        cuts = [(max(s + inside * width - slack, 0.0), max(s + outside * width + slack, 0.0))
+                for inside, outside in ((r_lo, r_hi), (-r_hi, -r_lo))]
+        # a side's inner run is p +- inner, open, and its band reaches to
+        # p +- outer, closed
+        lefts = ys.searchsorted([y for inner, outer in cuts
+                                 for y in (p - outer, p + inner)], "left")
+        rights = ys.searchsorted([y for inner, outer in cuts
+                                  for y in (p - inner, p + outer)], "right")
+        spans = []
+        for mask, (out_lo, in_hi), (in_lo, out_hi) in zip(
+                masks, lefts.reshape(2, 2), rights.reshape(2, 2)):
+            in_hi = max(in_hi, in_lo)
+            mask[in_lo:in_hi] = True
+            spans += [(lo, hi) for lo, hi in ((out_lo, in_lo), (in_hi, out_hi)) if lo < hi]
+        if not spans:
+            return None
+        band = np.zeros(ys.size, bool)
+        for lo, hi in spans:
+            band[lo:hi] = True
+        return np.flatnonzero(band)
 
 
 class _ScanBlock:
@@ -447,11 +509,10 @@ class _ProblemScan:
     level names and of the fit's z anchor, the base predictions, the
     envelope scale, the loss's smoothness constants and the sorted scan
     with its constant-diagonal check, and the influence direction when
-    level 2 is asked for. run() then evaluates the grid DEFAULT_CHUNK
-    points at a time: per block, one derivative gap serves levels 1 and
-    2 and one set of test scores levels 0 and 1, whose shift is the
-    scalar zero, and level 0's radius is one scalar. Of each level's
-    envelope only the largest radius seen is kept.
+    level 2 is asked for. pvalues() and masks() then walk the grid
+    DEFAULT_CHUNK points at a time, and per block one derivative gap
+    serves levels 1 and 2. Of each level's envelope masks() keeps only
+    the largest radius seen.
     """
 
     def __init__(self, base: Predictor, grid: YGrid, kinds):
@@ -478,39 +539,84 @@ class _ProblemScan:
         self.constants = smoothness_constants(problem.loss)
         self.radial_max = dict.fromkeys(self.levels, -np.inf)
 
-    def run(self, reduce, dtype) -> dict:
-        """{level: (upper, lower)}, grid-length arrays of dtype holding
-        reduce(block) of each level's _ScanBlock of every DEFAULT_CHUNK
-        grid points. A block is a temporary of its reduce call, so the
-        temporaries alive at once are one level's plus the shared ones."""
-        m, levels = self.grid.m, self.levels
-        out = {level: (np.empty(m, dtype), np.empty(m, dtype)) for level in levels}
-        for start in range(0, m, DEFAULT_CHUNK):
+    def _blocks(self):
+        """(slice, grid values, derivative gap) of each block of
+        DEFAULT_CHUNK grid points; the gap is None when no level asked
+        for reads it (only level 0)."""
+        for start in range(0, self.grid.m, DEFAULT_CHUNK):
             sl = slice(start, start + DEFAULT_CHUNK)
             ys = self.grid.values[sl]
-            gap = r1 = zero_scores = None
-            if levels[-1] > 0:  # levels 1 and 2 read the derivative gap
+            gap = None
+            if self.levels[-1] > 0:
                 gap = _derivative_gap(ys, self.z, self.base, self.loss)
-                r1 = 0.5 * np.abs(gap)
-            if levels[0] < 2:  # levels 0 and 1 score with the base predictions
-                zero_scores = self.scan.test_scores(ys, 0.0)
-            for level in levels:
-                upper, lower = out[level]
-                upper[sl], lower[sl] = reduce(self._level_block(level, ys, gap, r1, zero_scores))
-        return out
+            yield sl, ys, gap
 
-    def _level_block(self, level, ys, gap, r1, zero_scores) -> _ScanBlock:
+    def _block(self, level: int, ys, gap) -> _ScanBlock:
+        """The level's _ScanBlock of the grid values ys at their
+        derivative gaps (levels 1 and 2), its radii checked. Levels 0 and
+        1 score with the base predictions: their shift is the scalar zero."""
+        r1 = None if level == 0 else 0.5 * np.abs(gap)
         radial, _ = _level_radial(level, self.gram, self.constants, self.lam, r1)
-        [(_, top)] = _tau_ranges(radial)
-        self.radial_max[level] = max(self.radial_max[level], top)
-        if level < 2:
-            return _ScanBlock(self.scan, zero_scores, radial, 0.0)
-        shift = gap / self.gram.n
+        _tau_ranges(radial)
+        shift = gap / self.gram.n if level == 2 else 0.0
         return _ScanBlock(self.scan, self.scan.test_scores(ys, shift), radial, shift)
+
+    def pvalues(self):
+        """Upper and lower p-values over the grid of the one level asked
+        for, every grid point counted by _sandwich_scan, and the local
+        radii rho1 of the scan (None at level 0)."""
+        [level] = self.levels
+        m = self.grid.m
+        upper, lower = np.empty(m), np.empty(m)
+        r1 = None if level == 0 else np.empty(m)
+        for sl, ys, gap in self._blocks():
+            block = self._block(level, ys, gap)
+            upper[sl], lower[sl] = _sandwich_scan(block)
+            if r1 is not None:
+                r1[sl] = 0.5 * np.abs(gap)
+        return upper, lower, r1
+
+    def masks(self, c_star: int) -> dict:
+        """{level: (upper, lower)}, the grid masks of every level asked
+        for: the grid points whose count reaches c_star.
+
+        Per block and level, the rounded radius is monotone in the local
+        radius r1 = |gap| / 2 and the shift's size in |gap|, so the two
+        extremes of the gap give the block's least and largest radius,
+        through _level_radial on two values, and its largest shift: the
+        largest radius is the block's exact maximum, and _tau_ranges
+        checks both. From them _SortedScan.settle decides every grid
+        point but a band near the region's edges, and only the band goes
+        through the exact comparison of _sandwich_masks.
+        """
+        m = self.grid.m
+        # np.full, not np.zeros: calloc'd masks raised the sweep's peak RSS
+        out = {level: (np.full(m, False), np.full(m, False)) for level in self.levels}
+        for sl, ys, gap in self._blocks():
+            r1_ends = gap_max = None
+            if gap is not None:
+                lo, hi = float(gap.min()), float(gap.max())
+                gap_max = max(abs(lo), abs(hi))
+                # a gap that changes sign comes to zero or close to it
+                r1_ends = 0.5 * np.array([min(abs(lo), abs(hi)) if lo * hi > 0 else 0.0,
+                                          gap_max])
+            radii = [_level_radial(level, self.gram, self.constants, self.lam, r1_ends)[0]
+                     for level in self.levels]
+            for level, (r_lo, r_hi) in zip(self.levels, _tau_ranges(*radii)):
+                self.radial_max[level] = max(self.radial_max[level], r_hi)
+                shift_max = gap_max / self.gram.n if level == 2 else 0.0
+                sides = tuple(side[sl] for side in out[level])
+                band = self.scan.settle(ys, c_star, r_lo, r_hi, shift_max, sides)
+                if band is not None:
+                    block = self._block(level, ys[band], None if gap is None else gap[band])
+                    for side, exact in zip(sides, _sandwich_masks(block, c_star)):
+                        side[band] = exact
+        return out
 
     def sup_tau(self, level: int) -> float:
         """The level's envelope supremum over indices and the grid, once
-        run() has; the largest block maximum is the grid maximum exactly."""
+        masks() has run; the largest block maximum is the grid maximum
+        exactly."""
         return float(self.scale.max() * self.radial_max[level])
 
 
@@ -543,11 +649,9 @@ def approx_pvalue_curves(X, Y, x_query, grid: YGrid, method: ApproxMethod,
                 raise ValueError("base fit belongs to another problem "
                                  f"(mismatch in {field_name})")
     scan = _ProblemScan(base, grid, [method.kind])
-    [(upper, lower)] = scan.run(_sandwich_scan, float).values()
+    upper, lower, r1 = scan.pvalues()
     curve = PValueCurve(grid=grid, upper=upper, lower=lower)
-    level = method.level
-    r1 = None if level == 0 else rho1(grid.values, scan.z, base, scan.loss)
-    taus = tau_profile(level, scan.gram, scan.constants, scan.lam, grid.m, r1)
+    taus = tau_profile(method.level, scan.gram, scan.constants, scan.lam, grid.m, r1)
     return ApproxCurveResult(curve=curve, taus=taus, base=base)
 
 
@@ -579,17 +683,19 @@ def approx_regions(base: Predictor, grid: YGrid, kinds,
     base.problem, which must be z-anchored (see solver.check_z_anchored).
     One scan serves every level: the checks, the sort of the base scores,
     the influence direction (when level 2 is asked for), and per grid
-    block the derivative gap and test scores run once. The masks equal
-    region_from_curve of approx_pvalue_curves' curve with base=base on
-    each side, but each grid point compares its scores with one order
-    statistic of the base scores instead of counting them. A string for
+    block the derivative gap run once. The masks equal region_from_curve
+    of approx_pvalue_curves' curve with base=base on each side, but a
+    grid point is compared with one order statistic of the base scores
+    instead of counted, and only in the band near a region's edge that
+    its block's extreme radii and shift leave open (see
+    _ProblemScan.masks). A string for
     kinds raises TypeError; no kinds, an unknown name, a fit that is not
     z-anchored, an alpha outside (0, 1) or a kernel diagonal that is not
     constant raises ValueError.
     """
     c_star = _min_count(base.problem.n, alpha)
     scan = _ProblemScan(base, grid, kinds)
-    masks = scan.run(lambda block: _sandwich_masks(block, c_star), bool)
+    masks = scan.masks(c_star)
     results = {level: ApproxRegionResult(grid, *sides, scan.sup_tau(level))
                for level, sides in masks.items()}
     return [results[level] for level in scan.asked]

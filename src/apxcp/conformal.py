@@ -8,7 +8,7 @@ Lebesgue measures of the discretized set (step times cell count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -184,7 +184,7 @@ def _refit_counts(problem: WeightedProblem, y: float, tests, init=None,
     factor or, without one, by full Newton (solver.fit). Returns, for each
     test value t, the count of data scores at least |t - query prediction|,
     and the fit."""
-    pred = fit(replace(problem, anchors=(y, y)), init=init, chord=chord)
+    pred = fit(problem.reanchored(y), init=init, chord=chord)
     preds = pred.predictions()
     scores = np.sort(np.abs(problem.targets - preds[:problem.n]))
     return _count_at_least(scores, np.abs(tests - preds[problem.n])), pred

@@ -113,6 +113,17 @@ class WeightedProblem:
     def n(self) -> int:
         return self.targets.size
 
+    def reanchored(self, y) -> "WeightedProblem":
+        """This problem with both anchors at y, field for field what
+        dataclasses.replace(self, anchors=(y, y)) gives, without
+        validating the rest again: it shares the Gram matrix and the
+        read-only targets and weights, and checks only y (a ValueError
+        naming anchor y). The exact refit at every grid point re-anchors
+        the one z-anchored problem."""
+        new = object.__new__(WeightedProblem)
+        new.__dict__.update(self.__dict__, anchors=(check_real("anchor y", y),) * 2)
+        return new
+
     def effective_targets(self) -> np.ndarray:
         """Targets with the weight-combined anchor appended; sets the
         convergence scale of the solver."""

@@ -613,6 +613,59 @@ def test_order_statistic_masks_match_counted_curves(inputs, alpha, chunk):
         np.testing.assert_array_equal(mask, dense_pvals > alpha)
 
 
+def _assert_settled_as_exact(scan, ys, shift, radial, c_star):
+    """settle, from the extremes of radial and shift over the sorted grid
+    values ys, with the exact verdict filled into its band, gives the
+    exact comparison's masks."""
+    exact = _sandwich_masks(_block(scan, ys, shift, radial), c_star)
+    settled = (np.zeros(ys.size, bool), np.zeros(ys.size, bool))
+    band = scan.settle(ys, c_star, np.min(radial), np.max(radial),
+                       np.max(np.abs(shift)), settled)
+    if band is not None:
+        assert np.all(np.diff(band) > 0) and 0 <= band[0] and band[-1] < ys.size
+    for mask, want in zip(settled, exact):
+        if band is not None:
+            mask[band] = want[band]
+        np.testing.assert_array_equal(mask, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scan_inputs(), st.one_of(st.sampled_from(sorted(_ALPHAS)),
+                                 st.floats(0.01, 0.99)))
+@example((np.array([0.1]), np.zeros(2), None, None, np.array([0.2]),
+          np.array([1.0, 0.0]), np.array([0.1 + 0.2])), "c*=1")
+def test_settle_decides_only_what_the_exact_comparison_does(inputs, alpha):
+    Y, preds, k_dir, shift, radial, scale, ys = inputs
+    n = Y.size
+    if isinstance(alpha, str):
+        alpha = _ALPHAS[alpha](n)
+    if k_dir is None:  # levels 0 and 1 are the zero shift
+        k_dir, shift = np.zeros(n + 1), np.zeros(ys.size)
+    order = np.argsort(ys, kind="stable")
+    _assert_settled_as_exact(_SortedScan(Y, preds, k_dir, scale), ys[order],
+                             shift[order], radial[order], _min_count(n, alpha))
+
+
+def test_settle_leaves_grid_points_ulps_from_a_threshold_to_the_band():
+    # grid values within 3 ulps of p +- (s +- tau): where rounding decides
+    # the comparison, only the exact comparison may; a settle without its
+    # rounding slack got some of them wrong in almost every trial
+    rng = np.random.default_rng(47)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        Y, preds = rng.uniform(-10, 10, n), rng.uniform(-10, 10, n + 1)
+        scale = np.full(n + 1, rng.choice([0.3, 0.7, 1.3]))
+        scale[n] = rng.choice([0.3, 0.7, 1.1])
+        scan = _SortedScan(Y, preds, np.zeros(n + 1), scale)
+        radius, c_star = rng.uniform(0.0, 3.0), int(rng.integers(1, n + 1))
+        s, p = scan.sorted_scores[n - c_star], preds[n]
+        edges = [p + sign * (s + side * radius * (scale[0] + scale[n]))
+                 for sign in (-1.0, 1.0) for side in (-1.0, 1.0)]
+        ys = np.unique([edge + k * np.spacing(edge) for edge in edges
+                        for k in range(-3, 4)])
+        _assert_settled_as_exact(scan, ys, 0.0, np.full(ys.size, radius), c_star)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(4, 14), m=st.integers(2, 80),
        log_lam=st.floats(-6.0, 2.0), kind=st.sampled_from(APPROX_KINDS),
@@ -747,39 +800,48 @@ def test_thickness_bound_rejects_an_unknown_kind():
 @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"),
                                           (-1.0, "nonnegative")])
 def test_regions_reject_a_bad_envelope_in_any_block(monkeypatch, kind, bad, message):
-    # a radius is checked per level in every block: here only the last
-    # grid point of the second block is bad
+    # a radius is checked per level in every block: here only the radii
+    # of the second block are bad, at their last entry (the block's
+    # largest radius where the regions take two extremes per block)
     X, Y, xq, _ = _instance(37, 10)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     grid = YGrid.from_targets(Y, m=DEFAULT_CHUNK + 5)
-    real = approx._level_radial
-    calls = []
+    real, real_blocks = approx._level_radial, approx._ProblemScan._blocks
+    block = []
+
+    def blocks(self):
+        for index, item in enumerate(real_blocks(self)):
+            block[:] = [index]
+            yield item
 
     def poisoned(level, *args):
         radial, r2 = real(level, *args)
-        calls.append(level)
-        if level == ApproxMethod(kind).level and calls.count(level) == 2:
+        if level == ApproxMethod(kind).level and block == [1]:
             radial = np.array(radial, dtype=float)
             radial.flat[-1] = bad
         return radial, r2
 
+    monkeypatch.setattr(approx._ProblemScan, "_blocks", blocks)
     monkeypatch.setattr(approx, "_level_radial", poisoned)
     with pytest.raises(ValueError, match=f"tau factors must be {message}"):
         approx_regions(base, grid, APPROX_KINDS, 0.1)
-    calls.clear()
+    assert block == [1]
+    block.clear()
     with pytest.raises(ValueError, match=f"tau factors must be {message}"):
         approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5, LOGCOSH,
                              KERNEL, base=base)
+    assert block == [1]
 
 
 def test_one_joint_scan_shares_the_per_problem_and_per_block_work(monkeypatch):
     # one influence direction and one sort per call, and per block one
-    # derivative gap (levels 1 and 2) and one zero-shift plus one shifted
-    # set of test scores, for the three levels together
+    # derivative gap (levels 1 and 2), for the three levels together;
+    # test scores only at the few grid points the band leaves open
     X, Y, xq, _ = _instance(38, 12)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     grid = YGrid.from_targets(Y, m=2 * DEFAULT_CHUNK + 3)  # three blocks
     calls = {"influence": 0, "sort": 0, "gap": 0, "test_scores": 0}
+    scored = []
 
     def counter(name, func):
         def counted(*args, **kwargs):
@@ -787,17 +849,26 @@ def test_one_joint_scan_shares_the_per_problem_and_per_block_work(monkeypatch):
             return func(*args, **kwargs)
         return counted
 
+    def test_scores(self, ys, shift):
+        scored.append(ys.size)
+        return real_test_scores(self, ys, shift)
+
+    real_test_scores = _SortedScan.test_scores
     monkeypatch.setattr(approx, "influence_direction",
                         counter("influence", approx.influence_direction))
     monkeypatch.setattr(approx, "_derivative_gap", counter("gap", approx._derivative_gap))
     monkeypatch.setattr(_SortedScan, "test_scores",
-                        counter("test_scores", _SortedScan.test_scores))
+                        counter("test_scores", test_scores))
     monkeypatch.setattr(approx, "_SortedScan", counter("sort", _SortedScan))
     approx_regions(base, grid, APPROX_KINDS, 0.1)
-    assert calls == {"influence": 1, "sort": 1, "gap": 3, "test_scores": 6}
+    assert {k: calls[k] for k in ("influence", "sort", "gap")} == {
+        "influence": 1, "sort": 1, "gap": 3}
+    # a full scan scored every grid point twice (zero shift, level-2 shift)
+    assert calls["test_scores"] <= 9 and sum(scored) < 0.05 * grid.m
     calls.update(dict.fromkeys(calls, 0))
     approx_regions(base, grid, ["uniform_stability", "local_stability"], 0.1)
-    assert calls == {"influence": 0, "sort": 1, "gap": 3, "test_scores": 3}
+    assert {k: calls[k] for k in ("influence", "sort", "gap")} == {
+        "influence": 0, "sort": 1, "gap": 3}
 
 
 def _assert_same_envelope(got: TauProfile, want: TauProfile):
@@ -881,6 +952,154 @@ def test_region_scan_holds_blocks_not_grids(kind):
     assert result.upper.mask.size == grid.m
     assert retained < 0.5e6, retained / 1e6
     assert peak - retained < 1e6, (peak - retained) / 1e6
+
+
+# --- band-only region scan: far grid points settled from block extremes ---
+
+SMOOTH_LOSSES = [LOGCOSH, LossSpec("pseudo_huber"),
+                 LossSpec("smoothed_pinball", a=0.5, t=0.3)]
+
+
+def _band_alphas(n):
+    """An alpha for c* = 0, c* = 1, c* = n and a middle one."""
+    return [0.5 / (n + 1), 1.0 / (n + 1), n / (n + 1.0), 0.1]
+
+
+def _assert_band_scan_matches_curves(X, Y, xq, grid, lam, loss, kernel, z=0.0):
+    """approx_regions of all three levels equals region_from_curve of each
+    level's approx_pvalue_curves, mask for mask, with the same sup_tau,
+    at every alpha of _band_alphas."""
+    base = base_fit(X, Y, xq, z, lam, loss, kernel)
+    curves = [approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind, z), lam,
+                                   loss, kernel, base=base) for kind in APPROX_KINDS]
+    for alpha in _band_alphas(Y.size):
+        results = approx_regions(base, grid, APPROX_KINDS, alpha)
+        for kind, res, cur in zip(APPROX_KINDS, results, curves):
+            assert res.sup_tau == cur.taus.sup_tau(), (kind, alpha)
+            for side in ("upper", "lower"):
+                np.testing.assert_array_equal(
+                    getattr(res, side).mask,
+                    region_from_curve(cur.curve, alpha, side).mask,
+                    err_msg=f"{kind} {side} alpha={alpha}")
+    return base
+
+
+@pytest.mark.parametrize("family", ["laplacian", "gaussian_rbf"])
+@pytest.mark.parametrize("loss", SMOOTH_LOSSES, ids=lambda loss: loss.family)
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 0.43, 10.0])
+def test_band_scan_matches_thresholded_curves(family, loss, lam):
+    # four blocks, the last of 7 points
+    X, Y, xq, _ = _instance(41, 30)
+    grid = YGrid.from_targets(Y, m=3 * DEFAULT_CHUNK + 7)
+    _assert_band_scan_matches_curves(X, Y, xq, grid, lam, loss,
+                                     KernelSpec(family, 0.5))
+
+
+@pytest.mark.parametrize("loss", SMOOTH_LOSSES, ids=lambda loss: loss.family)
+def test_band_scan_matches_curves_where_regions_are_informative(loss):
+    # noise_sd 1 and lam 0.01: a thick sandwich and regions inside the grid
+    for seed in (42, 43):
+        X, Y, xq, _ = friedman1(61, noise_sd=1.0, seed=seed).split_query()
+        grid = YGrid.from_targets(Y, m=3 * DEFAULT_CHUNK + 7, margin=1.0)
+        _assert_band_scan_matches_curves(X, Y, xq, grid, 0.01, loss, KERNEL, z=1.5)
+
+
+@pytest.mark.parametrize("noise_sd, lam", [(0.1, 0.43), (1.0, 0.01)])
+def test_band_scan_matches_curves_on_a_sweep_sized_grid(noise_sd, lam):
+    X, Y, xq, _ = friedman1(101, noise_sd=noise_sd, seed=44).split_query()
+    grid = YGrid.from_targets(Y, m=100_000)
+    _assert_band_scan_matches_curves(X, Y, xq, grid, lam, LOGCOSH, KERNEL)
+
+
+@pytest.mark.parametrize("where", ["above", "below"])
+def test_band_scan_with_the_test_prediction_outside_the_grid(where):
+    X, Y, xq, _ = _instance(45, 20)
+    base = base_fit(X, Y, xq, 0.0, 0.05, LOGCOSH, KERNEL)
+    p = base.query_prediction()
+    lo, hi = (p + 0.5, p + 30.0) if where == "above" else (p - 30.0, p - 0.5)
+    grid = YGrid(lo, hi, 2 * DEFAULT_CHUNK + 11)
+    _assert_band_scan_matches_curves(X, Y, xq, grid, 0.05, LOGCOSH, KERNEL)
+
+
+def test_band_scan_compares_exactly_across_a_block_boundary(monkeypatch):
+    # the grid of test_blocks_are_invisible_at_block_boundaries puts the
+    # upper end of the level-2 upper region for c* = 1 between grid points
+    # B - 1 and B: the band of each block reaches the boundary
+    B = DEFAULT_CHUNK
+    X, Y, xq, _ = _instance(40, 12)
+    n, lam = Y.size, 0.05
+    base = base_fit(X, Y, xq, 0.0, lam, LOGCOSH, KERNEL)
+    coarse = YGrid.from_targets(Y, m=2001)
+    [edge] = approx_regions(base, coarse, ["influence_function"], 1.0 / (n + 1))
+    step = (coarse.hi - coarse.lo) / (2 * B + 2)
+    lo = edge.upper.intervals[0][1] - (B - 0.5) * step
+    grid = YGrid(lo, lo + (2 * B + 2) * step, 2 * B + 3)
+    compared = []
+    real = approx._ProblemScan._block
+
+    def block(self, level, ys, gap):
+        compared.append((level, ys))
+        return real(self, level, ys, gap)
+
+    monkeypatch.setattr(approx._ProblemScan, "_block", block)
+    approx_regions(base, grid, ["influence_function"], 1.0 / (n + 1))
+    [(_, first), (_, second)] = [(level, ys) for level, ys in compared if level == 2]
+    assert grid.values[B - 1] in first and grid.values[B] in second
+    assert first.size < B and second.size < B
+    monkeypatch.undo()
+    _assert_band_scan_matches_curves(X, Y, xq, grid, lam, LOGCOSH, KERNEL)
+
+
+def test_band_scan_compares_under_two_percent_of_a_sweep_grid(monkeypatch):
+    # the sweep-scan workload's problems (n 100 to 133, default noise, lam
+    # rule, loss and kernel, 100 000 grid points): a fallback to comparing
+    # every grid point exactly would see 100%
+    from apxcp.cli import ExperimentConfig
+
+    cfg = ExperimentConfig()
+    compared = []
+    real = approx._sandwich_masks
+
+    def exact(block, c_star):
+        compared.append(block.sides[0][1].size)
+        return real(block, c_star)
+
+    monkeypatch.setattr(approx, "_sandwich_masks", exact)
+    for n in (100, 110, 121, 133):
+        X, Y, xq, _ = friedman1(n + 1, cfg.noise_sd, seed=(1, n, 0)).split_query()
+        grid = cfg.grid_for(Y, m=100_000)
+        base = base_fit(X, Y, xq, cfg.z_anchor, cfg.lambda_for(n + 1), cfg.loss,
+                        cfg.kernel)
+        for kind in APPROX_KINDS:
+            compared.clear()
+            approx_regions(base, grid, [kind], cfg.alpha)
+            assert sum(compared) < 0.02 * grid.m, (n, kind, sum(compared))
+
+
+def test_curves_evaluate_the_derivative_gap_once_per_grid_point(monkeypatch):
+    # the scan hands its local radii to the printed envelope, which equals
+    # the envelope built from a second pass over the grid
+    X, Y, xq, _ = _instance(46, 20)
+    grid = YGrid.from_targets(Y, m=512)
+    base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
+    sizes = []
+    real = approx.loss_d
+
+    def spy(loss, order, y, u):
+        sizes.append(np.size(y))
+        return real(loss, order, y, u)
+
+    for kind in ("local_stability", "influence_function"):
+        sizes.clear()
+        monkeypatch.setattr(approx, "loss_d", spy)
+        res = approx_pvalue_curves(X, Y, xq, grid, ApproxMethod(kind), 0.5,
+                                   LOGCOSH, KERNEL, base=base)
+        monkeypatch.undo()
+        assert sizes == [1, grid.m], kind
+        level = ApproxMethod(kind).level
+        _assert_same_envelope(res.taus, tau_profile(
+            level, base.problem.gram, LOGCOSH_CONSTANTS, 0.5, grid.m,
+            rho1(grid.values, 0.0, base, LOGCOSH)))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, np.nan])

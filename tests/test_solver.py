@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -654,3 +654,53 @@ def test_fit_and_influence_solve_without_a_hessian_eigendecomposition(monkeypatc
     pred = fit(problem)
     approx.influence_direction(pred)
     fit(replace(problem, anchors=(2.0, 2.0)), init=pred.coeffs)
+
+
+@pytest.mark.parametrize("y", [1.5, np.float64(-2.25), 7])
+def test_reanchored_equals_replace_field_for_field(y):
+    rng = np.random.default_rng(17)
+    problem = _random_problem(rng, n=12, anchors=(0.4, 0.4))
+    got, want = problem.reanchored(y), replace(problem, anchors=(y, y))
+    assert type(got) is WeightedProblem
+    for field in fields(WeightedProblem):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            # shared, not copied: already validated and read-only
+            assert a is getattr(problem, field.name) and not a.flags.writeable
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a is b or a == b, field.name
+    assert got.anchors == (float(y), float(y))
+    assert all(type(a) is float for a in got.anchors)
+    assert problem.anchors == (0.4, 0.4)  # the original is untouched
+    cold = fit(problem)
+    for init in (None, cold.coeffs):
+        a, b = fit(got, init=init), fit(want, init=init)
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        np.testing.assert_array_equal(a.predictions(), b.predictions())
+        assert a.n_iters == b.n_iters
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf, "1.0", None, True])
+def test_reanchored_refuses_a_bad_anchor_by_name(y):
+    problem = _random_problem(np.random.default_rng(18), anchors=(0.0, 0.0))
+    with pytest.raises(ValueError, match="anchor y"):
+        problem.reanchored(y)
+
+
+def test_exact_refits_reanchor_without_revalidating(monkeypatch):
+    # the exact refit at each grid point re-anchors the one z-anchored
+    # problem; validating its targets and weights again cost 15-20 us a
+    # refit at n = 200
+    from apxcp.conformal import YGrid, full_conformal_pvalues
+
+    rng = np.random.default_rng(19)
+    X, Y, xq = rng.uniform(size=(10, 3)), rng.normal(size=10), rng.uniform(size=3)
+    checked = []
+    real = solver._readonly_vector
+    monkeypatch.setattr(solver, "_readonly_vector",
+                        lambda name, *args: checked.append(name) or real(name, *args))
+    full_conformal_pvalues(X, Y, xq, YGrid(-3.0, 3.0, 7), 0.5, LossSpec("logcosh"),
+                           KERNEL)
+    assert checked == ["targets", "weights"]  # the one z-anchored problem

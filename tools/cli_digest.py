@@ -15,7 +15,10 @@ the grid, a fixed lambda, the compare split fraction and fold count) and
 a ``select-lambda`` run with its own d1 fraction and grid margin; last,
 a ``region`` (full) run in the informative regime (noise_sd 1, a fixed
 lambda of 0.01, the pseudo_huber loss), whose exact refits rebuild their
-chord factor several times along the grid. It prints one
+chord factor several times along the grid, and a ``sweep`` run in the same
+regime over four small n on 20 001 grid points, three scan blocks, where
+the band the region scan compares exactly lies inside blocks and, at
+n = 29, runs across the first block boundary. It prints one
 ``sha256  path`` line per output file. Timing columns are dropped from
 the CSVs before hashing, so two checkouts whose numeric outputs agree
 print the same lines: diff the output of two runs to check that a
@@ -78,6 +81,10 @@ FIXED_RUNS += [
     ("region-full-informative", ["region"],
      {"n": 40, "grid": {"m": 101}, "method": "full", "noise_sd": 1,
       "lambda_rule": {"fixed": 0.01}, "loss": {"family": "pseudo_huber"}, "seed": 9}),
+    ("sweep-informative", ["sweep"],
+     {"n_schedule": [20, 24, 29, 35], "sweep": {"repetitions": 1, "grid_m": 20001},
+      "noise_sd": 1, "lambda_rule": {"fixed": 0.01}, "loss": {"family": "pseudo_huber"},
+      "seed": 10}),
 ]
 
 
