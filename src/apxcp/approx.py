@@ -231,8 +231,7 @@ def rho2(gram: GramMatrix, constants: SmoothnessConstants, lam: float, rho1_tild
     """Second-order stability radius controlling the influence-function
     predictor error, from the inflated local radius rho_tilde1."""
     kqq = gram.diagonal[-1]
-    curvature = float(np.mean(gram.diagonal ** 1.5))
-    return (0.5 * constants.xi * np.sqrt(kqq) * curvature * rho1_tilde ** 2
+    return (0.5 * constants.xi * np.sqrt(kqq) * gram.diag_curvature * rho1_tilde ** 2
             + 2.0 * lam * kqq * constants.beta2 * rho1_tilde)
 
 

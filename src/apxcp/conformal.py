@@ -4,6 +4,13 @@ coverage accounting over synthetic repetitions.
 
 All regions are computed over an explicit uniform y-grid; measures are
 Lebesgue measures of the discretized set (step times cell count).
+
+The brute-force full conformal curve makes one solver.fit per grid point,
+in grid order, and reads each p-value off that fit, which met fit's
+gradient tolerance. solver.refit_block only picks where each fit starts:
+it steps the refits of a chunk of grid points together, and a refit whose
+block row converged starts there and takes no step, while one whose row
+left the block early starts from the previous grid point's coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .data_io import (check_int, check_real, check_sample, write_json,
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
 from .solver import (SolverError, WeightedProblem, _ChordFactor, augmented_problem,
-                     check_z_anchored, fit, z_anchored_problem)
+                     check_z_anchored, fit, refit_block, z_anchored_problem)
 
 
 @dataclass(frozen=True)
@@ -177,17 +184,21 @@ def _min_count(n: int, alpha: float) -> int:
     return int(np.argmax(_rank_pvalues(np.arange(n + 1), n) > alpha))
 
 
-def _refit_counts(problem: WeightedProblem, y: float, tests, init=None,
-                  chord: _ChordFactor | None = None):
+# grid points per block of refits (solver.refit_block): a block array
+# takes about 100 KB at n = 200, under glibc's default mmap threshold,
+# and peak memory does not grow with the grid
+REFIT_CHUNK = 64
+
+
+def _refit(problem: WeightedProblem, y: float, init=None,
+           chord: _ChordFactor | None = None):
     """The exact refit at y: problem, z-anchored on the sample, re-anchored
     at y and fit from init (zero when None), by chord steps with the given
-    factor or, without one, by full Newton (solver.fit). Returns, for each
-    test value t, the count of data scores at least |t - query prediction|,
-    and the fit."""
+    factor or, without one, by full Newton (solver.fit). Returns the data
+    scores |Y_i - pred_i|, the query prediction and the fit."""
     pred = fit(problem.reanchored(y), init=init, chord=chord)
     preds = pred.predictions()
-    scores = np.sort(np.abs(problem.targets - preds[:problem.n]))
-    return _count_at_least(scores, np.abs(tests - preds[problem.n])), pred
+    return np.abs(problem.targets - preds[:problem.n]), preds[problem.n], pred
 
 
 def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
@@ -195,26 +206,38 @@ def full_conformal_pvalues(X, Y, x_query, grid: YGrid, lam: float,
     """Exact full conformal p-values by refitting at every grid point.
 
     Each candidate y is attached to the query input and the augmented
-    sample is refit (_refit_counts, the oracle's refit at y), warm-started
-    from the previous grid point's coefficients (the fixed gradient
-    tolerance makes this agree with a refit from scratch). One Gram
-    matrix serves every refit, and one chord factor (solver._ChordFactor)
-    their steps: the refits differ only in the query anchor, so one
-    inverse of the Newton matrix serves many of them, rebuilt only when a
-    chord step contracts the gradient poorly.
+    sample is refit (_refit, the oracle's refit at y): one solver.fit per
+    grid point, in grid order, and each p-value comes from a fit that met
+    fit's gradient tolerance. One Gram matrix serves every refit, and one
+    chord factor (solver._ChordFactor) their steps. The first grid point
+    is fit from zero. The rest go in chunks of REFIT_CHUNK points:
+    solver.refit_block steps every refit of a chunk at once from the
+    previous grid point's fit, and fit then starts each refit from its
+    block row, where it takes no step, or, for a row the block dropped,
+    from the previous grid point's coefficients, which it finishes by
+    chord steps. Either start agrees with a refit from scratch up to the
+    fixed gradient tolerance.
     """
     problem = z_anchored_problem(X, Y, x_query, grid.lo, lam, loss, kernel)
+    values = grid.values
     counts = np.empty(grid.m, dtype=np.int64)
-    init = None
     chord = _ChordFactor()
-    for j, y in enumerate(grid.values):
-        y = float(y)
+
+    def refit(j, init):
+        y = float(values[j])
         try:
-            counts[j], pred = _refit_counts(problem, y, y, init, chord)
+            scores, query, fitted = _refit(problem, y, init, chord)
         except SolverError as err:
             raise SolverError(f"refit failed at grid index {j} (y={y}): {err}",
                               err.coeffs, err.grad_norm) from err
-        init = pred.coeffs
+        counts[j] = np.count_nonzero(scores >= abs(y - query))
+        return fitted
+
+    pred = refit(0, None)
+    for start in range(1, grid.m, REFIT_CHUNK):
+        coeffs, converged = refit_block(pred, values[start:start + REFIT_CHUNK], chord)
+        for k, ok in enumerate(converged):
+            pred = refit(start + k, coeffs[k] if ok else pred.coeffs)
     pvals = _rank_pvalues(counts, problem.n)
     return PValueCurve(grid=grid, upper=pvals, lower=pvals)
 
@@ -231,14 +254,15 @@ def oracle_pvalues(problem: WeightedProblem, y_true: float,
     """Benchmark p-value curve from a single fit that uses the true output.
 
     problem, z_anchored_problem on the sample at any z, gets the exact
-    refit at y_true (_refit_counts, the refit full conformal makes at each
+    refit at y_true (_refit, the refit full conformal makes at each
     grid point), reusing its Gram matrix; the training scores stay fixed
     while the test score varies over the grid. A problem with other
     weights, or whose two anchors differ, raises ValueError (see
     solver.check_z_anchored).
     """
     check_z_anchored(problem, problem.anchors[0], "oracle problem")
-    counts, _ = _refit_counts(problem, check_real("y_true", y_true), grid.values)
+    scores, query, _ = _refit(problem, check_real("y_true", y_true))
+    counts = _count_at_least(np.sort(scores), np.abs(grid.values - query))
     pvals = _rank_pvalues(counts, problem.n)
     return PValueCurve(grid, pvals, pvals)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +121,12 @@ class GramMatrix:
     def diag_max(self) -> float:
         """max_i K_{i,i}, the empirical kernel sup-norm bound."""
         return float(self._diagonal.max())
+
+    @cached_property
+    def diag_curvature(self) -> float:
+        """mean_i K_{i,i}^{3/2}, the curvature constant of the
+        second-order radius (approx.rho2), computed once per matrix."""
+        return float(np.mean(self._diagonal ** 1.5))
 
     @property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -17,14 +17,23 @@ keeps the predictions K a its convergence test was made at, and every
 reader takes its predictions, the query prediction among them, from
 there.
 
-A fit from scratch takes full Newton steps. The warm-started refits along
-a full conformal grid share one _ChordFactor instead: a cached inverse of
-the Newton matrix at earlier curvatures, so that a step costs two
+A fit from scratch takes full Newton steps. The refits along a full
+conformal grid share one _ChordFactor instead: a cached inverse of the
+Newton matrix at earlier curvatures, so that a step costs two
 matrix-vector products in place of a factorization (the chord method).
+refit_block takes those chord steps for a run of grid points at once, as
+matrix-matrix products over their stacked coefficients, from the previous
+grid point's fit shifted by the level-2 update. A refit leaves the block
+once its gradient norm meets fit's tolerance, or once a step stops
+contracting it (CHORD_REBUILD_RATIO). The block certifies nothing: each
+refit is still one fit call, started from its converged block row, where
+fit takes no step, or, for a refit that left early, from the previous grid
+point's coefficients, where fit finishes it by chord steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +47,10 @@ MAX_HALVINGS = 60
 DEFAULT_MAX_ITERS = 2000
 BASE_TOL = 1e-10
 # a chord step that leaves more than this fraction of the gradient norm
-# has the factor rebuilt at the current curvatures before the next step
+# has the factor rebuilt at the current curvatures before the next step,
+# and drops its refit from a block of refits (refit_block)
 CHORD_REBUILD_RATIO = 0.1
+_EPS = float(np.finfo(float).eps)
 
 
 def anchor_z_weights(n: int) -> np.ndarray:
@@ -74,6 +85,14 @@ def _readonly_vector(name: str, value, size: int) -> np.ndarray:
     return out
 
 
+def _term_targets(targets: np.ndarray, anchors: tuple[float, float]) -> np.ndarray:
+    """Targets (Y, z, y) of the n + 2 weighted loss terms, read-only; a
+    problem builds them once, as its term_targets."""
+    out = np.concatenate((targets, anchors))
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class WeightedProblem:
     """Weighted empirical risk instance.
@@ -85,6 +104,9 @@ class WeightedProblem:
               n+1 the y term
     lam     : ridge penalty weight, > 0
     loss    : loss specification
+
+    term_targets, not a field, holds the targets (Y, z, y) of the n + 2
+    weighted loss terms (read-only), built once per problem.
     """
 
     gram: GramMatrix
@@ -108,6 +130,7 @@ class WeightedProblem:
         if negative.size:
             i = int(negative[0])
             raise ValueError(f"weights must be nonnegative, got {self.weights[i]} at index {i}")
+        object.__setattr__(self, "term_targets", _term_targets(self.targets, self.anchors))
 
     @property
     def n(self) -> int:
@@ -121,7 +144,9 @@ class WeightedProblem:
         naming anchor y). The exact refit at every grid point re-anchors
         the one z-anchored problem."""
         new = object.__new__(WeightedProblem)
-        new.__dict__.update(self.__dict__, anchors=(check_real("anchor y", y),) * 2)
+        anchors = (check_real("anchor y", y),) * 2
+        new.__dict__.update(self.__dict__, anchors=anchors,
+                            term_targets=_term_targets(self.targets, anchors))
         return new
 
     def effective_targets(self) -> np.ndarray:
@@ -129,14 +154,13 @@ class WeightedProblem:
         convergence scale of the solver."""
         z, y = self.anchors
         v = self.weights
-        return np.append(self.targets, v[self.n] * z + v[self.n + 1] * y)
+        return np.concatenate((self.targets, (v[self.n] * z + v[self.n + 1] * y,)))
 
 
 def _loss_terms(problem: WeightedProblem, preds: np.ndarray):
     """Targets (Y, z, y) and predictions (K a, (K a)_n, (K a)_n) of the
     n + 2 weighted loss terms at the predictions preds = K a."""
-    return (np.concatenate((problem.targets, problem.anchors)),
-            np.concatenate((preds, preds[problem.n:])))
+    return problem.term_targets, np.concatenate((preds, preds[problem.n:]))
 
 
 def _weighted_derivatives(problem: WeightedProblem, preds: np.ndarray,
@@ -203,10 +227,19 @@ class _ChordFactor:
         return rhs - self.s * (self.inv @ (self.s * (K @ rhs)))
 
 
-def risk(problem: WeightedProblem, a: np.ndarray) -> float:
-    """Weighted empirical risk over the n + 2 terms plus lam * a^T K a."""
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector, sqrt(v @ v), which is what
+    numpy.linalg.norm computes for one, bit for bit."""
+    return math.sqrt(v @ v)
+
+
+def risk(problem: WeightedProblem, a: np.ndarray, preds: np.ndarray | None = None) -> float:
+    """Weighted empirical risk over the n + 2 terms plus lam * a^T K a;
+    preds, when given, must be K a (fit passes the product it shares
+    with its gradient check)."""
     a = np.asarray(a, dtype=float)
-    preds = problem.gram.entries @ a
+    if preds is None:
+        preds = problem.gram.entries @ a
     total = float(problem.weights @ loss_value(problem.loss, *_loss_terms(problem, preds)))
     return total / (problem.n + 1) + problem.lam * float(a @ preds)
 
@@ -296,27 +329,27 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     The gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)).
     The risk reads a only through K a, so only the converged coefficients
     are projected onto the range of the Gram matrix, where the minimizer
-    is unique; no other code in the package reads the Gram spectrum. The
-    returned Predictor keeps the K a of the final gradient check as its
+    is unique; no other code in the package reads the Gram spectrum. Each
+    iterate's K a serves both its risk and its gradient check, and the
+    returned Predictor keeps the K a of the final check as its
     predictions, so no reader multiplies by K again.
     """
     G = problem.gram
     K = G.entries
     n = problem.n
     two_lam = 2.0 * problem.lam
-    scale = float(np.linalg.norm(problem.effective_targets())) / (n + 1)
-    tol = BASE_TOL * (1.0 + scale)
+    tol = BASE_TOL * (1.0 + _norm(problem.effective_targets()) / (n + 1))
     a = np.zeros(n + 1) if init is None else check_vector("init", init, n + 1)
-    current = risk(problem, a)
+    preds = K @ a
+    current = risk(problem, a, preds)
     path = [current]
     grad_norm = np.inf
     factorizations = 0
     before_chord = None  # the gradient norm before the last chord step
     for it in range(1, DEFAULT_MAX_ITERS + 1):
-        preds = K @ a
         g = _weighted_derivatives(problem, preds, 1)
         grad = K @ g / (n + 1) + two_lam * preds
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         if grad_norm <= tol:
             a = np.ascontiguousarray(G.project_onto_range(a))
             a.setflags(write=False)
@@ -341,27 +374,115 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         # near the optimum the exact Armijo decrease falls below the
         # float resolution of the risk; accept any step that does not
         # measurably increase the risk once that happens
-        noise = 32.0 * np.finfo(float).eps * (1.0 + abs(current))
+        noise = 32.0 * _EPS * (1.0 + abs(current))
         step = 1.0
         accepted = None
         for _ in range(MAX_HALVINGS + 1):
             candidate = a + step * direction
-            value = risk(problem, candidate)
+            candidate_preds = K @ candidate
+            value = risk(problem, candidate, candidate_preds)
             required = ARMIJO_C * step * slope
             if value <= current + required or (-required <= noise
                                                and value <= current + noise):
-                accepted = (candidate, value)
+                accepted = (candidate, candidate_preds, value)
                 break
             step *= 0.5
         if accepted is None:
             raise SolverError(
                 f"line search stalled at iteration {it} with gradient norm {grad_norm:.3e}",
                 a, grad_norm)
-        a, current = accepted
+        a, preds, current = accepted
         path.append(current)
     raise SolverError(
         f"no convergence after {DEFAULT_MAX_ITERS} iterations, gradient norm {grad_norm:.3e}",
         a, grad_norm)
+
+
+def refit_block(start: Predictor, ys, chord: _ChordFactor) -> tuple[np.ndarray, np.ndarray]:
+    """Chord iterations on the refits at every y of ys as one block.
+
+    start is a fit of a problem whose two anchors sit at one y0 (a
+    z-anchored problem re-anchored at y0); row j of the block holds the
+    coefficients of that problem re-anchored at ys[j]. Every row starts
+    from start's coefficients shifted by the level-2 update,
+    a0 + v_q (d1(y0) - d1(y)) / (n+1) * direction, with d1 the loss
+    derivative at start's query prediction, v_q the query term's weight
+    and direction the chord step of the query's unit vector over 2 lam.
+    Then all rows take full chord steps with the one factor (built at
+    start's curvatures if it has none, never rebuilt here): per step one
+    loss_d over the k x (n+1) terms and three matrix products, for the
+    gradients, the step and the new predictions. A row leaves the block
+    once its gradient norm meets fit's tolerance (converged), or once a
+    step leaves more than CHORD_REBUILD_RATIO of it, or a norm that is
+    not finite (dropped).
+
+    Returns coeffs, k x (n+1), and converged, k booleans; row j of coeffs
+    holds the last iterate of a converged row and is undefined
+    otherwise. Nothing here certifies a refit: fit does, started from
+    that row (conformal.full_conformal_pvalues).
+    """
+    problem = start.problem
+    K = problem.gram.entries
+    n = problem.n
+    two_lam = 2.0 * problem.lam
+    ys = np.asarray(ys, dtype=float)
+    v = problem.weights
+    w = v[:n + 1].copy()
+    w[n] += v[n + 1]  # both anchor terms sit at y
+    if chord.inv is None:
+        chord.rebuild(problem, _weighted_derivatives(problem, start.fitted, 2))
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
+    direction = chord.step(K, unit) / two_lam
+    d1 = loss_d(problem.loss, 1, np.append(problem.anchors[1], ys), start.fitted[n])
+    # row j is the refit at ys[j]; K is symmetric, so A @ K stacks the K a_j
+    shift = (w[n] * (d1[0] - d1[1:]) / (n + 1))[:, None]
+    A = shift * direction
+    A += start.coeffs
+    P = shift * (K @ direction)  # K A, from start's K a0
+    P += start.fitted
+    T = np.empty_like(A)
+    T[:, :n] = problem.targets
+    T[:, n] = ys
+    targets = problem.targets
+    tol = BASE_TOL * (1.0 + np.sqrt(targets @ targets + (w[n] * ys) ** 2) / (n + 1))
+    w /= two_lam * (n + 1)
+    coeffs = np.empty_like(A)
+    converged = np.zeros(ys.size, dtype=bool)
+    rows = np.arange(ys.size)
+    before = None  # the gradient norms before the last step
+    R, KR = np.empty_like(A), np.empty_like(A)
+    k = ys.size
+    while True:
+        # R is fit's rhs, and K R = -gradient / (2 lam)
+        np.multiply(loss_d(problem.loss, 1, T[:k], P[:k]), w, out=R[:k])
+        R[:k] += A[:k]
+        np.negative(R[:k], out=R[:k])
+        np.matmul(R[:k], K, out=KR[:k])
+        norms = two_lam * np.sqrt(np.einsum("ij,ij->i", KR[:k], KR[:k]))
+        done = norms <= tol
+        coeffs[rows[done]] = A[:k][done]
+        converged[rows[done]] = True
+        keep = ~done & np.isfinite(norms)
+        if before is not None:
+            keep &= norms <= CHORD_REBUILD_RATIO * before
+        if not keep.all():
+            k = int(np.count_nonzero(keep))
+            if not k:
+                break
+            for buf in (A, T, R, KR):
+                buf[:k] = buf[:keep.size][keep]
+            rows, tol, norms = rows[keep], tol[keep], norms[keep]
+        # the chord step R - s B0^{-1} (s K R), one row per refit; P is
+        # its scratch until it takes the new K A
+        KR[:k] *= chord.s
+        np.matmul(KR[:k], chord.inv.T, out=P[:k])
+        P[:k] *= chord.s
+        A[:k] += R[:k]
+        A[:k] -= P[:k]
+        np.matmul(A[:k], K, out=P[:k])
+        before = norms
+    return coeffs, converged
 
 
 def rkhs_norm_diff(a1: np.ndarray, a2: np.ndarray, gram: GramMatrix) -> float:

@@ -190,6 +190,23 @@ def test_rho2_golden_value():
         1.2512500000000002)
 
 
+def test_rho2_pinned_on_a_fixed_gram_matrix():
+    # the curvature constant mean_i K_ii^{3/2} is computed once per Gram
+    # matrix (GramMatrix.diag_curvature) by the expression rho2 used to
+    # evaluate on every call, so the radii stay bit-identical
+    K = np.array([[0.5, 0.1, 0.0, 0.2], [0.1, 1.0, 0.3, 0.0],
+                  [0.0, 0.3, 2.0, 0.4], [0.2, 0.0, 0.4, 1.5]])
+    gram = GramMatrix(K)
+    assert gram.diag_curvature == float(np.mean(np.diag(K) ** 1.5))
+    rt = np.array([0.0, 0.25, 3.0])
+    expected = {LossSpec("logcosh"): [0.0, 0.2825926499095434, 10.993341586974257],
+                LossSpec("pseudo_huber", a=2.0): [0.0, 0.24972596739880054,
+                                                  6.260539305427281]}
+    for loss, values in expected.items():
+        got = rho2(gram, smoothness_constants(loss), 0.3, rt)
+        assert got.tolist() == values, loss
+
+
 def test_rho2_monotone_in_third_derivative_bound():
     lo = SmoothnessConstants(rho=1.0, beta2=1.0, beta1=1.0, xi=0.5)
     hi = SmoothnessConstants(rho=1.0, beta2=1.0, beta1=1.0, xi=2.0)

@@ -381,10 +381,89 @@ def test_full_conformal_chord_refits_match_plain_newton(loss, kernel, lam, seed)
 
 def test_exact_refit_curve_factors_the_newton_matrix_a_handful_of_times(monkeypatch):
     # the exact-refit benchmark's config: n = 200, a grid of 200 points,
-    # the default loss, kernel and lambda rule; full Newton factors about
-    # 100 times along such a curve
+    # the default loss, kernel and lambda rule. Full Newton factors about
+    # 100 times along such a curve; the chord factor is built a handful of
+    # times, and the block of refits (solver.refit_block) hands almost
+    # every fit a start that already meets its tolerance (199 of 200 fits
+    # took no step at seed 3; the first starts from zero)
     cfg = ExperimentConfig(method="full", n=200, grid_m=200)
     X, Y, xq, _ = friedman1(cfg.n + 1, seed=3).split_query()
+    real, fits = conformal.fit, []
+    real_rebuild, rebuilds = solver._ChordFactor.rebuild, []
+
+    def counted(*args, **kwargs):
+        fits.append(real(*args, **kwargs))
+        return fits[-1]
+
+    def rebuild(self, *args):
+        rebuilds.append(None)
+        real_rebuild(self, *args)
+
+    monkeypatch.setattr(conformal, "fit", counted)
+    monkeypatch.setattr(solver._ChordFactor, "rebuild", rebuild)
+    full_conformal_pvalues(X, Y, xq, cfg.grid_for(Y), cfg.lambda_for(Y.size + 1),
+                           cfg.loss, cfg.kernel)
+    assert len(fits) == 200
+    assert 1 <= len(rebuilds) <= 5
+    assert sum(p.n_iters == 0 for p in fits) >= 190
+
+
+def _oracle_curve(X, Y, xq, grid, lam, loss, kernel):
+    problem = z_anchored_problem(X, Y, xq, grid.lo, lam, loss, kernel)
+    return newton_grid_pvalues(problem, grid.values, solver.fit)
+
+
+def _spy_blocks(monkeypatch):
+    """Record (ys, converged) of every solver.refit_block call."""
+    real, blocks = conformal.refit_block, []
+
+    def spy(start, ys, chord):
+        coeffs, converged = real(start, ys, chord)
+        blocks.append((np.array(ys), converged.copy()))
+        return coeffs, converged
+
+    monkeypatch.setattr(conformal, "refit_block", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("lam", [0.01, 1e-4])
+def test_exact_refit_block_matches_plain_newton_at_n_200(lam):
+    # the informative regime at the exact-refit benchmark's size; at
+    # lambda 1e-4 the block drops many columns, which fit then finishes
+    # by chord steps from the previous grid point
+    X, Y, xq, _ = friedman1(200, 1.0, seed=1).split_query()
+    grid = YGrid.from_targets(Y, m=200)
+    loss, kernel = LossSpec("pseudo_huber"), KernelSpec("laplacian")
+    curve = full_conformal_pvalues(X, Y, xq, grid, lam, loss, kernel)
+    np.testing.assert_array_equal(curve.upper,
+                                  _oracle_curve(X, Y, xq, grid, lam, loss, kernel))
+
+
+def test_exact_refits_match_plain_newton_across_block_chunks(monkeypatch):
+    # three full chunks and seven more points after the first, which is
+    # fit alone; each chunk starts from the last certified fit before it
+    X, Y, xq, _ = friedman1(41, 1.0, seed=0).split_query()
+    m = 3 * conformal.REFIT_CHUNK + 7 + 1
+    grid = YGrid.from_targets(Y, m=m)
+    blocks = _spy_blocks(monkeypatch)
+    curve = full_conformal_pvalues(X, Y, xq, grid, 0.01, LOGCOSH, KERNEL)
+    assert [ys.size for ys, _ in blocks] == [conformal.REFIT_CHUNK] * 3 + [7]
+    np.testing.assert_array_equal(np.concatenate([ys for ys, _ in blocks]),
+                                  grid.values[1:])
+    dropped = sum(int((~converged).sum()) for _, converged in blocks)
+    assert 0 < dropped < m - 1  # both starts occur
+    np.testing.assert_array_equal(curve.upper,
+                                  _oracle_curve(X, Y, xq, grid, 0.01, LOGCOSH, KERNEL))
+
+
+def test_exact_refits_match_plain_newton_when_the_block_drops_every_column(monkeypatch):
+    # with a contraction ratio of 0 a column that one chord step does not
+    # take to the tolerance leaves the block, here every column, so every
+    # fit after the first starts from its grid neighbour
+    X, Y, xq, _ = friedman1(41, 1.0, seed=0).split_query()
+    grid = YGrid.from_targets(Y, m=41)
+    monkeypatch.setattr(solver, "CHORD_REBUILD_RATIO", 0.0)
+    blocks = _spy_blocks(monkeypatch)
     real, fits = conformal.fit, []
 
     def counted(*args, **kwargs):
@@ -392,11 +471,27 @@ def test_exact_refit_curve_factors_the_newton_matrix_a_handful_of_times(monkeypa
         return fits[-1]
 
     monkeypatch.setattr(conformal, "fit", counted)
-    full_conformal_pvalues(X, Y, xq, cfg.grid_for(Y), cfg.lambda_for(Y.size + 1),
-                           cfg.loss, cfg.kernel)
-    assert len(fits) == 200
-    assert sum(p.n_iters for p in fits) > 100
-    assert 1 <= sum(p.factorizations for p in fits) <= 5
+    curve = full_conformal_pvalues(X, Y, xq, grid, 1e-4, LOGCOSH, KERNEL)
+    assert not any(converged.any() for _, converged in blocks)
+    assert len(fits) == grid.m
+    np.testing.assert_array_equal(curve.upper,
+                                  _oracle_curve(X, Y, xq, grid, 1e-4, LOGCOSH, KERNEL))
+
+
+def test_full_conformal_fits_once_per_grid_point_in_grid_order(monkeypatch):
+    X, Y, xq, _ = friedman1(41, 1.0, seed=1).split_query()
+    grid = YGrid.from_targets(Y, m=3 * conformal.REFIT_CHUNK)
+    real, calls = conformal.fit, []
+
+    def spy(problem, init=None, chord=None):
+        calls.append((problem.anchors, init is None))
+        return real(problem, init=init, chord=chord)
+
+    monkeypatch.setattr(conformal, "fit", spy)
+    full_conformal_pvalues(X, Y, xq, grid, 0.01, LOGCOSH, KERNEL)
+    assert [anchors for anchors, _ in calls] == [(float(y), float(y)) for y in grid.values]
+    # only the first grid point is fit from zero
+    assert [cold for _, cold in calls] == [True] + [False] * (grid.m - 1)
 
 
 def test_full_conformal_low_alpha_gives_full_grid():

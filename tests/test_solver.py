@@ -373,9 +373,9 @@ def test_fit_line_search_stall_carries_the_iterate_and_its_gradient_norm(monkeyp
     init = np.linspace(-0.5, 0.5, problem.gram.n)
     real = solver.risk
 
-    def nan_after_the_start(problem, a):
+    def nan_after_the_start(problem, a, *preds):
         # every trial step's risk is NaN, which no line search accepts
-        return real(problem, a) if np.array_equal(a, init) else np.nan
+        return real(problem, a, *preds) if np.array_equal(a, init) else np.nan
 
     monkeypatch.setattr(solver, "risk", nan_after_the_start)
     with pytest.raises(SolverError, match="line search stalled at iteration 1") as info:
@@ -704,3 +704,76 @@ def test_exact_refits_reanchor_without_revalidating(monkeypatch):
     full_conformal_pvalues(X, Y, xq, YGrid(-3.0, 3.0, 7), 0.5, LossSpec("logcosh"),
                            KERNEL)
     assert checked == ["targets", "weights"]  # the one z-anchored problem
+
+
+def test_reanchored_problem_builds_its_own_term_targets():
+    # term_targets is cached per problem; a re-anchored copy must not
+    # inherit the cached (Y, z, y) of the problem it came from
+    problem = _random_problem(np.random.default_rng(20), n=5, anchors=(0.4, 0.4))
+    np.testing.assert_array_equal(problem.term_targets, np.r_[problem.targets, 0.4, 0.4])
+    moved = problem.reanchored(-2.0)
+    np.testing.assert_array_equal(moved.term_targets, np.r_[problem.targets, -2.0, -2.0])
+    np.testing.assert_array_equal(problem.term_targets, np.r_[problem.targets, 0.4, 0.4])
+    assert not moved.term_targets.flags.writeable
+
+
+def test_risk_takes_the_predictions_fit_shares_bit_for_bit():
+    problem = _random_problem(np.random.default_rng(21), n=9)
+    a = np.random.default_rng(22).normal(size=problem.gram.n)
+    assert risk(problem, a, problem.gram.entries @ a) == risk(problem, a)
+
+
+def test_fit_evaluates_the_risk_once_at_the_start_and_once_per_trial(monkeypatch):
+    # the benchmark's trace reads line-search halvings off this count
+    problem = _random_problem(np.random.default_rng(23), n=10, lam=0.05)
+    real, calls = solver.risk, []
+
+    def counted(problem, a, *preds):
+        calls.append(None)
+        return real(problem, a, *preds)
+
+    monkeypatch.setattr(solver, "risk", counted)
+    pred = fit(problem)
+    assert pred.n_iters > 1 and len(calls) == 1 + pred.n_iters
+
+
+def _block_setup(lam, seed=0, m=41):
+    X, Y, xq, _ = friedman1(41, 1.0, seed=seed).split_query()
+    ys = np.linspace(Y.min() - 3.0, Y.max() + 3.0, m)
+    problem = z_anchored_problem(X, Y, xq, float(ys[0]), lam, LossSpec("logcosh"), KERNEL)
+    chord = solver._ChordFactor()
+    start = fit(problem.reanchored(float(ys[0])), chord=chord)
+    return problem, chord, start, ys[1:]
+
+
+def test_refit_block_columns_pass_fit_at_zero_steps():
+    problem, chord, start, ys = _block_setup(0.433)
+    inv = chord.inv
+    coeffs, converged = solver.refit_block(start, ys, chord)
+    assert chord.inv is inv  # the shared factor, not rebuilt
+    assert coeffs.shape == (ys.size, problem.gram.n) and converged.all()
+    for y, a in zip(ys, coeffs):
+        here = problem.reanchored(float(y))
+        pred = fit(here, init=a, chord=chord)
+        assert pred.n_iters == 0
+        np.testing.assert_allclose(pred.predictions(), fit(here).predictions(),
+                                   rtol=0, atol=1e-8)
+
+
+def test_refit_block_drops_columns_a_stale_factor_does_not_contract():
+    # at lambda 1e-4 the factor built at the first grid point's start
+    # goes stale along the grid; dropped columns are left to fit
+    problem, chord, start, ys = _block_setup(1e-4)
+    coeffs, converged = solver.refit_block(start, ys, chord)
+    assert 0 < converged.sum() < ys.size  # 2 of 40 converged here
+    tol = lambda p: solver.BASE_TOL * (1 + np.linalg.norm(p.effective_targets()) / (p.n + 1))
+    for y, a in zip(ys[converged], coeffs[converged]):
+        here = problem.reanchored(float(y))
+        assert np.linalg.norm(gradient(here, a)) <= 1.01 * tol(here)
+
+
+def test_refit_block_builds_a_missing_factor_at_the_start():
+    problem, _, start, ys = _block_setup(0.433)
+    chord = solver._ChordFactor()
+    coeffs, converged = solver.refit_block(start, ys[:5], chord)
+    assert chord.inv is not None and converged.all()

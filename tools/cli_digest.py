@@ -12,18 +12,22 @@ gaussian_rbf kernel, whose configs spell some numbers as JSON integers;
 then a ``region`` (cross) and a ``compare`` run that move every checked
 number the other runs leave at its default (alpha, z_anchor, noise_sd,
 the grid, a fixed lambda, the compare split fraction and fold count) and
-a ``select-lambda`` run with its own d1 fraction and grid margin; last,
+a ``select-lambda`` run with its own d1 fraction and grid margin; then
 a ``region`` (full) run in the informative regime (noise_sd 1, a fixed
 lambda of 0.01, the pseudo_huber loss), whose exact refits rebuild their
 chord factor several times along the grid, and a ``sweep`` run in the same
 regime over four small n on 20 001 grid points, three scan blocks, where
 the band the region scan compares exactly lies inside blocks and, at
-n = 29, runs across the first block boundary. It prints one
-``sha256  path`` line per output file. Timing columns are dropped from
-the CSVs before hashing, so two checkouts whose numeric outputs agree
-print the same lines: diff the output of two runs to check that a
-refactor left the CLI outputs byte-identical. Each run's wall seconds go
-to stderr, one ``seconds  name`` line per run, so stdout stays comparable.
+n = 29, runs across the first block boundary; last, a ``region`` (full)
+run in that regime at a fixed lambda of 1e-4 with the logcosh loss, where
+most refits leave the block of refits early (solver.refit_block) and
+``fit`` finishes them by chord steps from the previous grid point. It
+prints one ``sha256  path`` line per output file. Timing columns are
+dropped from the CSVs before hashing, so two checkouts whose numeric
+outputs agree print the same lines: diff the output of two runs to check
+that a refactor left the CLI outputs byte-identical. Each run's wall
+seconds go to stderr, one ``seconds  name`` line per run, so stdout stays
+comparable.
 """
 
 from __future__ import annotations
@@ -85,6 +89,9 @@ FIXED_RUNS += [
      {"n_schedule": [20, 24, 29, 35], "sweep": {"repetitions": 1, "grid_m": 20001},
       "noise_sd": 1, "lambda_rule": {"fixed": 0.01}, "loss": {"family": "pseudo_huber"},
       "seed": 10}),
+    ("region-full-fallback", ["region"],
+     {"n": 40, "grid": {"m": 101}, "method": "full", "noise_sd": 1,
+      "lambda_rule": {"fixed": 0.0001}, "seed": 11}),
 ]
 
 
