@@ -16,7 +16,9 @@ Every envelope factors as tau_i(y) = scale[i] * radial(y), where scale
 carries the kernel diagonal and the levels differ only in the stability
 radius radial(y); tau_profile builds a level's envelope in that form, and
 if_error_bound reads the level-2 radius from it. One loss-derivative gap
-at the query prediction gives the local radius and the influence update.
+at the query prediction, solver._derivative_gap, gives the local radius
+and the influence update; the exact refits' block start
+(solver.refit_block) takes it too.
 Upper and lower p-value curves built from the envelopes sandwich the
 exact full conformal region; the grid measure of their difference is the
 thickness gap diagnostic, with closed-form theoretical bounds alongside.
@@ -80,7 +82,7 @@ from .conformal import (PredictionRegion, PValueCurve, YGrid, _min_count,
 from .data_io import check_int, check_real, check_sample, check_vector
 from .kernels import GramMatrix, KernelSpec
 from .losses import LossSpec, SmoothnessConstants, loss_d, smoothness_constants
-from .solver import (Predictor, _curvature_solve, _weighted_derivatives,
+from .solver import (Predictor, _curvature_solve, _derivative_gap, _weighted_derivatives,
                      check_lam, check_z_anchored, fit, z_anchored_problem)
 
 APPROX_KINDS = ("uniform_stability", "local_stability", "influence_function")
@@ -164,14 +166,6 @@ class TauProfile:
     def sup_tau(self) -> float:
         """Supremum over indices and the grid."""
         return float(self.scale.max() * self.radial.max())
-
-
-def _derivative_gap(y, z, base: Predictor, loss: LossSpec):
-    """Loss-derivative gap d1(z) - d1(y) at the base fit's query
-    prediction: the local radius is half its size, and it scales the
-    influence-function coefficient update."""
-    m_q = base.query_prediction()
-    return loss_d(loss, 1, z, m_q) - loss_d(loss, 1, y, m_q)
 
 
 def rho1(y, z: float, base: Predictor, loss: LossSpec):

@@ -610,14 +610,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out: Path = args.out
     try:
         cfg = load_config(args.config, seed_override=args.seed)
+        out.mkdir(parents=True, exist_ok=True)
     except (OSError, TypeError, ValueError) as err:
-        # a config that cannot be read or fails a rule is a usage error:
-        # usage line and message on stderr, exit code 2
+        # a config that cannot be read or fails a rule, or an --out that
+        # cannot be made a directory, is a usage error: usage line and
+        # message on stderr, exit code 2
         parser.error(str(err))
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     if args.command == "gen-data":
         path = cmd_gen_data(cfg, out)
         print(f"wrote {path}")

@@ -21,9 +21,13 @@ A fit from scratch takes full Newton steps. The refits along a full
 conformal grid share one _ChordFactor instead: a cached inverse of the
 Newton matrix at earlier curvatures, so that a step costs two
 matrix-vector products in place of a factorization (the chord method).
-refit_block takes those chord steps for a run of grid points at once, as
-matrix-matrix products over their stacked coefficients, from the previous
-grid point's fit shifted by the level-2 update. A refit leaves the block
+_ChordFactor.step is the one chord-step formula, for one right-hand side
+(fit) or a stack of rows (refit_block). refit_block takes those chord
+steps for a run of grid points at once, as matrix-matrix products over
+their stacked coefficients, from the previous grid point's fit shifted
+by the level-2 update, which _derivative_gap scales: the one
+loss-derivative gap of the package, which approx reads for its local
+radius and influence update. A refit leaves the block
 once its gradient norm meets fit's tolerance, or once a step stops
 contracting it (CHORD_REBUILD_RATIO). The block certifies nothing: each
 refit is still one fit call, started from its converged block row, where
@@ -206,13 +210,13 @@ class _ChordFactor:
     """The Newton matrix of one earlier step, kept for chord steps.
 
     Holds s0 and B0^{-1} (numpy.linalg.inv, numpy for the reason given in
-    _curvature_solve) of _curvature_matrix at curvatures d0, and applies
-    them as x = rhs - s0 * B0^{-1} (s0 * K rhs), which solves
-    (I + diag(W0) K) x = rhs. That is a Newton step at curvatures d0; at
-    any W0 >= 0 it is a descent direction, so fit's line search and
-    tolerance apply unchanged. inv is None until fit first rebuilds it;
-    fit rebuilds it again after a chord step that contracts the gradient
-    poorly (CHORD_REBUILD_RATIO).
+    _curvature_solve) of _curvature_matrix at curvatures d0. step is the
+    package's one chord-step formula, x = rhs - s0 * B0^{-1} (s0 * K rhs),
+    which solves (I + diag(W0) K) x = rhs: a Newton step at curvatures d0.
+    At any W0 >= 0 it is a descent direction, so fit's line search and
+    tolerance apply unchanged. inv is None until fit or refit_block first
+    rebuilds it; fit rebuilds it again after a chord step that contracts
+    the gradient poorly (CHORD_REBUILD_RATIO).
     """
 
     def __init__(self) -> None:
@@ -223,8 +227,11 @@ class _ChordFactor:
         self.s, B = _curvature_matrix(problem, d)
         self.inv = np.linalg.inv(B)
 
-    def step(self, K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return rhs - self.s * (self.inv @ (self.s * (K @ rhs)))
+    def step(self, K_rhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The chord step x of rhs, given K_rhs = K rhs: one vector, or a
+        stack of rows (row j of K_rhs the product K rhs_j, which is row j
+        of rhs @ K since K is symmetric)."""
+        return rhs - self.s * ((self.s * K_rhs) @ self.inv.T)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -319,7 +326,8 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     _curvature_solve). With a chord factor (the warm-started refits of
     conformal.full_conformal_pvalues; every other fit passes none and
     takes full Newton steps) the step reuses its cached W0 instead
-    (_ChordFactor.step), rebuilt at the current curvatures when it has
+    (_ChordFactor.step of K rhs and rhs, the chord step refit_block also
+    takes), rebuilt at the current curvatures when it has
     none yet or when the last chord step left more than
     CHORD_REBUILD_RATIO of the gradient norm; the factor carries over to
     the next fit that is handed it. A plain gradient step is the fallback
@@ -365,7 +373,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
                                      and grad_norm > CHORD_REBUILD_RATIO * before_chord):
                 chord.rebuild(problem, _weighted_derivatives(problem, preds, 2))
                 factorizations += 1
-            direction = chord.step(K, rhs)
+            direction = chord.step(K @ rhs, rhs)
             before_chord = grad_norm
         slope = float(grad @ direction)
         if slope >= 0.0:
@@ -398,6 +406,16 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
         a, grad_norm)
 
 
+def _derivative_gap(y, z, base: Predictor, loss: LossSpec):
+    """Loss-derivative gap d1(z) - d1(y) at the base fit's query
+    prediction, d1 the loss's first derivative in its second argument.
+    approx takes the local radius as half its size and scales the
+    influence-function coefficient update by it; refit_block shifts its
+    rows' start by it (the level-2 update)."""
+    m_q = base.query_prediction()
+    return loss_d(loss, 1, z, m_q) - loss_d(loss, 1, y, m_q)
+
+
 def refit_block(start: Predictor, ys, chord: _ChordFactor) -> tuple[np.ndarray, np.ndarray]:
     """Chord iterations on the refits at every y of ys as one block.
 
@@ -405,16 +423,16 @@ def refit_block(start: Predictor, ys, chord: _ChordFactor) -> tuple[np.ndarray, 
     z-anchored problem re-anchored at y0); row j of the block holds the
     coefficients of that problem re-anchored at ys[j]. Every row starts
     from start's coefficients shifted by the level-2 update,
-    a0 + v_q (d1(y0) - d1(y)) / (n+1) * direction, with d1 the loss
-    derivative at start's query prediction, v_q the query term's weight
-    and direction the chord step of the query's unit vector over 2 lam.
-    Then all rows take full chord steps with the one factor (built at
-    start's curvatures if it has none, never rebuilt here): per step one
-    loss_d over the k x (n+1) terms and three matrix products, for the
-    gradients, the step and the new predictions. A row leaves the block
-    once its gradient norm meets fit's tolerance (converged), or once a
-    step leaves more than CHORD_REBUILD_RATIO of it, or a norm that is
-    not finite (dropped).
+    a0 + v_q _derivative_gap(y, y0) / (n+1) * direction, with v_q the
+    query term's weight and direction the chord step of the query's unit
+    vector over 2 lam. Then all rows take full chord steps with the one
+    factor (built at start's curvatures if it has none, never rebuilt
+    here): per step one loss_d over the k x (n+1) terms and three matrix
+    products, R @ K for the gradient norms, which _ChordFactor.step takes
+    as its K rhs, the step's own product, and the new predictions. A row
+    leaves the block once its gradient norm meets fit's tolerance
+    (converged), or once a step leaves more than CHORD_REBUILD_RATIO of
+    it, or a norm that is not finite (dropped).
 
     Returns coeffs, k x (n+1), and converged, k booleans; row j of coeffs
     holds the last iterate of a converged row and is undefined
@@ -433,14 +451,12 @@ def refit_block(start: Predictor, ys, chord: _ChordFactor) -> tuple[np.ndarray, 
         chord.rebuild(problem, _weighted_derivatives(problem, start.fitted, 2))
     unit = np.zeros(n + 1)
     unit[n] = 1.0
-    direction = chord.step(K, unit) / two_lam
-    d1 = loss_d(problem.loss, 1, np.append(problem.anchors[1], ys), start.fitted[n])
+    direction = chord.step(K[:, n], unit) / two_lam
+    gap = _derivative_gap(ys, problem.anchors[1], start, problem.loss)
     # row j is the refit at ys[j]; K is symmetric, so A @ K stacks the K a_j
-    shift = (w[n] * (d1[0] - d1[1:]) / (n + 1))[:, None]
-    A = shift * direction
-    A += start.coeffs
-    P = shift * (K @ direction)  # K A, from start's K a0
-    P += start.fitted
+    shift = (w[n] * gap / (n + 1))[:, None]
+    A = shift * direction + start.coeffs
+    P = shift * (K @ direction) + start.fitted  # K A, from start's K a0
     T = np.empty_like(A)
     T[:, :n] = problem.targets
     T[:, n] = ys
@@ -450,38 +466,19 @@ def refit_block(start: Predictor, ys, chord: _ChordFactor) -> tuple[np.ndarray, 
     coeffs = np.empty_like(A)
     converged = np.zeros(ys.size, dtype=bool)
     rows = np.arange(ys.size)
-    before = None  # the gradient norms before the last step
-    R, KR = np.empty_like(A), np.empty_like(A)
-    k = ys.size
-    while True:
+    before = np.inf  # the gradient norms before the last step
+    while rows.size:
         # R is fit's rhs, and K R = -gradient / (2 lam)
-        np.multiply(loss_d(problem.loss, 1, T[:k], P[:k]), w, out=R[:k])
-        R[:k] += A[:k]
-        np.negative(R[:k], out=R[:k])
-        np.matmul(R[:k], K, out=KR[:k])
-        norms = two_lam * np.sqrt(np.einsum("ij,ij->i", KR[:k], KR[:k]))
+        R = -(loss_d(problem.loss, 1, T, P) * w + A)
+        KR = R @ K
+        norms = two_lam * np.sqrt(np.einsum("ij,ij->i", KR, KR))
         done = norms <= tol
-        coeffs[rows[done]] = A[:k][done]
+        coeffs[rows[done]] = A[done]
         converged[rows[done]] = True
-        keep = ~done & np.isfinite(norms)
-        if before is not None:
-            keep &= norms <= CHORD_REBUILD_RATIO * before
-        if not keep.all():
-            k = int(np.count_nonzero(keep))
-            if not k:
-                break
-            for buf in (A, T, R, KR):
-                buf[:k] = buf[:keep.size][keep]
-            rows, tol, norms = rows[keep], tol[keep], norms[keep]
-        # the chord step R - s B0^{-1} (s K R), one row per refit; P is
-        # its scratch until it takes the new K A
-        KR[:k] *= chord.s
-        np.matmul(KR[:k], chord.inv.T, out=P[:k])
-        P[:k] *= chord.s
-        A[:k] += R[:k]
-        A[:k] -= P[:k]
-        np.matmul(A[:k], K, out=P[:k])
-        before = norms
+        keep = ~done & np.isfinite(norms) & (norms <= CHORD_REBUILD_RATIO * before)
+        A, T, R, KR, rows, tol, before = (x[keep] for x in (A, T, R, KR, rows, tol, norms))
+        A += chord.step(KR, R)
+        P = A @ K
     return coeffs, converged
 
 

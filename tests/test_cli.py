@@ -892,6 +892,18 @@ def test_main_reports_a_missing_config_file_as_a_usage_error(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_main_reports_an_out_path_naming_a_file_as_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    with pytest.raises(SystemExit) as exc:
+        main(["region", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: apxcp") and str(out) in err
+    assert out.read_text() == "not a directory"
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
 def test_main_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

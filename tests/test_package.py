@@ -32,5 +32,8 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
+    # the distribution carries the import package's and the script's name
+    assert project["name"] == "apxcp" == apxcp.__name__
+    assert "apxcp" in project["scripts"]
     assert apxcp.__version__ == project["version"]
     assert cli.VERSION == apxcp.__version__

@@ -777,3 +777,24 @@ def test_refit_block_builds_a_missing_factor_at_the_start():
     chord = solver._ChordFactor()
     coeffs, converged = solver.refit_block(start, ys[:5], chord)
     assert chord.inv is not None and converged.all()
+
+
+def test_refit_block_returns_at_once_on_an_empty_run():
+    problem, chord, start, _ = _block_setup(0.433)
+    inv = chord.inv
+    coeffs, converged = solver.refit_block(start, [], chord)
+    assert coeffs.shape == (0, problem.gram.n) and converged.shape == (0,)
+    assert chord.inv is inv
+
+
+def test_chord_step_on_a_stack_of_rows_matches_the_single_row_steps():
+    problem, chord, _, _ = _block_setup(0.01)
+    K = problem.gram.entries
+    rhs = np.random.default_rng(4).standard_normal((5, problem.gram.n))
+    stacked = chord.step(rhs @ K, rhs)
+    assert stacked.shape == rhs.shape
+    for row, r in zip(stacked, rhs):
+        # gemm and gemv may round differently
+        single = chord.step(K @ r, r)
+        np.testing.assert_allclose(row, single, rtol=1e-13,
+                                   atol=1e-13 * np.abs(single).max())
