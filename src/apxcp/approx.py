@@ -24,32 +24,36 @@ exact full conformal region; the grid measure of their difference is the
 thickness gap diagnostic, with closed-form theoretical bounds alongside.
 
 One scan per base fit serves every level a caller asks for: the data
-scores are sorted once, and the scan has two reductions.
+scores are sorted once, and per grid point and side one bracket around
+the comparison's threshold, a rounding slack wide plus the most the
+influence-function shift can move a score, decides every data index
+whose base score lies outside it. The scan has two reductions.
 approx_pvalue_curves counts, per grid point, the data indices passing
-the score comparison: a data index is decided by its sorted base score
-unless it lies in a short band around the threshold, where it is scored
-exactly. A curve over m grid points costs one fit, one linear solve and
-O((m + n) log n) counting, and gives bit for bit the p-values of
+the score comparison: those the bracket leaves open are scored
+exactly. A curve over m grid points costs one fit, one linear solve
+and O((m + n) log n) counting, and gives bit for bit the p-values of
 scoring all m * (n+1) pairs. approx_regions needs only whether that
 count reaches c*, the least count whose p-value exceeds alpha, which
-one order statistic s of the base scores decides. A region holds the
-y whose distance |y - p| to the test prediction p stays within s plus
-or minus an envelope, so only grid points near a region's edges can
-turn on the envelope's value at y. Per block of grid points the scan
-takes the block's least and largest radius and largest
-influence-function shift, and settles every grid point whose distance
-lies below the inner or beyond the outer radius these allow, with a
-rounding slack, by binary search over the sorted grid values. Only the
-band between them gets the exact comparison of the curves: at the
-sweep workload's 100 000 grid points, none of them at levels 0 and 1
-and about 0.1% at level 2. So a region costs O(m) for the derivative
-gap (levels 1 and 2), O(log m) per block and level, and the band. Its
-masks equal the thresholded curves. It takes only the base fit, whose
-problem holds the targets, Gram matrix, lam, loss and anchor z, and a
-sequence of level names, and returns one result per name, whose
-regions are built when first read; approx_pvalue_curves takes the
-inputs and an ApproxMethod (a level name plus z) and fits them, or
-checks a supplied fit against them.
+one order statistic s of the base scores decides: at zero shift
+(levels 0 and 1) by one comparison per grid point, with a shift
+wherever s lies outside the bracket, and the rare grid point with s
+inside it is counted. A region holds the y whose distance |y - p| to
+the test prediction p stays within s plus or minus an envelope, so
+only grid points near a region's edges can turn on the envelope's
+value at y. Per block of grid points the scan takes the block's least
+and largest radius and largest influence-function shift, and settles
+every grid point whose distance lies below the inner or beyond the
+outer radius these allow, with a rounding slack, by binary search over
+the sorted grid values. Only the band between them gets the exact
+comparison of the curves: at the sweep workload's 100 000 grid points,
+none of them at levels 0 and 1 and about 0.1% at level 2. So a region
+costs O(m) for the derivative gap (levels 1 and 2), O(log m) per block
+and level, and the band. Its masks equal the thresholded curves. It
+takes only the base fit, whose problem holds the targets, Gram matrix,
+lam, loss and anchor z, and a sequence of level names, and returns one
+result per name, whose regions are built when first read;
+approx_pvalue_curves takes the inputs and an ApproxMethod (a level
+name plus z) and fits them, or checks a supplied fit against them.
 
 The per-problem work runs once per call, whatever the levels: the
 checks, the base predictions, the sort of the base scores, and the
@@ -296,7 +300,10 @@ class _SortedScan:
     _ScanBlock makes the comparisons of a block of grid points against
     them, and settle decides a block's region masks from its extremes
     outside a band that needs them. Deciding an index by its base score
-    needs one tau for every data index, i.e. a constant scale[:n].
+    needs one tau for every data index, i.e. a constant scale[:n]. The
+    scan's constants are kept once, as floats, for both: k_max, the
+    largest |k_dir_i| over the data, and data_magnitude, max|Y_i| plus
+    max|preds_i|, the largest magnitude of a data score's terms.
     """
 
     def __init__(self, Y, preds, k_dir, scale):
@@ -306,47 +313,41 @@ class _SortedScan:
                              "diagonal k(x, x) over the data inputs (the unit "
                              "diagonal of the laplacian and gaussian_rbf kernels)")
         self.data_scale, self.test_scale = scale[0], scale[n]
-        self.test_pred, self.test_dir = preds[n], k_dir[n]
+        self.test_pred, self.test_dir = float(preds[n]), float(k_dir[n])
         base_scores = np.abs(Y - preds[:n])
         order = np.argsort(base_scores)
         self.sorted_scores = base_scores[order]
         self.Ys, self.ps, self.ks = Y[order], preds[order], k_dir[order]
-        self.k_max = np.max(np.abs(k_dir[:n]))
-        self.data_magnitude = np.max(np.abs(Y)) + np.max(np.abs(preds[:n]))
-        # the scalars of settle, as floats
-        self.width = float(self.data_scale + self.test_scale)
-        self.shift_reach = float(self.k_max + abs(self.test_dir))
-        self.magnitude = float(self.data_magnitude + abs(self.test_pred))
+        self.k_max = float(np.max(np.abs(k_dir[:n])))
+        self.data_magnitude = float(np.max(np.abs(Y)) + np.max(np.abs(preds[:n])))
 
     def test_scores(self, ys, shift):
         """The test scores of grid values ys, their prediction shifted by
         shift * k_dir."""
         return np.abs(ys - (self.test_pred + shift * self.test_dir))
 
-    def settle(self, ys, c_star: int, r_lo, r_hi, shift_max, masks):
+    def settle(self, ys, s: float, r_lo, r_hi, shift_max, masks):
         """Decide a block's sorted grid values ys from its extremes alone,
         except in a band near the region's edges, whose indices it returns.
 
-        Each grid point's radius lies in [r_lo, r_hi] and its shift's
-        size is at most shift_max, which moves a data score by at most
-        shift_max * max|k_dir| and the test prediction by shift_max *
-        |k_dir_n|. So a side's count reaches c_star (at least c_star
-        sorted indices, those from n - c_star up, pass) wherever |y - p|,
-        p the test prediction, lies below an inner radius, and falls short
-        of it (the indices up to n - c_star fail) wherever |y - p| lies
-        beyond an outer radius, each radius with a rounding slack of 32
-        ulps of every magnitude in a score or a comparison, as in
-        _ScanBlock.bracket. The inner run of each side of masks (upper,
-        lower) is set; masks must start False. The band, the sorted
-        indices of either side between its two radii, is returned, or
-        None when it is empty.
+        s is the order statistic of _ProblemScan.masks: a count reaches
+        c* exactly when the sorted index n - c* passes, and s is its base
+        score. Each grid point's radius lies in [r_lo, r_hi] and its
+        shift's size is at most shift_max, which moves a data score by at
+        most shift_max * k_max and the test prediction by shift_max *
+        |k_dir_n|. So a side's count reaches c* wherever |y - p|, p the
+        test prediction, lies below an inner radius, and falls short of it
+        wherever |y - p| lies beyond an outer radius, each radius with a
+        rounding slack of 32 ulps of every magnitude in a score or a
+        comparison, as in _ScanBlock.bracket. The inner run of each side
+        of masks (upper, lower) is set; masks must start False. The band,
+        the sorted indices of either side between its two radii, is
+        returned, or None when it is empty.
         """
-        # an infinite score passes every comparison: every count reaches 0
-        s = float(self.sorted_scores[self.n - c_star]) if c_star else np.inf
-        p, width = float(self.test_pred), self.width
-        reach = shift_max * self.shift_reach
-        magnitude = (self.magnitude + reach + max(abs(float(ys[0])), abs(float(ys[-1])))
-                     + r_hi * width)
+        p, width = self.test_pred, float(self.data_scale + self.test_scale)
+        reach = shift_max * (self.k_max + abs(self.test_dir))
+        magnitude = (self.data_magnitude + abs(p) + reach
+                     + max(abs(float(ys[0])), abs(float(ys[-1]))) + r_hi * width)
         slack = reach + 32.0 * _EPS * magnitude
         # (inner, outer) radius of the upper side, which adds each radius
         # to the data score and takes it from the test score, and of the
@@ -377,33 +378,31 @@ class _ScanBlock:
     """The comparisons of one block of grid points against the sorted data.
 
     radial is the block's envelope radius and shift its prediction shift,
-    each one scalar when it is constant in y. The shift moves a data score by at most reach_j = |shift_j| *
-    max|k_dir|, so an index whose base score lies more than reach_j (plus
-    a rounding slack) past grid point j's threshold is decided by its
-    base score alone; bracket gives those limits, and counts applies the
-    exact float predicate to the indices between them.
+    each one scalar when it is constant in y. The shift moves a data score
+    by at most reach_j = |shift_j| * k_max, so an index whose base score
+    lies more than reach_j (plus a rounding slack) past grid point j's
+    threshold is decided by its base score alone; bracket gives those
+    limits, and counts applies the exact float predicate to the indices
+    between them. At zero shift (levels 0 and 1) reach is zero and the
+    bracket is the rounding slack alone.
     """
 
     def __init__(self, scan: _SortedScan, test_scores, radial, shift):
         self.scan, self.shift = scan, shift
+        self.reach = np.abs(shift) * scan.k_max
         data_taus = radial * scan.data_scale
         test_taus = radial * scan.test_scale
         # (offsets, thresholds) of the upper and the lower side
         self.sides = ((data_taus, test_scores - test_taus),
                       (-data_taus, test_scores + test_taus))
 
-    @cached_property
-    def reach(self):
-        return np.abs(self.shift) * self.scan.k_max
-
     def bracket(self, offsets, thresholds):
         """Per grid point, limits (lo, hi): a sorted index whose base score
         is below lo fails the comparison, one above hi passes it."""
         centers = thresholds - offsets
-        eps = np.finfo(float).eps
         # a few ulps of every magnitude entering a score or a comparison
         magnitude = self.scan.data_magnitude + self.reach
-        half = self.reach + 32.0 * eps * (magnitude + np.abs(thresholds)
+        half = self.reach + 32.0 * _EPS * (magnitude + np.abs(thresholds)
                                           + np.abs(offsets))
         return centers - half, centers + half
 
@@ -436,36 +435,25 @@ class _ScanBlock:
         return counts
 
 
-def _sandwich_scan(block: _ScanBlock):
-    """Upper and lower sandwich p-values of one block's grid points. Each
-    grid point's count scores only the band of sorted indices its
-    bracket leaves open (see _ScanBlock.counts)."""
-
-    def pvalues(offsets, thresholds):
-        lo, hi = block.bracket(offsets, thresholds)
-        counts = block.counts(slice(None), lo, hi, offsets, thresholds)
-        return _rank_pvalues(counts, block.scan.n)
-
-    return tuple(pvalues(*side) for side in block.sides)
-
-
-def _sandwich_masks(block: _ScanBlock, c_star: int):
+def _sandwich_masks(block: _ScanBlock, s: float, c_star: int):
     """Upper and lower sandwich masks of one block's grid points: those
-    whose count in _sandwich_scan is at least c_star, i.e. whose p-value
-    exceeds alpha for c_star = conformal._min_count(n, alpha).
+    whose count (_ScanBlock.counts) is at least c_star, i.e. whose
+    p-value exceeds alpha for c_star = conformal._min_count(n, alpha).
 
     The comparison is monotone in the data score, since float addition
-    is, so at zero shift a count reaches c_star exactly when the sorted
-    index n - c_star passes: one comparison per grid point with that
-    index's base score s. With a shift, a grid point whose bracket puts s
-    below lo (fewer than c_star can pass) or above hi (at least c_star
+    is, so a count reaches c_star exactly when the sorted index
+    n - c_star passes; s is that index's base score, or inf when c_star
+    is 0 (see _ProblemScan.masks). At zero shift that is one comparison
+    per grid point with s. With a shift, a grid point whose bracket puts
+    s below lo (fewer than c_star pass) or above hi (at least c_star
     pass) is decided the same way; only the few in between are counted.
     """
-    scan = block.scan
-    # every count reaches c* = 0, as an infinite score passes every comparison
-    s = scan.sorted_scores[scan.n - c_star] if c_star else np.inf
 
     def reaches_c_star(offsets, thresholds):
+        # kept for the informative regime (noise sd 1, lam 0.01, n 20 to
+        # 35), where about a third of level 1's grid points reach this
+        # exact comparison (none in the default regime) and the bracket
+        # and its count take several times the one comparison with s
         if not block.reach.any():  # every score is its base score
             return s + offsets >= thresholds
         lo, hi = block.bracket(offsets, thresholds)
@@ -556,15 +544,19 @@ class _ProblemScan:
 
     def pvalues(self):
         """Upper and lower p-values over the grid of the one level asked
-        for, every grid point counted by _sandwich_scan, and the local
-        radii rho1 of the scan (None at level 0)."""
+        for, the rank p-values of every grid point's count on each side
+        (_ScanBlock.counts within its bracket), and the local radii rho1
+        of the scan (None at level 0)."""
         [level] = self.levels
         m = self.grid.m
         upper, lower = np.empty(m), np.empty(m)
         r1 = None if level == 0 else np.empty(m)
         for sl, ys, gap in self._blocks():
             block = self._block(level, ys, gap)
-            upper[sl], lower[sl] = _sandwich_scan(block)
+            for out, (offsets, thresholds) in zip((upper, lower), block.sides):
+                lo, hi = block.bracket(offsets, thresholds)
+                counts = block.counts(slice(None), lo, hi, offsets, thresholds)
+                out[sl] = _rank_pvalues(counts, self.scan.n)
             if r1 is not None:
                 r1[sl] = 0.5 * np.abs(gap)
         return upper, lower, r1
@@ -573,7 +565,9 @@ class _ProblemScan:
         """{level: (upper, lower)}, the grid masks of every level asked
         for: the grid points whose count reaches c_star.
 
-        Per block and level, the rounded radius is monotone in the local
+        Whether a count reaches c_star turns on one order statistic s,
+        the base score of sorted index n - c_star (inf when c_star is 0),
+        computed once here for settle and _sandwich_masks. Per block and level, the rounded radius is monotone in the local
         radius r1 = |gap| / 2 and the shift's size in |gap|, so the two
         extremes of the gap give the block's least and largest radius,
         through _level_radial on two values, and its largest shift: the
@@ -582,7 +576,9 @@ class _ProblemScan:
         point but a band near the region's edges, and only the band goes
         through the exact comparison of _sandwich_masks.
         """
-        m = self.grid.m
+        m, scan = self.grid.m, self.scan
+        # every count reaches c* = 0, as an infinite score passes every comparison
+        s = float(scan.sorted_scores[scan.n - c_star]) if c_star else np.inf
         # np.full, not np.zeros: calloc'd masks raised the sweep's peak RSS
         out = {level: (np.full(m, False), np.full(m, False)) for level in self.levels}
         for sl, ys, gap in self._blocks():
@@ -599,10 +595,10 @@ class _ProblemScan:
                 self.radial_max[level] = max(self.radial_max[level], r_hi)
                 shift_max = gap_max / self.gram.n if level == 2 else 0.0
                 sides = tuple(side[sl] for side in out[level])
-                band = self.scan.settle(ys, c_star, r_lo, r_hi, shift_max, sides)
+                band = scan.settle(ys, s, r_lo, r_hi, shift_max, sides)
                 if band is not None:
                     block = self._block(level, ys[band], None if gap is None else gap[band])
-                    for side, exact in zip(sides, _sandwich_masks(block, c_star)):
+                    for side, exact in zip(sides, _sandwich_masks(block, s, c_star)):
                         side[band] = exact
         return out
 

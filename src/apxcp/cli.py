@@ -492,7 +492,10 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     header = ["rep", "method", "length", "covered", "seconds", "rel_time", "status"]
     write_table(out / "compare.csv", header, rows, _file_meta(cfg))
 
-    summary = []
+    # one record per method that had an ok row: its fields are the
+    # summary's columns, in order
+    fields = ("mean_length", "median_length", "coverage", "mean_seconds",
+              "mean_rel_time", "reps_ok")
     stats = {}
     for name in COMPARE_METHODS:
         grp = [r for r in rows if r[1] == name and r[6] == "ok"]
@@ -501,20 +504,13 @@ def cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
         lengths = np.asarray([r[2] for r in grp])
         rel = np.asarray([r[5] for r in grp])
         rel = rel[np.isfinite(rel)]
-        record = {"mean_length": float(lengths.mean()),
-                  "median_length": float(np.median(lengths)),
-                  "coverage": float(np.mean([r[3] for r in grp])),
-                  "mean_seconds": float(np.mean([r[4] for r in grp])),
-                  "mean_rel_time": float(rel.mean()) if rel.size else float("nan"),
-                  "reps_ok": len(grp)}
-        stats[name] = record
-        summary.append([name, record["mean_length"], record["median_length"],
-                        record["coverage"], record["mean_seconds"],
-                        record["mean_rel_time"], record["reps_ok"]])
-    write_table(out / "compare_summary.csv",
-                ["method", "mean_length", "median_length", "coverage",
-                 "mean_seconds", "mean_rel_time", "reps_ok"],
-                summary, _file_meta(cfg))
+        stats[name] = dict(zip(fields, (
+            float(lengths.mean()), float(np.median(lengths)),
+            float(np.mean([r[3] for r in grp])), float(np.mean([r[4] for r in grp])),
+            float(rel.mean()) if rel.size else float("nan"), len(grp))))
+    write_table(out / "compare_summary.csv", ["method", *fields],
+                [[name, *record.values()] for name, record in stats.items()],
+                _file_meta(cfg))
     _write_meta(out, cfg, "compare")
     return {"rows": rows, "stats": stats}
 

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_io import (check_int, check_real, check_sample, write_json,
-                      write_table)
+from .data_io import (check_int, check_real, check_sample, check_vector,
+                      write_json, write_table)
 from .kernels import KernelSpec, gram_between
 from .losses import LossSpec
 from .solver import (SolverError, WeightedProblem, _ChordFactor, augmented_problem,
@@ -66,11 +66,14 @@ class YGrid:
         The padding follows the targets, not the regions, which are
         centred on the query prediction: at the CLI defaults every region
         reaches the grid's lower end. PredictionRegion.clipped tells
-        whether a region does."""
+        whether a region does. Targets that are empty, not 1-d or not
+        finite raise ValueError."""
         margin = check_real("margin", margin)
         if margin < 0:
             raise ValueError(f"margin must be nonnegative, got {margin}")
         Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 1 or not Y.size:
+            raise ValueError(f"targets must be a nonempty 1-d array, got shape {Y.shape}")
         bad = np.flatnonzero(~np.isfinite(Y))
         if bad.size:
             raise ValueError(f"targets must be finite, got {Y[bad[:5]].tolist()} "
@@ -94,7 +97,9 @@ class YGrid:
 
 @dataclass(frozen=True)
 class PValueCurve:
-    """Upper and lower p-values over a grid; equal for exact methods."""
+    """Upper and lower p-values over a grid; equal for exact methods.
+    Each side must be a finite vector of grid.m entries
+    (data_io.check_vector), the lower nowhere above the upper."""
 
     grid: YGrid
     upper: np.ndarray
@@ -103,10 +108,9 @@ class PValueCurve:
     def __post_init__(self) -> None:
         # copies, so freezing them leaves the caller's arrays writeable; an
         # exact method's one array for both sides stays one
-        up = np.array(self.upper, dtype=float)
-        lo = up if self.lower is self.upper else np.array(self.lower, dtype=float)
-        if up.shape != (self.grid.m,) or lo.shape != (self.grid.m,):
-            raise ValueError("p-value arrays must match the grid size")
+        up = check_vector("upper p-values", self.upper, self.grid.m)
+        lo = (up if self.lower is self.upper
+              else check_vector("lower p-values", self.lower, self.grid.m))
         if (lo > up).any():
             raise ValueError("lower p-values must not exceed upper p-values")
         up.setflags(write=False)
@@ -146,7 +150,11 @@ class PredictionRegion:
         return bool(self.mask[0] or self.mask[-1])
 
     def contains(self, y: float) -> bool:
-        """Membership by nearest grid cell."""
+        """Membership by nearest grid cell. A y more than half a step
+        outside [lo, hi] lies in no cell, so no region contains it."""
+        y, half = check_real("y", y), 0.5 * self.grid.step
+        if not self.grid.lo - half <= y <= self.grid.hi + half:
+            return False
         return bool(self.mask[self.grid.nearest_index(y)])
 
 
@@ -381,12 +389,20 @@ def write_region_csv(path, curve: PValueCurve, region: PredictionRegion,
     """Dump a p-value curve and region mask as CSV.
 
     Columns are y, upper_p, lower_p, in_region, then any extra columns.
-    An optional metadata dict becomes a single leading comment line.
+    An optional metadata dict becomes a single leading comment line. A
+    region on another grid than the curve's, or an extra column that is
+    not one entry per grid point, raises ValueError.
     """
-    extras = extras or {}
+    extras = {name: np.asarray(v) for name, v in (extras or {}).items()}
+    if region.grid != curve.grid:
+        raise ValueError(f"region lies on {region.grid}, not on the curve's {curve.grid}")
+    for name, column in extras.items():
+        if column.shape != (curve.grid.m,):
+            raise ValueError(f"extra column {name!r} must have {curve.grid.m} entries, "
+                             f"one per grid point, got shape {column.shape}")
     header = ["y", "upper_p", "lower_p", "in_region"] + list(extras)
     columns = [curve.grid.values, curve.upper, curve.lower,
-               region.mask.astype(int)] + [np.asarray(v) for v in extras.values()]
+               region.mask.astype(int)] + list(extras.values())
     write_table(path, header, zip(*columns), meta)
 
 

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from apxcp import approx, solver
 from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
-                          TauProfile, _sandwich_masks, _sandwich_scan,
-                          _ScanBlock, _SortedScan, approx_pvalue_curves,
+                          TauProfile, _sandwich_masks, _ScanBlock, _SortedScan, approx_pvalue_curves,
                           approx_regions, base_fit, if_error_bound,
                           if_predictor, influence_direction,
                           influence_vector, rho1, rho2, rho_tilde1,
                           tau_profile, thickness_bound, thickness_gap)
 from apxcp.conformal import (PredictionRegion, YGrid, _min_count,
-                             empirical_coverage, full_conformal_pvalues,
+                             _rank_pvalues, empirical_coverage, full_conformal_pvalues,
                              region_from_curve)
 from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec, pseudo_inverse_apply
@@ -510,16 +509,33 @@ def _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk, reduce):
     return tuple(np.concatenate(side) for side in zip(*sides))
 
 
+def _block_pvalues(block):
+    """Upper and lower rank p-values of one block's counts, each grid
+    point counted within its bracket, as _ProblemScan.pvalues counts."""
+    pvalues = []
+    for offsets, thresholds in block.sides:
+        lo, hi = block.bracket(offsets, thresholds)
+        counts = block.counts(slice(None), lo, hi, offsets, thresholds)
+        pvalues.append(_rank_pvalues(counts, block.scan.n))
+    return tuple(pvalues)
+
+
+def _order_statistic(scan, c_star):
+    """The base score of sorted index n - c_star, inf when c_star is 0."""
+    return scan.sorted_scores[scan.n - c_star] if c_star else np.inf
+
+
 def _scan_curves(Y, preds, k_dir, shift, radial, scale, ys, chunk):
     """Upper and lower p-values of the sorted scan in blocks of chunk."""
     return _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk,
-                        _sandwich_scan)
+                        _block_pvalues)
 
 
 def _scan_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star, chunk):
     """Upper and lower masks of the sorted scan in blocks of chunk."""
     return _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk,
-                        lambda block: _sandwich_masks(block, c_star))
+                        lambda block: _sandwich_masks(
+                            block, _order_statistic(block.scan, c_star), c_star))
 
 
 def test_curves_chunking_is_invisible():
@@ -630,17 +646,23 @@ def test_order_statistic_masks_match_counted_curves(inputs, alpha, chunk):
         np.testing.assert_array_equal(mask, dense_pvals > alpha)
 
 
-def _assert_settled_as_exact(scan, ys, shift, radial, c_star):
+def _assert_settled_as_exact(Y, preds, k_dir, scale, ys, shift, radial, alpha):
     """settle, from the extremes of radial and shift over the sorted grid
     values ys, with the exact verdict filled into its band, gives the
-    exact comparison's masks."""
-    exact = _sandwich_masks(_block(scan, ys, shift, radial), c_star)
+    exact comparison's masks, and those are the dense oracle's curves
+    thresholded at alpha."""
+    scan = _SortedScan(Y, preds, k_dir, scale)
+    c_star = _min_count(Y.size, alpha)
+    s = _order_statistic(scan, c_star)
+    exact = _sandwich_masks(_block(scan, ys, shift, radial), s, c_star)
+    dense = dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir, shift)
     settled = (np.zeros(ys.size, bool), np.zeros(ys.size, bool))
-    band = scan.settle(ys, c_star, np.min(radial), np.max(radial),
+    band = scan.settle(ys, s, np.min(radial), np.max(radial),
                        np.max(np.abs(shift)), settled)
     if band is not None:
         assert np.all(np.diff(band) > 0) and 0 <= band[0] and band[-1] < ys.size
-    for mask, want in zip(settled, exact):
+    for mask, want, pvalues in zip(settled, exact, dense):
+        np.testing.assert_array_equal(want, pvalues > alpha)
         if band is not None:
             mask[band] = want[band]
         np.testing.assert_array_equal(mask, want)
@@ -659,14 +681,16 @@ def test_settle_decides_only_what_the_exact_comparison_does(inputs, alpha):
     if k_dir is None:  # levels 0 and 1 are the zero shift
         k_dir, shift = np.zeros(n + 1), np.zeros(ys.size)
     order = np.argsort(ys, kind="stable")
-    _assert_settled_as_exact(_SortedScan(Y, preds, k_dir, scale), ys[order],
-                             shift[order], radial[order], _min_count(n, alpha))
+    _assert_settled_as_exact(Y, preds, k_dir, scale, ys[order], shift[order],
+                             radial[order], alpha)
 
 
 def test_settle_leaves_grid_points_ulps_from_a_threshold_to_the_band():
     # grid values within 3 ulps of p +- (s +- tau): where rounding decides
     # the comparison, only the exact comparison may; a settle without its
-    # rounding slack got some of them wrong in almost every trial
+    # rounding slack got some of them wrong in almost every trial. The
+    # shift is zero, so the exact comparison is _sandwich_masks' one
+    # comparison with s per grid point, checked against the dense oracle
     rng = np.random.default_rng(47)
     for _ in range(60):
         n = int(rng.integers(1, 4))
@@ -680,7 +704,10 @@ def test_settle_leaves_grid_points_ulps_from_a_threshold_to_the_band():
                  for sign in (-1.0, 1.0) for side in (-1.0, 1.0)]
         ys = np.unique([edge + k * np.spacing(edge) for edge in edges
                         for k in range(-3, 4)])
-        _assert_settled_as_exact(scan, ys, 0.0, np.full(ys.size, radius), c_star)
+        alpha = (c_star + 0.5) / (n + 1)  # between the p-values of c* - 1 and c*
+        assert _min_count(n, alpha) == c_star
+        _assert_settled_as_exact(Y, preds, np.zeros(n + 1), scale, ys, np.zeros(ys.size),
+                                 np.full(ys.size, radius), alpha)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1077,9 +1104,9 @@ def test_band_scan_compares_under_two_percent_of_a_sweep_grid(monkeypatch):
     compared = []
     real = approx._sandwich_masks
 
-    def exact(block, c_star):
+    def exact(block, s, c_star):
         compared.append(block.sides[0][1].size)
-        return real(block, c_star)
+        return real(block, s, c_star)
 
     monkeypatch.setattr(approx, "_sandwich_masks", exact)
     for n in (100, 110, 121, 133):

@@ -610,17 +610,17 @@ def test_sweep_deltas_match_library_curves(tmp_path, alpha):
 
 
 def _count_scans(monkeypatch, refuse=False):
-    """Record every p-value count of a sandwich scan, or refuse them."""
+    """Record every sandwich p-value curve a scan counts, or refuse them."""
     calls = []
-    real_scan = approx._sandwich_scan
+    real_pvalues = approx._ProblemScan.pvalues
 
     def counted(*args, **kwargs):
         if refuse:
             raise AssertionError("a sandwich p-value curve was counted")
         calls.append(args)
-        return real_scan(*args, **kwargs)
+        return real_pvalues(*args, **kwargs)
 
-    monkeypatch.setattr(approx, "_sandwich_scan", counted)
+    monkeypatch.setattr(approx._ProblemScan, "pvalues", counted)
     return calls
 
 

@@ -53,3 +53,31 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
 def test_main_rejects_bad_usage_and_an_empty_directory(tmp_path):
     assert code_lines.main([]) == 2
     assert code_lines.main([str(tmp_path)]) == 2
+
+
+def test_main_with_a_base_prints_base_head_and_change(tmp_path, capsys):
+    head, base = tmp_path / "head", tmp_path / "base"
+    for root in (head, base):
+        (root / "pkg").mkdir(parents=True)
+    (head / "pkg" / "a.py").write_text(MODULE)
+    (base / "pkg" / "a.py").write_text("x = 1\n")
+    (head / "new.py").write_text("x = 1\ny = 2\n")  # only in the head
+    (base / "gone.py").write_text("x = 1\n")  # only in the base
+    assert code_lines.main([str(head), "--base", str(base)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    n = MODULE.count("# code")
+    assert lines == [["base", "head", "change", "module"],
+                     ["1", "0", "-1", "gone.py"],
+                     ["0", "2", "+2", "new.py"],
+                     ["1", str(n), f"+{n - 1}", "pkg/a.py"],
+                     ["2", str(n + 2), f"+{n}", "total"]]
+
+
+def test_main_with_a_base_rejects_bad_usage_and_an_empty_base(tmp_path):
+    (tmp_path / "head").mkdir()
+    (tmp_path / "head" / "a.py").write_text("x = 1\n")
+    (tmp_path / "base").mkdir()
+    head, base = str(tmp_path / "head"), str(tmp_path / "base")
+    assert code_lines.main([head, "--base", base]) == 2
+    assert code_lines.main([head, base]) == 2
+    assert code_lines.main([head, "--base"]) == 2

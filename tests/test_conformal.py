@@ -83,6 +83,16 @@ def test_grid_from_targets_rejects_nonfinite(bad):
         YGrid.from_targets([1.0, bad, 2.0])
 
 
+@pytest.mark.parametrize("Y, shape", [([], (0,)), ([[1.0, 2.0], [3.0, 4.0]], (2, 2)),
+                                      (3.0, ())])
+def test_grid_from_targets_rejects_empty_or_not_1d_targets(Y, shape):
+    # an empty array used to fail inside numpy's min, and 2-d targets
+    # were flattened without a word
+    with pytest.raises(ValueError, match=re.escape(
+            f"targets must be a nonempty 1-d array, got shape {shape}")):
+        YGrid.from_targets(Y)
+
+
 def test_grid_nearest_index_clips():
     g = YGrid(0.0, 1.0, 11)
     assert g.nearest_index(0.51) == 5
@@ -142,8 +152,21 @@ def test_curve_rejects_crossed_bounds():
                                           (np.zeros(3), np.zeros(4)),
                                           (np.zeros((3, 1)), np.zeros((3, 1)))])
 def test_curve_rejects_the_wrong_size(upper, lower):
-    with pytest.raises(ValueError, match="p-value arrays must match the grid size"):
+    # the message names the first side off the grid's size
+    side, bad = ("upper", upper) if upper.shape != (3,) else ("lower", lower)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{side} p-values must have length 3, got shape {bad.shape}")):
         PValueCurve(YGrid(0.0, 1.0, 3), upper=upper, lower=lower)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curve_rejects_nonfinite_pvalues(side, bad):
+    # a NaN p-value used to pass and threshold into an empty region
+    pvals = {"upper": np.full(3, 0.5), "lower": np.full(3, 0.25)}
+    pvals[side][1] = bad
+    with pytest.raises(ValueError, match=f"{side} p-values must be finite"):
+        PValueCurve(YGrid(0.0, 1.0, 3), **pvals)
 
 
 def test_curve_freezes_copies_and_leaves_the_callers_arrays_writeable():
@@ -240,6 +263,15 @@ def test_region_contains_uses_nearest_cell():
     region = PredictionRegion.from_mask(g, mask)
     assert region.contains(0.52)
     assert not region.contains(0.56)
+
+
+def test_region_contains_nothing_past_half_a_step_outside_the_grid():
+    # the nearest cell of a y far off the grid is an end cell: a region
+    # touching that end used to contain it, and coverage counted it
+    region = PredictionRegion.from_mask(YGrid(0.0, 1.0, 11), np.ones(11, dtype=bool))
+    assert region.contains(1.04) and region.contains(-0.04)
+    for y in (1.06, -0.06, 100.0, 1e6, -1e6):
+        assert not region.contains(y), y
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, np.nan, np.inf, "0.1", True])
@@ -894,3 +926,21 @@ def test_region_csv_and_json_round_trip(tmp_path):
     assert blob["config_hash"] == "abc"
     np.testing.assert_allclose(np.asarray(blob["intervals"], dtype=float),
                                np.asarray(region.intervals, dtype=float))
+
+
+@pytest.mark.parametrize("column", [np.zeros(3), np.zeros(12), np.zeros((11, 1)), 0.0])
+def test_region_csv_rejects_an_extra_column_off_the_grid(tmp_path, column):
+    # zip(*columns) used to stop at the shortest column: 3 entries wrote 3 rows
+    grid = YGrid(0.0, 1.0, 11)
+    curve = PValueCurve(grid, np.full(11, 0.5), np.full(11, 0.25))
+    with pytest.raises(ValueError, match="extra column 'tau_test' must have 11 entries"):
+        write_region_csv(tmp_path / "region.csv", curve, region_from_curve(curve, 0.1),
+                         extras={"tau_test": column})
+    assert not (tmp_path / "region.csv").exists()
+
+
+def test_region_csv_rejects_a_region_on_another_grid(tmp_path):
+    curve = PValueCurve(YGrid(0.0, 1.0, 11), np.full(11, 0.5), np.full(11, 0.25))
+    region = PredictionRegion.from_mask(YGrid(0.0, 2.0, 11), np.ones(11, dtype=bool))
+    with pytest.raises(ValueError, match="region lies on YGrid.*not on the curve's"):
+        write_region_csv(tmp_path / "region.csv", curve, region)

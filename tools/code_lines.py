@@ -1,6 +1,6 @@
 """Count the code lines of every Python module under a source directory.
 
-Usage: python tools/code_lines.py SRC
+Usage: python tools/code_lines.py SRC [--base BASE]
 
 A code line is a physical line that holds a token of the program other
 than a comment and is not blank: blank lines, comment-only lines and the
@@ -8,7 +8,13 @@ lines of docstrings (the string literal that opens a module, class or
 function body) do not count. A line that carries code and a trailing
 comment counts. The script prints one ``count  path`` line per module
 under SRC, sorted by path relative to SRC, then ``count  total``.
-Exits 2 on bad usage or when SRC holds no module.
+
+With ``--base BASE``, BASE being the same package at another commit
+(say, a pull request's base), it prints a header line, then one
+``base  head  change  path`` line per module under either directory and
+a ``base  head  change  total`` line: the change is head minus base,
+signed, and a module missing on one side counts 0 there. Exits 2 on
+bad usage or when SRC or BASE holds no module.
 """
 
 from __future__ import annotations
@@ -51,22 +57,39 @@ def code_lines(source: str) -> int:
     return sum(1 for i in lines if physical[i - 1].strip())
 
 
+def module_counts(root: Path) -> dict[str, int]:
+    """{path relative to root: code lines} of every module under root."""
+    return {str(path.relative_to(root)): code_lines(path.read_text())
+            for path in root.rglob("*.py")}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
+    if len(argv) == 1:
+        roots = [Path(argv[0])]
+    elif len(argv) == 3 and argv[1] == "--base":
+        roots = [Path(argv[0]), Path(argv[2])]
+    else:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    root = Path(argv[0])
-    modules = sorted(root.rglob("*.py"))
-    if not modules:
-        print(f"no Python modules under {root}", file=sys.stderr)
-        return 2
-    total = 0
-    for path in modules:
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+    counts = []
+    for root in roots:
+        counts.append(module_counts(root))
+        if not counts[-1]:
+            print(f"no Python modules under {root}", file=sys.stderr)
+            return 2
+    head = counts[0]
+    if len(counts) == 1:
+        for path in sorted(head):
+            print(f"{head[path]:6d}  {path}")
+        print(f"{sum(head.values()):6d}  total")
+        return 0
+    base = counts[1]
+    print(f"{'base':>6}  {'head':>6}  {'change':>6}  module")
+    rows = [(path, base.get(path, 0), head.get(path, 0)) for path in sorted(head | base)]
+    rows.append(("total", sum(base.values()), sum(head.values())))
+    for path, before, after in rows:
+        print(f"{before:6d}  {after:6d}  {after - before:+6d}  {path}")
     return 0
 
 
