@@ -187,12 +187,16 @@ def influence_direction(base: Predictor) -> np.ndarray:
     (I + diag(W) K)^{-1} e_q / (2 lam), which H maps to K e_q. It equals
     H^+ K e_q at full rank, and otherwise up to the null space of K,
     which no prediction, score or RKHS norm reads, so it is not projected.
+    The solve is solver._curvature_solve's, a Newton step's: conjugate
+    gradients, with an LU solve only as the fallback after its cap. Its
+    products with K and its dot products do not depend on the BLAS
+    thread count, so neither does the direction.
     """
     problem = base.problem
     e_q = np.zeros(problem.gram.n)
     e_q[-1] = 1.0
     d = _weighted_derivatives(problem, base.predictions(), 2)
-    return _curvature_solve(problem, d, e_q) / (2.0 * problem.lam)
+    return _curvature_solve(problem, d, e_q)[0] / (2.0 * problem.lam)
 
 
 def influence_vector(z_prime: float, base: Predictor,

@@ -5,9 +5,9 @@ normalized so that k(x, x) = 1. The Gram matrix caches its symmetric
 eigendecomposition, which only decides its rank for the projection onto
 its range (the identity at full rank); solver.fit alone projects, once
 per fit. The solver's Newton steps and the influence-function solve
-factor the positive definite I + W^1/2 K W^1/2 instead (see
-solver._curvature_solve). pseudo_inverse_apply remains as a general
-spectral helper.
+run conjugate gradients on the positive definite I + W^1/2 K W^1/2
+instead, with an LU fallback (see solver._curvature_solve).
+pseudo_inverse_apply remains as a general spectral helper.
 """
 
 from __future__ import annotations

@@ -12,15 +12,19 @@ at y), and the interpolated weights from the z anchor to the y anchor
 that the influence-function check differentiates along. risk and
 _weighted_derivatives each evaluate the loss once over all n + 2 terms.
 Weights are nonnegative, so every weighted curvature is too, and each
-Newton step is one positive definite solve in prediction space. A fit
-keeps the predictions K a its convergence test was made at, and every
-reader takes its predictions, the query prediction among them, from
-there.
+Newton step is one positive definite solve in prediction space, with
+the Newton matrix B = I + W^1/2 K W^1/2 (_curvature_solve). That solve,
+which the influence direction in approx makes too, runs conjugate
+gradients on B as an operator, one product with K per iteration, and
+forms and LU-factors B only as the fallback after a capped number of
+iterations (_cg_cap). A fit keeps the predictions K a its convergence
+test was made at, and every reader takes its predictions, the query
+prediction among them, from there.
 
 A fit from scratch takes full Newton steps. The refits along a full
 conformal grid share one _ChordFactor instead: a cached inverse of the
 Newton matrix at earlier curvatures, so that a step costs two
-matrix-vector products in place of a factorization (the chord method).
+matrix-vector products in place of a solve (the chord method).
 _ChordFactor.step is the one chord-step formula, for one right-hand side
 (fit) or a stack of rows (refit_block). refit_block takes those chord
 steps for a run of grid points at once, as matrix-matrix products over
@@ -55,6 +59,25 @@ BASE_TOL = 1e-10
 # and drops its refit from a block of refits (refit_block)
 CHORD_REBUILD_RATIO = 0.1
 _EPS = float(np.finfo(float).eps)
+# Conjugate gradients on the Newton matrix (_curvature_solve) stop at a
+# residual norm of CG_RTOL times the right-hand side's, and fall back to
+# an LU solve after _cg_cap(n + 1) iterations. Measured on friedman1
+# (noise_sd 1; logcosh and pseudo_huber on the laplacian kernel, logcosh
+# and smoothed_pinball on the gaussian; n + 1 = 41 to 1025; 2 vCPUs,
+# OpenBLAS 0.3.31, default threads): a solve takes at most 5 iterations
+# at the default lam, at most 15 at lam = 0.01 and up to 97 at
+# lam = 1e-4, and one LU solve, B formed, costs as much as 4, 25, 35, 59
+# and 101 iterations at n + 1 = 41, 101, 201, 513 and 1025. So the cap
+# grows as (n + 1) / 8, which keeps a fallback below about twice an LU
+# from n + 1 = 201 up, with a floor, CG_MIN_CAP, that covers lam = 0.01.
+CG_RTOL = 4.0 * _EPS
+CG_MIN_CAP = 20
+
+
+def _cg_cap(n_plus_1: int) -> int:
+    """Conjugate-gradient iterations a Newton solve of size n + 1 takes
+    before the LU fallback: max(CG_MIN_CAP, (n + 1) // 8)."""
+    return max(CG_MIN_CAP, n_plus_1 // 8)
 
 
 def anchor_z_weights(n: int) -> np.ndarray:
@@ -179,31 +202,79 @@ def _weighted_derivatives(problem: WeightedProblem, preds: np.ndarray,
     return out[:n + 1]
 
 
+def _curvature_scale(problem: WeightedProblem, d: np.ndarray) -> np.ndarray:
+    """s = sqrt(W) for W = d / (2 lam (n+1)), d >= 0."""
+    return np.sqrt(d / (2.0 * problem.lam * problem.gram.n))
+
+
 def _curvature_matrix(problem: WeightedProblem,
                       d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """s = sqrt(W) and B = I + diag(s) K diag(s) for W = d / (2 lam (n+1)),
-    d >= 0; the eigenvalues of B are all at least one."""
-    K = problem.gram.entries
-    s = np.sqrt(d / (2.0 * problem.lam * problem.gram.n))
-    B = s[:, None] * K * s
+    """s = sqrt(W) and the Newton matrix B = I + diag(s) K diag(s) for
+    W = d / (2 lam (n+1)), d >= 0; the eigenvalues of B are all at least
+    one."""
+    s = _curvature_scale(problem, d)
+    B = s[:, None] * problem.gram.entries * s
     B.flat[::B.shape[0] + 1] += 1.0
     return s, B
 
 
-def _curvature_solve(problem: WeightedProblem, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _conjugate_gradients(K: np.ndarray, s: np.ndarray, b: np.ndarray,
+                         cap: int) -> tuple[np.ndarray | None, int]:
+    """Plain conjugate gradients on B y = b from y = 0, with
+    B = I + diag(s) K diag(s) applied as v + s * (K @ (s * v)), one
+    product with K per iteration, and never formed.
+
+    Returns (y, iterations) once the recurred residual has
+    ||r|| <= CG_RTOL ||b||, else (None, iterations) after cap iterations
+    or at once when the residual is not finite (a NaN curvature makes b
+    NaN, so that takes no iteration).
+    """
+    y = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    stop = CG_RTOL * CG_RTOL * rr
+    iterations = 0
+    while math.isfinite(rr) and rr > stop and iterations < cap:
+        q = p + s * (K @ (s * p))
+        step = rr / float(p @ q)
+        y += step * p
+        r -= step * q
+        rr, before = float(r @ r), rr
+        p *= rr / before
+        p += r
+        iterations += 1
+    return (y if math.isfinite(rr) and rr <= stop else None), iterations
+
+
+def _curvature_solve(problem: WeightedProblem, d: np.ndarray,
+                     rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Solve (I + diag(W) K) x = rhs for W = d / (2 lam (n+1)), d >= 0.
 
-    Computes x = rhs - s * B^{-1} (s * K rhs) with s and B from
+    Computes x = rhs - s * B^{-1} (s * K rhs) with s and B of
     _curvature_matrix (Rasmussen & Williams, GPML, Alg. 3.1). The risk
     Hessian at curvatures d is H = 2 lam K (I + diag(W) K), so
     H x = 2 lam K rhs: x agrees with H^+ (2 lam K rhs) up to the null
-    space of K.
+    space of K. B's eigenvalues are at least one, and its condition
+    number is close to one unless lam is small, so conjugate gradients
+    on B as an operator (_conjugate_gradients) solve the system in
+    O(n^2) per iteration: an inexact Newton step with a residual of a few
+    ulps (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982). After
+    _cg_cap(n + 1) iterations, or at once on a residual that is not
+    finite, B is formed and LU-factored instead. Returns x, the CG
+    iterations taken, and whether the LU fallback ran.
     """
     K = problem.gram.entries
-    s, B = _curvature_matrix(problem, d)
-    # numpy, not scipy.linalg: the two load separate OpenBLAS thread pools,
-    # and cho_factor/cho_solve ran the compare benchmark 3.7x slower on 2 vCPUs
-    return rhs - s * np.linalg.solve(B, s * (K @ rhs))
+    s = _curvature_scale(problem, d)
+    b = s * (K @ rhs)
+    y, iterations = _conjugate_gradients(K, s, b, _cg_cap(problem.gram.n))
+    factored = y is None
+    if factored:
+        # numpy, not scipy.linalg: the two load separate OpenBLAS thread
+        # pools, and cho_factor/cho_solve ran the compare benchmark 3.7x
+        # slower on 2 vCPUs
+        y = np.linalg.solve(_curvature_matrix(problem, d)[1], b)
+    return rhs - s * y, iterations, factored
 
 
 class _ChordFactor:
@@ -292,9 +363,12 @@ class Predictor:
     rounding of it otherwise, where the converged coefficients are then
     projected onto the range. risk_path records the objective after
     every accepted step (monotone by construction). factorizations counts
-    the O(n^3) factorizations of the Newton matrix the fit made: one
-    linear solve per Newton step, or one inversion per chord factor
-    rebuild. fit returns one only on convergence.
+    the O(n^3) factorizations of the Newton matrix the fit made: one LU
+    solve per Newton step whose conjugate gradients fell back (at the
+    cap, or on a residual that is not finite), or one inversion per
+    chord factor rebuild. cg_iterations sums the
+    conjugate-gradient iterations over the fit's Newton steps, fallbacks
+    included. fit returns one only on convergence.
     """
 
     coeffs: np.ndarray
@@ -303,6 +377,7 @@ class Predictor:
     grad_norm: float
     n_iters: int
     factorizations: int
+    cg_iterations: int
     risk_path: tuple = field(repr=False, default=())
 
     def predictions(self) -> np.ndarray:
@@ -322,8 +397,9 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     With g and d the weighted loss derivatives and curvatures at K a,
     the Newton system H delta = -gradient reduces to
     (I + diag(W) K) delta = -(g/(2 lam (n+1)) + a), W = d/(2 lam (n+1)),
-    one positive definite solve even when K is rank-deficient (see
-    _curvature_solve). With a chord factor (the warm-started refits of
+    one positive definite solve even when K is rank-deficient, by
+    conjugate gradients with an LU fallback (see _curvature_solve).
+    With a chord factor (the warm-started refits of
     conformal.full_conformal_pvalues; every other fit passes none and
     takes full Newton steps) the step reuses its cached W0 instead
     (_ChordFactor.step of K rhs and rhs, the chord step refit_block also
@@ -340,7 +416,9 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     is unique; no other code in the package reads the Gram spectrum. Each
     iterate's K a serves both its risk and its gradient check, and the
     returned Predictor keeps the K a of the final check as its
-    predictions, so no reader multiplies by K again.
+    predictions, so no reader multiplies by K again. It also counts the
+    fit's LU fallbacks and chord rebuilds (factorizations) and its CG
+    iterations (cg_iterations).
     """
     G = problem.gram
     K = G.entries
@@ -352,7 +430,7 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     current = risk(problem, a, preds)
     path = [current]
     grad_norm = np.inf
-    factorizations = 0
+    factorizations = cg_iterations = 0
     before_chord = None  # the gradient norm before the last chord step
     for it in range(1, DEFAULT_MAX_ITERS + 1):
         g = _weighted_derivatives(problem, preds, 1)
@@ -363,11 +441,13 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
             a.setflags(write=False)
             preds.setflags(write=False)
             return Predictor(a, preds, problem, grad_norm, it - 1, factorizations,
-                             tuple(path))
+                             cg_iterations, tuple(path))
         rhs = -(g / (two_lam * (n + 1)) + a)
         if chord is None:
-            direction = _curvature_solve(problem, _weighted_derivatives(problem, preds, 2), rhs)
-            factorizations += 1
+            direction, iterations, factored = _curvature_solve(
+                problem, _weighted_derivatives(problem, preds, 2), rhs)
+            cg_iterations += iterations
+            factorizations += factored
         else:
             if chord.inv is None or (before_chord is not None
                                      and grad_norm > CHORD_REBUILD_RATIO * before_chord):

@@ -178,6 +178,20 @@ def term_by_term_objective(K, targets, anchors, weights, lam, a, loss):
     return value, grad, hess, d1, d2
 
 
+def lu_curvature_solve(K, d, lam, rhs) -> np.ndarray:
+    """Solve (I + diag(W) K) x = rhs, W = d / (2 lam (n+1)), by forming
+    B = I + diag(s) K diag(s), s = sqrt(W), and one numpy.linalg.solve:
+    x = rhs - s * B^{-1} (s * K rhs) (Rasmussen & Williams, GPML,
+    Alg. 3.1), the Newton solve the package's conjugate gradients
+    replace, in the package's operation order so that its LU fallback
+    agrees bit for bit."""
+    K = np.asarray(K, dtype=float)
+    s = np.sqrt(np.asarray(d, dtype=float) / (2.0 * lam * K.shape[0]))
+    B = s[:, None] * K * s
+    B.flat[::B.shape[0] + 1] += 1.0
+    return rhs - s * np.linalg.solve(B, s * (K @ rhs))
+
+
 def eigh_newton_fit(problem, risk, gradient, hessian, init=None, max_iters=100):
     """Damped Newton with the spectral pseudo-inverse step, the fit the
     package's Newton step in prediction space replaces.

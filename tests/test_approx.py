@@ -1,7 +1,11 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from oracles import (conformal_pvalue, dense_sandwich_curves, laplacian_gram,
                      sandwich_pvalues)
 
 KERNEL = KernelSpec("laplacian", 0.5)
+ROOT = Path(__file__).resolve().parents[1]
 LOGCOSH = LossSpec("logcosh")
 
 UNIT_GRAM = GramMatrix(np.eye(10))  # n+1 = 10, every diagonal entry 1
@@ -263,6 +268,31 @@ def test_influence_direction_agrees_with_hessian_pseudo_inverse(family, loss):
             d = loss_d(loss, 2, np.append(Y, 1.5), K @ base.coeffs)
             system = d[:, None] * K / (n + 1) + 2.0 * lam * np.eye(n + 1)
             assert np.linalg.norm(system @ direction - np.eye(n + 1)[-1]) <= 1e-11
+
+
+# the sweep --desk base fit at n = 190 and its influence direction
+_DESK_DIRECTION = """
+from apxcp.approx import base_fit, influence_direction
+from apxcp.cli import ExperimentConfig
+from apxcp.data_io import friedman1
+cfg = ExperimentConfig()
+X, Y, xq, _ = friedman1(191, 0.0, seed=(2, 190, 0)).split_query()
+direction = influence_direction(base_fit(X, Y, xq, cfg.z_anchor, cfg.lambda_for(191),
+                                         cfg.loss, cfg.kernel))
+"""
+
+
+def test_influence_direction_independent_of_blas_threads():
+    # an LU solve of the Newton matrix varied by ulps with the BLAS thread
+    # count at this size; the conjugate-gradient solve must not
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    one_thread = subprocess.run(
+        [sys.executable, "-c", _DESK_DIRECTION + "print(direction.tobytes().hex())"],
+        env=env, cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    here = {}
+    exec(_DESK_DIRECTION, here)
+    assert here["direction"].size == 191
+    assert one_thread == here["direction"].tobytes().hex()
 
 
 def test_only_fit_reads_the_gram_spectrum(monkeypatch):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from apxcp import approx, conformal, kernels, solver
+from apxcp.cli import ExperimentConfig
 from apxcp.data_io import friedman1
 from apxcp.kernels import GramMatrix, KernelSpec, gram
 from apxcp.losses import LossSpec, loss_d, loss_value
@@ -17,8 +18,8 @@ from apxcp.solver import (SolverError, WeightedProblem, anchor_y_weights,
                           anchor_z_weights, augmented_problem, fit, gradient,
                           hessian, risk, rkhs_norm_diff, z_anchored_problem)
 
-from oracles import (central_difference, eigh_newton_fit, ridge_closed_form,
-                     term_by_term_objective)
+from oracles import (central_difference, eigh_newton_fit, lu_curvature_solve,
+                     ridge_closed_form, term_by_term_objective)
 
 KERNEL = KernelSpec("laplacian", 1.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -350,8 +351,8 @@ def test_fit_falls_back_to_a_gradient_step_when_newton_ascends(monkeypatch):
 
     def ascent_once(problem, d, rhs):
         calls.append(None)
-        direction = real(problem, d, rhs)
-        return -direction if len(calls) == 1 else direction
+        direction, *diagnostics = real(problem, d, rhs)
+        return (-direction if len(calls) == 1 else direction, *diagnostics)
 
     monkeypatch.setattr(solver, "_curvature_solve", ascent_once)
     got = fit(problem)
@@ -395,9 +396,106 @@ def test_fit_warm_start_agrees_with_cold_start():
     np.testing.assert_allclose(preds_warm, preds_cold, atol=1e-8)
 
 
-def test_newton_fit_factors_once_per_step():
-    pred = fit(_random_problem(np.random.default_rng(9), n=10, lam=0.05))
-    assert pred.n_iters > 1 and pred.factorizations == pred.n_iters
+def _friedman_problem(n, lam, loss=LossSpec("logcosh"), kernel=KERNEL):
+    """friedman1 (noise_sd 1) with its last row as the query, anchored at
+    z = 0; lam "default" is the CLI's lambda_for(n + 1)."""
+    X, Y, xq, _ = friedman1(n + 1, 1.0, seed=n).split_query()
+    lam = ExperimentConfig().lambda_for(n + 1) if lam == "default" else lam
+    return z_anchored_problem(X, Y, xq, 0.0, lam, loss, kernel)
+
+
+def test_newton_fit_factors_only_on_a_cg_fallback(monkeypatch):
+    # at the default lambda every Newton step is a CG solve
+    problem = _friedman_problem(40, "default")
+    pred = fit(problem)
+    assert pred.n_iters > 1 and pred.factorizations == 0 and pred.cg_iterations > 0
+    # at lambda = 1e-4 some solves reach the cap (25 at n + 1 = 201) and
+    # fall back to LU: one factorization each, their CG iterations counted
+    real = solver._curvature_solve
+    calls = []  # (iterations, factored) of every solve
+
+    def spy(problem, d, rhs):
+        out = real(problem, d, rhs)
+        calls.append(out[1:])
+        return out
+
+    monkeypatch.setattr(solver, "_curvature_solve", spy)
+    pred = fit(_friedman_problem(200, 1e-4))
+    fallbacks = sum(factored for _, factored in calls)
+    assert len(calls) == pred.n_iters and 0 < fallbacks < pred.n_iters
+    assert pred.factorizations == fallbacks
+    assert pred.cg_iterations == sum(iterations for iterations, _ in calls)
+    # a cap of 0 forces every step to fall back
+    monkeypatch.setattr(solver, "_cg_cap", lambda n_plus_1: 0)
+    forced = fit(problem)
+    assert forced.factorizations == forced.n_iters > 1 and forced.cg_iterations == 0
+
+
+CG_LOSSES = (LossSpec("logcosh"), LossSpec("pseudo_huber"), LossSpec("smoothed_pinball"))
+CG_KERNELS = (KERNEL, KernelSpec("gaussian_rbf", "auto"))
+
+
+@pytest.mark.parametrize("n", [40, 200])
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, "default"])
+@pytest.mark.parametrize("kernel", CG_KERNELS, ids=lambda kernel: kernel.family)
+@pytest.mark.parametrize("loss", CG_LOSSES, ids=lambda loss: loss.family)
+def test_cg_newton_solve_agrees_with_the_lu_oracle(monkeypatch, loss, kernel, lam, n):
+    problem = _friedman_problem(n, lam, loss, kernel)
+    pred = fit(problem)
+    K = problem.gram.entries
+    e_q = np.zeros(n + 1)
+    e_q[n] = 1.0
+    # the influence direction's right-hand side and a first Newton step's,
+    # at the base fit's curvatures
+    first = -solver._weighted_derivatives(problem, np.zeros(n + 1), 1) / (
+        2.0 * problem.lam * (n + 1))
+    d = solver._weighted_derivatives(problem, pred.predictions(), 2)
+    # without the cap, CG meets its residual on every problem here
+    monkeypatch.setattr(solver, "_cg_cap", lambda n_plus_1: 10 * n_plus_1)
+    for rhs in (e_q, first):
+        x, iterations, factored = solver._curvature_solve(problem, d, rhs)
+        want = lu_curvature_solve(K, d, problem.lam, rhs)
+        assert iterations > 0 and not factored
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max()
+    # a fit whose every step is the LU solve lands on the same predictions
+    monkeypatch.setattr(solver, "_cg_cap", lambda n_plus_1: 0)
+    lu = fit(problem)
+    np.testing.assert_allclose(pred.predictions(), lu.predictions(), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("cap", [None, 0], ids=["at-the-cap", "cap-0"])
+def test_cg_fallback_is_the_lu_solve_bit_for_bit(monkeypatch, cap):
+    # lambda = 1e-4 at n + 1 = 201 takes about 90 CG iterations, past the
+    # cap of 25
+    problem = _friedman_problem(200, 1e-4)
+    d = solver._weighted_derivatives(problem, fit(problem).predictions(), 2)
+    rhs = np.random.default_rng(20).normal(size=problem.gram.n)
+    if cap is not None:
+        monkeypatch.setattr(solver, "_cg_cap", lambda n_plus_1: cap)
+    x, iterations, factored = solver._curvature_solve(problem, d, rhs)
+    assert factored and iterations == solver._cg_cap(problem.gram.n)
+    np.testing.assert_array_equal(x, lu_curvature_solve(problem.gram.entries, d,
+                                                        problem.lam, rhs))
+
+
+def test_nan_curvatures_go_to_the_lu_solve_without_cg_iterations(monkeypatch):
+    problem = _friedman_problem(40, 1e-2)
+    d = np.ones(problem.gram.n)
+    d[7] = np.nan
+    rhs = np.ones(problem.gram.n)
+    x, iterations, factored = solver._curvature_solve(problem, d, rhs)
+    assert iterations == 0 and factored
+    np.testing.assert_array_equal(x, lu_curvature_solve(problem.gram.entries, d,
+                                                        problem.lam, rhs))
+    # so a fit at NaN curvatures stalls in its first line search, as it
+    # did when every step was an LU solve
+    real = solver.loss_d
+    monkeypatch.setattr(solver, "loss_d", lambda spec, order, *args: (
+        np.full(np.shape(args[1]), np.nan) if order == 2 else real(spec, order, *args)))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SolverError, match="line search stalled at iteration 1") as info:
+        fit(problem)
+    np.testing.assert_array_equal(info.value.coeffs, np.zeros(problem.gram.n))
 
 
 @pytest.mark.parametrize("stale", ["lam", "anchor"])
