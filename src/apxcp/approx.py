@@ -23,55 +23,45 @@ Upper and lower p-value curves built from the envelopes sandwich the
 exact full conformal region; the grid measure of their difference is the
 thickness gap diagnostic, with closed-form theoretical bounds alongside.
 
-One scan per base fit serves every level a caller asks for: the data
-scores are sorted once, and per grid point and side one bracket around
-the comparison's threshold, a rounding slack wide plus the most the
-influence-function shift can move a score, decides every data index
-whose base score lies outside it. The scan has two reductions.
+One scan per base fit serves every level a caller asks for. The data
+indices are sorted once by base score, and per grid point and side one
+bracket around the comparison's threshold, a rounding slack plus the
+most the influence-function shift can move a score (zero at levels 0
+and 1), decides every data index whose base score lies outside it.
 approx_pvalue_curves counts, per grid point, the data indices passing
-the score comparison: those the bracket leaves open are scored
-exactly. A curve over m grid points costs one fit, one linear solve
-and O((m + n) log n) counting, and gives bit for bit the p-values of
-scoring all m * (n+1) pairs. approx_regions needs only whether that
-count reaches c*, the least count whose p-value exceeds alpha, which
-one order statistic s of the base scores decides: at zero shift
-(levels 0 and 1) by one comparison per grid point, with a shift
-wherever s lies outside the bracket, and the rare grid point with s
-inside it is counted. A region holds the y whose distance |y - p| to
-the test prediction p stays within s plus or minus an envelope, so
-only grid points near a region's edges can turn on the envelope's
-value at y. Per block of grid points the scan takes the block's least
-and largest radius and largest influence-function shift, and settles
-every grid point whose distance lies below the inner or beyond the
-outer radius these allow, with a rounding slack, by binary search over
-the sorted grid values. Only the band between them gets the exact
-comparison of the curves: at the sweep workload's 100 000 grid points,
-none of them at levels 0 and 1 and about 0.1% at level 2. So a region
+the comparison, scoring exactly only those inside the bracket: one fit,
+one linear solve and O((m + n) log n) counting give bit for bit the
+p-values of scoring all m * (n+1) pairs. approx_regions needs only
+whether that count reaches c*, the least count whose p-value exceeds
+alpha, which one order statistic s of the base scores decides wherever
+the bracket leaves s outside; the rare grid point with s inside it is
+counted. A region holds the y whose distance |y - p| to the test
+prediction p stays within s plus or minus an envelope, so per block of
+grid points the scan takes the least and largest radius and the
+largest shift and settles, by binary search over the sorted grid
+values, every grid point but a band near a region's edges: at the
+sweep workload's 100 000 grid points, none of them at levels 0 and 1
+and about 0.1% at level 2. Only the band takes the bracket. So a region
 costs O(m) for the derivative gap (levels 1 and 2), O(log m) per block
-and level, and the band. Its masks equal the thresholded curves. It
-takes only the base fit, whose problem holds the targets, Gram matrix,
-lam, loss and anchor z, and a sequence of level names, and returns one
-result per name, whose regions are built when first read;
-approx_pvalue_curves takes the inputs and an ApproxMethod (a level
-name plus z) and fits them, or checks a supplied fit against them.
+and level, and the band, and its masks equal the thresholded curves.
+approx_regions takes the base fit, whose problem holds the targets,
+Gram matrix, lam, loss and anchor z, and a sequence of level names, and
+returns one result per name, whose regions are built when first read;
+approx_pvalue_curves takes the inputs and an ApproxMethod (a level name
+plus z) and fits them, or checks a supplied fit against them.
 
-The per-problem work runs once per call, whatever the levels: the
-checks, the base predictions, the sort of the base scores, and the
-influence direction when level 2 is asked for. _ProblemScan then walks
-the grid DEFAULT_CHUNK points at a time, and per block the derivative
-gap runs once for levels 1 and 2; level 0's radius is one scalar. The
-curves score every grid point of the block, and hand their local radii
-to the printed envelope, so the gap runs once per grid point; the
-regions keep of the envelope only its grid supremum, the largest block
-maximum. The p-values or masks go into arrays allocated once for the
-whole grid. A block's float temporaries take 64 KiB each. At that size
-the C heap reuses them from block to block, and they stay in cache;
-grid-length temporaries would be mapped afresh by each call and
-page-faulted in on first touch, which took about 40% of the sweep
-workload's time at m = 100 000. Every float expression is the same
-elementwise as on the whole grid and for a level scanned alone, so
-neither the block split, the band nor the shared work change any bit
-of any result.
+The per-problem work runs once per call: the checks, the base
+predictions, the sort, and the influence direction when level 2 is
+asked for. _ProblemScan then walks the grid DEFAULT_CHUNK points at a
+time, with one derivative gap per block for levels 1 and 2. The curves
+hand their local radii to the printed envelope; the regions keep of
+the envelope only its grid supremum. A block's float temporaries take
+64 KiB each, so the C heap reuses them from block to block and they
+stay in cache; grid-length temporaries were page-faulted in afresh by
+each call, about 40% of the sweep workload's time at m = 100 000.
+Every float expression is the same elementwise as on the whole grid
+and for a level scanned alone, so neither the block split, the band nor
+the shared work change any bit of any result.
 """
 
 from __future__ import annotations
@@ -196,7 +186,9 @@ def influence_direction(base: Predictor) -> np.ndarray:
     e_q = np.zeros(problem.gram.n)
     e_q[-1] = 1.0
     d = _weighted_derivatives(problem, base.predictions(), 2)
-    return _curvature_solve(problem, d, e_q)[0] / (2.0 * problem.lam)
+    # K e_q is the query row of the symmetric K
+    x = _curvature_solve(problem, d, e_q, problem.gram.entries[-1])[0]
+    return x / (2.0 * problem.lam)
 
 
 def influence_vector(z_prime: float, base: Predictor,
@@ -290,24 +282,38 @@ def if_error_bound(gram: GramMatrix, constants: SmoothnessConstants, lam: float,
     return np.sqrt(gram.diagonal[-1]) * radius.reshape(r1.shape)
 
 
+def _slack(reach, magnitude):
+    """The half-width of a bracket around a threshold: reach, the most a
+    shift can move a score, plus 32 ulps of magnitude, the largest
+    magnitude in a score or a comparison. A base score farther than this
+    from the threshold decides the comparison whatever the shift and the
+    rounding."""
+    return reach + 32.0 * _EPS * magnitude
+
+
 class _SortedScan:
-    """The data side of one sandwich scan, sorted once per problem.
+    """The data side of one sandwich scan, sorted once per problem, and
+    every comparison of the scan.
 
     Grid point j scores data index i as |Y_i - (preds_i + shift_j k_dir_i)|
     and itself as |ys_j - (preds_n + shift_j k_dir_n)|, with envelopes
-    radial_j * scale_i; levels 0 and 1 scan at zero shift. Each side
-    compares score_i + offset_j >= threshold_j: the upper side takes
-    every comparison in the direction favorable to inclusion (data score
-    + tau >= test score - tau), the lower side the opposite.
+    radial_j * scale_i; levels 0 and 1 scan at the scalar shift zero. Each
+    side compares score_i + offset_j >= threshold_j (sides): the upper
+    side takes every comparison in the direction favorable to inclusion
+    (data score + tau >= test score - tau), the lower side the opposite.
 
-    The data indices are sorted by base score |Y_i - preds_i|; a
-    _ScanBlock makes the comparisons of a block of grid points against
-    them, and settle decides a block's region masks from its extremes
-    outside a band that needs them. Deciding an index by its base score
-    needs one tau for every data index, i.e. a constant scale[:n]. The
-    scan's constants are kept once, as floats, for both: k_max, the
-    largest |k_dir_i| over the data, and data_magnitude, max|Y_i| plus
-    max|preds_i|, the largest magnitude of a data score's terms.
+    The data indices are sorted by base score |Y_i - preds_i|. A shift
+    moves a data score by at most reach_j = |shift_j| * k_max, so an index
+    whose base score lies more than _slack past grid point j's threshold
+    is decided by its base score alone: bracket gives those limits, counts
+    scores only the indices between them, and reaches decides from the
+    limits whether a count reaches c*. settle decides a block's region
+    masks from its extremes outside a band that needs them. Deciding an
+    index by its base score needs one tau for every data index, i.e. a
+    constant scale[:n]. The scan's constants are kept once, as floats:
+    k_max, the largest |k_dir_i| over the data, and data_magnitude,
+    max|Y_i| plus max|preds_i|, the largest magnitude of a data score's
+    terms.
     """
 
     def __init__(self, Y, preds, k_dir, scale):
@@ -325,34 +331,93 @@ class _SortedScan:
         self.k_max = float(np.max(np.abs(k_dir[:n])))
         self.data_magnitude = float(np.max(np.abs(Y)) + np.max(np.abs(preds[:n])))
 
-    def test_scores(self, ys, shift):
-        """The test scores of grid values ys, their prediction shifted by
-        shift * k_dir."""
-        return np.abs(ys - (self.test_pred + shift * self.test_dir))
+    def sides(self, ys, radial, shift):
+        """(offsets, thresholds) of the upper and the lower side of grid
+        values ys at envelope radii radial, their test prediction shifted
+        by shift * k_dir_n; radial and shift may each be one scalar."""
+        test_scores = np.abs(ys - (self.test_pred + shift * self.test_dir))
+        data_taus = radial * self.data_scale
+        test_taus = radial * self.test_scale
+        return ((data_taus, test_scores - test_taus),
+                (-data_taus, test_scores + test_taus))
+
+    def bracket(self, shift, offsets, thresholds):
+        """Per grid point of one side, limits (lo, hi): a sorted index whose
+        base score is below lo fails the comparison, one above hi passes it."""
+        reach = np.abs(shift) * self.k_max
+        centers = thresholds - offsets
+        half = _slack(reach, self.data_magnitude + reach + np.abs(thresholds)
+                      + np.abs(offsets))
+        return centers - half, centers + half
+
+    def counts(self, rows, lo, hi, shift, offsets, thresholds):
+        """Per grid point in rows (an index array or a slice of the side),
+        the number of data indices i with score_i + offset >= threshold:
+        a binary search counts the indices its bracket (lo, hi) decides,
+        and the contiguous band of sorted indices between the limits is
+        scored exactly."""
+        n = self.n
+        first = np.searchsorted(self.sorted_scores, lo[rows], side="left")
+        last = np.searchsorted(self.sorted_scores, hi[rows], side="right")
+        counts = n - last
+        width = int((last - first).max())
+        if not width:
+            return counts
+        offsets = np.broadcast_to(offsets, lo.shape)[rows]
+        shift = np.broadcast_to(shift, lo.shape)[rows]
+        thresholds = thresholds[rows]
+        step = max(1, DEFAULT_CHUNK // width)
+        for start in range(0, counts.size, step):
+            r = slice(start, start + step)
+            idx = first[r, None] + np.arange(width)
+            inside = idx < last[r, None]
+            idx = np.minimum(idx, n - 1)
+            scores = np.abs(self.Ys[idx] - (self.ps[idx] + shift[r, None]
+                                            * self.ks[idx]))
+            passing = scores + offsets[r, None] >= thresholds[r, None]
+            counts[r] += (passing & inside).sum(axis=1)
+        return counts
+
+    def reaches(self, s: float, c_star: int, shift, offsets, thresholds):
+        """Per grid point of one side, whether its count reaches c_star,
+        i.e. whether its p-value exceeds alpha for
+        c_star = conformal._min_count(n, alpha).
+
+        The comparison is monotone in the data score, since float addition
+        is, so a count reaches c_star exactly when the sorted index
+        n - c_star passes; s is that index's base score, or inf when c_star
+        is 0 (see _ProblemScan.masks). A grid point whose bracket puts s
+        below lo (fewer than c_star pass) or above hi (at least c_star
+        pass) is decided by s; only the few in between are counted.
+        """
+        lo, hi = self.bracket(shift, offsets, thresholds)
+        mask = s > hi
+        undecided = np.flatnonzero(~mask & (s >= lo))
+        if undecided.size:
+            mask[undecided] = self.counts(undecided, lo, hi, shift, offsets,
+                                          thresholds) >= c_star
+        return mask
 
     def settle(self, ys, s: float, r_lo, r_hi, shift_max, masks):
         """Decide a block's sorted grid values ys from its extremes alone,
         except in a band near the region's edges, whose indices it returns.
 
-        s is the order statistic of _ProblemScan.masks: a count reaches
-        c* exactly when the sorted index n - c* passes, and s is its base
-        score. Each grid point's radius lies in [r_lo, r_hi] and its
-        shift's size is at most shift_max, which moves a data score by at
-        most shift_max * k_max and the test prediction by shift_max *
-        |k_dir_n|. So a side's count reaches c* wherever |y - p|, p the
-        test prediction, lies below an inner radius, and falls short of it
-        wherever |y - p| lies beyond an outer radius, each radius with a
-        rounding slack of 32 ulps of every magnitude in a score or a
-        comparison, as in _ScanBlock.bracket. The inner run of each side
-        of masks (upper, lower) is set; masks must start False. The band,
-        the sorted indices of either side between its two radii, is
-        returned, or None when it is empty.
+        s is the order statistic of reaches. Each grid point's radius lies
+        in [r_lo, r_hi] and its shift's size is at most shift_max, which
+        moves a data score by at most shift_max * k_max and the test
+        prediction by shift_max * |k_dir_n|. So a side's count reaches c*
+        wherever |y - p|, p the test prediction, lies below an inner
+        radius, and falls short of it wherever |y - p| lies beyond an
+        outer radius, each radius with a _slack of every magnitude in a
+        score or a comparison. The inner run of each side of masks (upper,
+        lower) is set; masks must start False. The band, the sorted
+        indices of either side between its two radii, is returned, or
+        None when it is empty.
         """
         p, width = self.test_pred, float(self.data_scale + self.test_scale)
         reach = shift_max * (self.k_max + abs(self.test_dir))
-        magnitude = (self.data_magnitude + abs(p) + reach
-                     + max(abs(float(ys[0])), abs(float(ys[-1]))) + r_hi * width)
-        slack = reach + 32.0 * _EPS * magnitude
+        slack = _slack(reach, self.data_magnitude + abs(p) + reach
+                       + max(abs(float(ys[0])), abs(float(ys[-1]))) + r_hi * width)
         # (inner, outer) radius of the upper side, which adds each radius
         # to the data score and takes it from the test score, and of the
         # lower side, which does the reverse
@@ -376,99 +441,6 @@ class _SortedScan:
         for lo, hi in spans:
             band[lo:hi] = True
         return np.flatnonzero(band)
-
-
-class _ScanBlock:
-    """The comparisons of one block of grid points against the sorted data.
-
-    radial is the block's envelope radius and shift its prediction shift,
-    each one scalar when it is constant in y. The shift moves a data score
-    by at most reach_j = |shift_j| * k_max, so an index whose base score
-    lies more than reach_j (plus a rounding slack) past grid point j's
-    threshold is decided by its base score alone; bracket gives those
-    limits, and counts applies the exact float predicate to the indices
-    between them. At zero shift (levels 0 and 1) reach is zero and the
-    bracket is the rounding slack alone.
-    """
-
-    def __init__(self, scan: _SortedScan, test_scores, radial, shift):
-        self.scan, self.shift = scan, shift
-        self.reach = np.abs(shift) * scan.k_max
-        data_taus = radial * scan.data_scale
-        test_taus = radial * scan.test_scale
-        # (offsets, thresholds) of the upper and the lower side
-        self.sides = ((data_taus, test_scores - test_taus),
-                      (-data_taus, test_scores + test_taus))
-
-    def bracket(self, offsets, thresholds):
-        """Per grid point, limits (lo, hi): a sorted index whose base score
-        is below lo fails the comparison, one above hi passes it."""
-        centers = thresholds - offsets
-        # a few ulps of every magnitude entering a score or a comparison
-        magnitude = self.scan.data_magnitude + self.reach
-        half = self.reach + 32.0 * _EPS * (magnitude + np.abs(thresholds)
-                                          + np.abs(offsets))
-        return centers - half, centers + half
-
-    def counts(self, rows, lo, hi, offsets, thresholds):
-        """Per grid point in rows (an index array or a slice of the block),
-        the number of data indices i with score_i + offset >= threshold:
-        a binary search counts the indices its bracket (lo, hi) decides,
-        and the contiguous band of sorted indices between the limits is
-        scored exactly."""
-        scan, n = self.scan, self.scan.n
-        first = np.searchsorted(scan.sorted_scores, lo[rows], side="left")
-        last = np.searchsorted(scan.sorted_scores, hi[rows], side="right")
-        counts = n - last
-        width = int((last - first).max())
-        if not width:
-            return counts
-        offsets = np.broadcast_to(offsets, lo.shape)[rows]
-        shift = np.broadcast_to(self.shift, lo.shape)[rows]
-        thresholds = thresholds[rows]
-        step = max(1, DEFAULT_CHUNK // width)
-        for start in range(0, counts.size, step):
-            r = slice(start, start + step)
-            idx = first[r, None] + np.arange(width)
-            inside = idx < last[r, None]
-            idx = np.minimum(idx, n - 1)
-            scores = np.abs(scan.Ys[idx] - (scan.ps[idx] + shift[r, None]
-                                            * scan.ks[idx]))
-            passing = scores + offsets[r, None] >= thresholds[r, None]
-            counts[r] += (passing & inside).sum(axis=1)
-        return counts
-
-
-def _sandwich_masks(block: _ScanBlock, s: float, c_star: int):
-    """Upper and lower sandwich masks of one block's grid points: those
-    whose count (_ScanBlock.counts) is at least c_star, i.e. whose
-    p-value exceeds alpha for c_star = conformal._min_count(n, alpha).
-
-    The comparison is monotone in the data score, since float addition
-    is, so a count reaches c_star exactly when the sorted index
-    n - c_star passes; s is that index's base score, or inf when c_star
-    is 0 (see _ProblemScan.masks). At zero shift that is one comparison
-    per grid point with s. With a shift, a grid point whose bracket puts
-    s below lo (fewer than c_star pass) or above hi (at least c_star
-    pass) is decided the same way; only the few in between are counted.
-    """
-
-    def reaches_c_star(offsets, thresholds):
-        # kept for the informative regime (noise sd 1, lam 0.01, n 20 to
-        # 35), where about a third of level 1's grid points reach this
-        # exact comparison (none in the default regime) and the bracket
-        # and its count take several times the one comparison with s
-        if not block.reach.any():  # every score is its base score
-            return s + offsets >= thresholds
-        lo, hi = block.bracket(offsets, thresholds)
-        mask = s > hi
-        undecided = np.flatnonzero(~mask & (s >= lo))
-        if undecided.size:
-            counts = block.counts(undecided, lo, hi, offsets, thresholds)
-            mask[undecided] = counts >= c_star
-        return mask
-
-    return tuple(reaches_c_star(*side) for side in block.sides)
 
 
 @dataclass(frozen=True)
@@ -536,31 +508,32 @@ class _ProblemScan:
                 gap = _derivative_gap(ys, self.z, self.base, self.loss)
             yield sl, ys, gap
 
-    def _block(self, level: int, ys, gap) -> _ScanBlock:
-        """The level's _ScanBlock of the grid values ys at their
-        derivative gaps (levels 1 and 2), its radii checked. Levels 0 and
-        1 score with the base predictions: their shift is the scalar zero."""
+    def _sides(self, level: int, ys, gap):
+        """The level's shift and _SortedScan.sides of the grid values ys
+        at their derivative gaps (levels 1 and 2), its radii checked.
+        Levels 0 and 1 score with the base predictions: their shift is
+        the scalar zero."""
         r1 = None if level == 0 else 0.5 * np.abs(gap)
         radial, _ = _level_radial(level, self.gram, self.constants, self.lam, r1)
         _tau_ranges(radial)
         shift = gap / self.gram.n if level == 2 else 0.0
-        return _ScanBlock(self.scan, self.scan.test_scores(ys, shift), radial, shift)
+        return shift, self.scan.sides(ys, radial, shift)
 
     def pvalues(self):
         """Upper and lower p-values over the grid of the one level asked
         for, the rank p-values of every grid point's count on each side
-        (_ScanBlock.counts within its bracket), and the local radii rho1
+        (_SortedScan.counts within its bracket), and the local radii rho1
         of the scan (None at level 0)."""
         [level] = self.levels
-        m = self.grid.m
+        m, scan = self.grid.m, self.scan
         upper, lower = np.empty(m), np.empty(m)
         r1 = None if level == 0 else np.empty(m)
         for sl, ys, gap in self._blocks():
-            block = self._block(level, ys, gap)
-            for out, (offsets, thresholds) in zip((upper, lower), block.sides):
-                lo, hi = block.bracket(offsets, thresholds)
-                counts = block.counts(slice(None), lo, hi, offsets, thresholds)
-                out[sl] = _rank_pvalues(counts, self.scan.n)
+            shift, sides = self._sides(level, ys, gap)
+            for out, side in zip((upper, lower), sides):
+                lo, hi = scan.bracket(shift, *side)
+                counts = scan.counts(slice(None), lo, hi, shift, *side)
+                out[sl] = _rank_pvalues(counts, scan.n)
             if r1 is not None:
                 r1[sl] = 0.5 * np.abs(gap)
         return upper, lower, r1
@@ -571,14 +544,16 @@ class _ProblemScan:
 
         Whether a count reaches c_star turns on one order statistic s,
         the base score of sorted index n - c_star (inf when c_star is 0),
-        computed once here for settle and _sandwich_masks. Per block and level, the rounded radius is monotone in the local
-        radius r1 = |gap| / 2 and the shift's size in |gap|, so the two
-        extremes of the gap give the block's least and largest radius,
-        through _level_radial on two values, and its largest shift: the
-        largest radius is the block's exact maximum, and _tau_ranges
-        checks both. From them _SortedScan.settle decides every grid
-        point but a band near the region's edges, and only the band goes
-        through the exact comparison of _sandwich_masks.
+        computed once here for settle and reaches. Per block and level,
+        the rounded radius is monotone in the local radius r1 = |gap| / 2
+        and the shift's size in |gap|, so the two extremes of the gap give
+        the block's least and largest radius, through _level_radial on two
+        values, and its largest shift: the largest radius is the block's
+        exact maximum, and _tau_ranges checks both. From them
+        _SortedScan.settle decides every grid point but a band near the
+        region's edges, and only the band goes through
+        _SortedScan.reaches, its bracket and, where s falls inside it, a
+        count.
         """
         m, scan = self.grid.m, self.scan
         # every count reaches c* = 0, as an infinite score passes every comparison
@@ -598,12 +573,13 @@ class _ProblemScan:
             for level, (r_lo, r_hi) in zip(self.levels, _tau_ranges(*radii)):
                 self.radial_max[level] = max(self.radial_max[level], r_hi)
                 shift_max = gap_max / self.gram.n if level == 2 else 0.0
-                sides = tuple(side[sl] for side in out[level])
-                band = scan.settle(ys, s, r_lo, r_hi, shift_max, sides)
+                masks = tuple(mask[sl] for mask in out[level])
+                band = scan.settle(ys, s, r_lo, r_hi, shift_max, masks)
                 if band is not None:
-                    block = self._block(level, ys[band], None if gap is None else gap[band])
-                    for side, exact in zip(sides, _sandwich_masks(block, s, c_star)):
-                        side[band] = exact
+                    shift, sides = self._sides(level, ys[band],
+                                               None if gap is None else gap[band])
+                    for mask, side in zip(masks, sides):
+                        mask[band] = scan.reaches(s, c_star, shift, *side)
         return out
 
     def sup_tau(self, level: int) -> float:

@@ -90,9 +90,11 @@ class YGrid:
         return cls(lo - pad, hi + pad, m)
 
     def nearest_index(self, y: float) -> int:
-        """Index of the grid cell whose center is closest to y."""
-        idx = int(round((check_real("y", y) - self.lo) / self.step))
-        return min(max(idx, 0), self.m - 1)
+        """Index of the grid cell whose center is closest to y; a y
+        beyond either end gives that end's index. The position is clamped
+        before it is rounded, as it may overflow to infinity."""
+        position = (check_real("y", y) - self.lo) / self.step
+        return int(round(min(max(position, 0.0), self.m - 1.0)))
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,10 @@ def _conjugate_gradients(K: np.ndarray, s: np.ndarray, b: np.ndarray,
     return (y if math.isfinite(rr) and rr <= stop else None), iterations
 
 
-def _curvature_solve(problem: WeightedProblem, d: np.ndarray,
-                     rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Solve (I + diag(W) K) x = rhs for W = d / (2 lam (n+1)), d >= 0.
+def _curvature_solve(problem: WeightedProblem, d: np.ndarray, rhs: np.ndarray,
+                     K_rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """Solve (I + diag(W) K) x = rhs for W = d / (2 lam (n+1)), d >= 0,
+    given K_rhs = K rhs (fit's gradient check has formed it).
 
     Computes x = rhs - s * B^{-1} (s * K rhs) with s and B of
     _curvature_matrix (Rasmussen & Williams, GPML, Alg. 3.1). The risk
@@ -266,7 +267,7 @@ def _curvature_solve(problem: WeightedProblem, d: np.ndarray,
     """
     K = problem.gram.entries
     s = _curvature_scale(problem, d)
-    b = s * (K @ rhs)
+    b = s * K_rhs
     y, iterations = _conjugate_gradients(K, s, b, _cg_cap(problem.gram.n))
     factored = y is None
     if factored:
@@ -410,7 +411,11 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     when the direction fails to descend. Step sizes come from Armijo
     backtracking with constant 1e-4 and at most 60 halvings, for at most
     DEFAULT_MAX_ITERS steps, from init (finite, of length n+1) or zero.
-    The gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)).
+    The gradient tolerance is 1e-10 * (1 + ||effective targets|| / (n+1)),
+    and the gradient norm is 2 lam ||K rhs||, rhs the step's right-hand
+    side above, since K rhs = -gradient / (2 lam): the check reads the
+    product with K the step takes (refit_block's gradient form), and
+    gradient() stays the independent formula.
     The risk reads a only through K a, so only the converged coefficients
     are projected onto the range of the Gram matrix, where the minimizer
     is unique; no other code in the package reads the Gram spectrum. Each
@@ -433,19 +438,19 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
     factorizations = cg_iterations = 0
     before_chord = None  # the gradient norm before the last chord step
     for it in range(1, DEFAULT_MAX_ITERS + 1):
-        g = _weighted_derivatives(problem, preds, 1)
-        grad = K @ g / (n + 1) + two_lam * preds
-        grad_norm = _norm(grad)
+        rhs = -(_weighted_derivatives(problem, preds, 1) / (two_lam * (n + 1)) + a)
+        # K rhs = -gradient / (2 lam)
+        K_rhs = K @ rhs
+        grad_norm = two_lam * _norm(K_rhs)
         if grad_norm <= tol:
             a = np.ascontiguousarray(G.project_onto_range(a))
             a.setflags(write=False)
             preds.setflags(write=False)
             return Predictor(a, preds, problem, grad_norm, it - 1, factorizations,
                              cg_iterations, tuple(path))
-        rhs = -(g / (two_lam * (n + 1)) + a)
         if chord is None:
             direction, iterations, factored = _curvature_solve(
-                problem, _weighted_derivatives(problem, preds, 2), rhs)
+                problem, _weighted_derivatives(problem, preds, 2), rhs, K_rhs)
             cg_iterations += iterations
             factorizations += factored
         else:
@@ -453,11 +458,11 @@ def fit(problem: WeightedProblem, init: np.ndarray | None = None,
                                      and grad_norm > CHORD_REBUILD_RATIO * before_chord):
                 chord.rebuild(problem, _weighted_derivatives(problem, preds, 2))
                 factorizations += 1
-            direction = chord.step(K @ rhs, rhs)
+            direction = chord.step(K_rhs, rhs)
             before_chord = grad_norm
-        slope = float(grad @ direction)
+        slope = -two_lam * float(K_rhs @ direction)
         if slope >= 0.0:
-            direction = -grad
+            direction = two_lam * K_rhs  # the negative gradient
             slope = -grad_norm ** 2
         # near the optimum the exact Armijo decrease falls below the
         # float resolution of the risk; accept any step that does not

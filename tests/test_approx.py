@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from apxcp import approx, solver
 from apxcp.approx import (APPROX_KINDS, DEFAULT_CHUNK, ApproxMethod,
-                          TauProfile, _sandwich_masks, _ScanBlock, _SortedScan, approx_pvalue_curves,
+                          TauProfile, _SortedScan, approx_pvalue_curves,
                           approx_regions, base_fit, if_error_bound,
                           if_predictor, influence_direction,
                           influence_vector, rho1, rho2, rho_tilde1,
@@ -179,7 +179,8 @@ def test_every_reader_centres_on_the_fits_own_query_prediction(family, loss):
     if loss.family != "squared":  # the squared loss has no envelope to scan
         scan = approx._ProblemScan(base, YGrid(-20.0, 40.0, 31), APPROX_KINDS).scan
         assert scan.test_pred == m_q
-        np.testing.assert_array_equal(scan.test_scores(ys, 0.0), np.abs(ys - m_q))
+        [(_, thresholds), _] = scan.sides(ys, 0.0, 0.0)
+        np.testing.assert_array_equal(thresholds, np.abs(ys - m_q))
 
 
 # --- second-order radii ---
@@ -523,31 +524,25 @@ def _scan_shift(res, kind, grid):
     return k_dir, shift
 
 
-def _block(scan, ys, shift, radial):
-    """The scan block of grid values ys shifted by shift."""
-    return _ScanBlock(scan, scan.test_scores(ys, shift), radial, shift)
-
-
 def _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk, reduce):
-    """Upper and lower results of reduce over the sorted scan's blocks of
-    chunk grid points, from whole-grid shifts and radii."""
+    """Upper and lower results of reduce(scan, shift, side) over the
+    sorted scan's blocks of chunk grid points, from whole-grid shifts and
+    radii."""
     scan = _SortedScan(Y, preds, k_dir, scale)
     sides = []
     for start in range(0, ys.size, chunk):
         sl = slice(start, start + chunk)
-        sides.append(reduce(_block(scan, ys[sl], shift[sl], radial[sl])))
+        sides.append([reduce(scan, shift[sl], side)
+                      for side in scan.sides(ys[sl], radial[sl], shift[sl])])
     return tuple(np.concatenate(side) for side in zip(*sides))
 
 
-def _block_pvalues(block):
-    """Upper and lower rank p-values of one block's counts, each grid
-    point counted within its bracket, as _ProblemScan.pvalues counts."""
-    pvalues = []
-    for offsets, thresholds in block.sides:
-        lo, hi = block.bracket(offsets, thresholds)
-        counts = block.counts(slice(None), lo, hi, offsets, thresholds)
-        pvalues.append(_rank_pvalues(counts, block.scan.n))
-    return tuple(pvalues)
+def _side_pvalues(scan, shift, side):
+    """Rank p-values of one side's counts, each grid point counted within
+    its bracket, as _ProblemScan.pvalues counts."""
+    lo, hi = scan.bracket(shift, *side)
+    counts = scan.counts(slice(None), lo, hi, shift, *side)
+    return _rank_pvalues(counts, scan.n)
 
 
 def _order_statistic(scan, c_star):
@@ -558,14 +553,14 @@ def _order_statistic(scan, c_star):
 def _scan_curves(Y, preds, k_dir, shift, radial, scale, ys, chunk):
     """Upper and lower p-values of the sorted scan in blocks of chunk."""
     return _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk,
-                        _block_pvalues)
+                        _side_pvalues)
 
 
 def _scan_masks(Y, preds, k_dir, shift, radial, scale, ys, c_star, chunk):
     """Upper and lower masks of the sorted scan in blocks of chunk."""
     return _scan_blocks(Y, preds, k_dir, shift, radial, scale, ys, chunk,
-                        lambda block: _sandwich_masks(
-                            block, _order_statistic(block.scan, c_star), c_star))
+                        lambda scan, shift, side: scan.reaches(
+                            _order_statistic(scan, c_star), c_star, shift, *side))
 
 
 def test_curves_chunking_is_invisible():
@@ -676,6 +671,30 @@ def test_order_statistic_masks_match_counted_curves(inputs, alpha, chunk):
         np.testing.assert_array_equal(mask, dense_pvals > alpha)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_scan_inputs())
+@example((np.array([0.1]), np.zeros(2), None, None, np.array([0.2]),
+          np.array([1.0, 0.0]), np.array([0.1 + 0.2])))
+def test_reaches_at_zero_shift_is_one_comparison_with_the_order_statistic(inputs):
+    # at zero shift every score is its base score, so a count reaches c*
+    # exactly where the order statistic s itself passes the comparison:
+    # one comparison per grid point, the oracle of the bracket and count
+    # that reaches takes at every shift. The level-2 draws keep their
+    # k_dir, as levels 0 and 1 do in a joint scan
+    Y, preds, k_dir, _, radial, scale, ys = inputs
+    n = Y.size
+    if k_dir is None:
+        k_dir = np.zeros(n + 1)
+    scan = _SortedScan(Y, preds, k_dir, scale)
+    for c_star in sorted({0, 1, n}):
+        s = _order_statistic(scan, c_star)
+        for shift in (0.0, np.zeros(ys.size)):
+            for offsets, thresholds in scan.sides(ys, radial, shift):
+                np.testing.assert_array_equal(
+                    scan.reaches(s, c_star, shift, offsets, thresholds),
+                    s + offsets >= thresholds)
+
+
 def _assert_settled_as_exact(Y, preds, k_dir, scale, ys, shift, radial, alpha):
     """settle, from the extremes of radial and shift over the sorted grid
     values ys, with the exact verdict filled into its band, gives the
@@ -684,7 +703,8 @@ def _assert_settled_as_exact(Y, preds, k_dir, scale, ys, shift, radial, alpha):
     scan = _SortedScan(Y, preds, k_dir, scale)
     c_star = _min_count(Y.size, alpha)
     s = _order_statistic(scan, c_star)
-    exact = _sandwich_masks(_block(scan, ys, shift, radial), s, c_star)
+    exact = [scan.reaches(s, c_star, shift, *side)
+             for side in scan.sides(ys, radial, shift)]
     dense = dense_sandwich_curves(Y, preds, radial, scale, ys, k_dir, shift)
     settled = (np.zeros(ys.size, bool), np.zeros(ys.size, bool))
     band = scan.settle(ys, s, np.min(radial), np.max(radial),
@@ -719,8 +739,8 @@ def test_settle_leaves_grid_points_ulps_from_a_threshold_to_the_band():
     # grid values within 3 ulps of p +- (s +- tau): where rounding decides
     # the comparison, only the exact comparison may; a settle without its
     # rounding slack got some of them wrong in almost every trial. The
-    # shift is zero, so the exact comparison is _sandwich_masks' one
-    # comparison with s per grid point, checked against the dense oracle
+    # shift is zero, and the exact comparison, reaches at zero shift, is
+    # checked against the dense oracle
     rng = np.random.default_rng(47)
     for _ in range(60):
         n = int(rng.integers(1, 4))
@@ -910,11 +930,11 @@ def test_regions_reject_a_bad_envelope_in_any_block(monkeypatch, kind, bad, mess
 def test_one_joint_scan_shares_the_per_problem_and_per_block_work(monkeypatch):
     # one influence direction and one sort per call, and per block one
     # derivative gap (levels 1 and 2), for the three levels together;
-    # test scores only at the few grid points the band leaves open
+    # scan sides only at the few grid points the band leaves open
     X, Y, xq, _ = _instance(38, 12)
     base = base_fit(X, Y, xq, 0.0, 0.5, LOGCOSH, KERNEL)
     grid = YGrid.from_targets(Y, m=2 * DEFAULT_CHUNK + 3)  # three blocks
-    calls = {"influence": 0, "sort": 0, "gap": 0, "test_scores": 0}
+    calls = {"influence": 0, "sort": 0, "gap": 0, "sides": 0}
     scored = []
 
     def counter(name, func):
@@ -923,22 +943,21 @@ def test_one_joint_scan_shares_the_per_problem_and_per_block_work(monkeypatch):
             return func(*args, **kwargs)
         return counted
 
-    def test_scores(self, ys, shift):
+    def sides(self, ys, radial, shift):
         scored.append(ys.size)
-        return real_test_scores(self, ys, shift)
+        return real_sides(self, ys, radial, shift)
 
-    real_test_scores = _SortedScan.test_scores
+    real_sides = _SortedScan.sides
     monkeypatch.setattr(approx, "influence_direction",
                         counter("influence", approx.influence_direction))
     monkeypatch.setattr(approx, "_derivative_gap", counter("gap", approx._derivative_gap))
-    monkeypatch.setattr(_SortedScan, "test_scores",
-                        counter("test_scores", test_scores))
+    monkeypatch.setattr(_SortedScan, "sides", counter("sides", sides))
     monkeypatch.setattr(approx, "_SortedScan", counter("sort", _SortedScan))
     approx_regions(base, grid, APPROX_KINDS, 0.1)
     assert {k: calls[k] for k in ("influence", "sort", "gap")} == {
         "influence": 1, "sort": 1, "gap": 3}
     # a full scan scored every grid point twice (zero shift, level-2 shift)
-    assert calls["test_scores"] <= 9 and sum(scored) < 0.05 * grid.m
+    assert calls["sides"] <= 9 and sum(scored) < 0.05 * grid.m
     calls.update(dict.fromkeys(calls, 0))
     approx_regions(base, grid, ["uniform_stability", "local_stability"], 0.1)
     assert {k: calls[k] for k in ("influence", "sort", "gap")} == {
@@ -999,8 +1018,8 @@ def test_blocks_are_invisible_at_block_boundaries(m):
             # the shift leaves the upper side undecided for c* = 1 on
             # both sides of the boundary, so both blocks count exactly
             scan = _SortedScan(Y, base.predictions(), k_dir, want.scale)
-            block = _block(scan, grid.values, shift, want.radial)
-            lo, hi = block.bracket(*block.sides[0])
+            [upper, _] = scan.sides(grid.values, want.radial, shift)
+            lo, hi = scan.bracket(shift, *upper)
             s = scan.sorted_scores[n - 1]
             assert lo[B - 1] <= s <= hi[B - 1] and lo[B] <= s <= hi[B]
     for alpha, results in single.items():
@@ -1109,13 +1128,13 @@ def test_band_scan_compares_exactly_across_a_block_boundary(monkeypatch):
     lo = edge.upper.intervals[0][1] - (B - 0.5) * step
     grid = YGrid(lo, lo + (2 * B + 2) * step, 2 * B + 3)
     compared = []
-    real = approx._ProblemScan._block
+    real = approx._ProblemScan._sides
 
-    def block(self, level, ys, gap):
+    def sides(self, level, ys, gap):
         compared.append((level, ys))
         return real(self, level, ys, gap)
 
-    monkeypatch.setattr(approx._ProblemScan, "_block", block)
+    monkeypatch.setattr(approx._ProblemScan, "_sides", sides)
     approx_regions(base, grid, ["influence_function"], 1.0 / (n + 1))
     [(_, first), (_, second)] = [(level, ys) for level, ys in compared if level == 2]
     assert grid.values[B - 1] in first and grid.values[B] in second
@@ -1132,13 +1151,13 @@ def test_band_scan_compares_under_two_percent_of_a_sweep_grid(monkeypatch):
 
     cfg = ExperimentConfig()
     compared = []
-    real = approx._sandwich_masks
+    real = approx._ProblemScan._sides
 
-    def exact(block, s, c_star):
-        compared.append(block.sides[0][1].size)
-        return real(block, s, c_star)
+    def sides(self, level, ys, gap):
+        compared.append(ys.size)
+        return real(self, level, ys, gap)
 
-    monkeypatch.setattr(approx, "_sandwich_masks", exact)
+    monkeypatch.setattr(approx._ProblemScan, "_sides", sides)
     for n in (100, 110, 121, 133):
         X, Y, xq, _ = friedman1(n + 1, cfg.noise_sd, seed=(1, n, 0)).split_query()
         grid = cfg.grid_for(Y, m=100_000)

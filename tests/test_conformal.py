@@ -98,6 +98,9 @@ def test_grid_nearest_index_clips():
     assert g.nearest_index(0.51) == 5
     assert g.nearest_index(-99.0) == 0
     assert g.nearest_index(99.0) == 10
+    # (y - lo) / step overflows to infinity here before any clamp
+    assert g.nearest_index(-1e308) == 0
+    assert g.nearest_index(1e308) == 10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
