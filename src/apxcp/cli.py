@@ -69,43 +69,6 @@ _OPEN_UNIT = (lambda v: 0 < v < 1, "must lie in (0, 1)")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _AT_LEAST_2 = (lambda v: v >= 2, "must be >= 2")
 
-# The JSON config file: group -> key -> (ExperimentConfig field, type,
-# range rule or None), where group None holds the top-level keys.
-# compare.split_fraction also drives `region --method split`, and
-# compare.cross_folds drives only `region --method cross`: cmd_compare
-# runs no cross-conformal (renaming the keys would change every hash).
-# from_dict and to_dict walk this table, and construction checks every
-# field against its type, then its rule: float and int by
-# data_io.check_real and check_int, (float,) and (int,) a list of them
-# with the rule applied to each item, a spec type by the spec itself;
-# None passes where it is the field's default.
-_SCHEMA: dict[str | None, dict[str, tuple]] = {
-    None: {"kernel": ("kernel", KernelSpec, None), "loss": ("loss", LossSpec, None),
-           "alpha": ("alpha", float, _OPEN_UNIT), "z_anchor": ("z_anchor", float, None),
-           "seed": ("seed", int, _NONNEGATIVE), "n": ("n", int, _AT_LEAST_2),
-           "noise_sd": ("noise_sd", float, _NONNEGATIVE),
-           "method": ("method", str, (lambda v: v in REGION_METHODS,
-                                      f"must be one of {REGION_METHODS}")),
-           "data_csv": ("data_csv", str, None),
-           "lambda_grid": ("lambda_grid", (float,), _POSITIVE),
-           "n_schedule": ("n_schedule", (int,), _AT_LEAST_1)},
-    "grid": {"m": ("grid_m", int, _AT_LEAST_2), "lo": ("grid_lo", float, None),
-             "hi": ("grid_hi", float, None),
-             "margin": ("grid_margin", float, _NONNEGATIVE)},
-    "lambda_rule": {"fixed": ("lambda_fixed", float, _POSITIVE),
-                    "c": ("lambda_c", float, _POSITIVE),
-                    "r": ("lambda_r", float, (lambda v: 0 <= v < 1, "must lie in [0, 1)"))},
-    "sweep": {"repetitions": ("sweep_repetitions", int, _AT_LEAST_1),
-              "grid_m": ("sweep_grid_m", int, _AT_LEAST_2)},
-    "compare": {"repetitions": ("compare_repetitions", int, _AT_LEAST_1),
-                "split_fraction": ("split_fraction", float, _OPEN_UNIT),
-                "cross_folds": ("cross_folds", int, _AT_LEAST_2)},
-    "select": {"d1_fraction": ("d1_fraction", float, _OPEN_UNIT)},
-}
-# field -> (its key as the file spells it, type, rule)
-_FIELDS = {name: (key if group is None else f"{group}.{key}", kind, rule)
-           for group, keys in _SCHEMA.items()
-           for key, (name, kind, rule) in keys.items()}
 _KIND_NAMES = {str: "a string", dict: "an object"}
 
 
@@ -137,45 +100,70 @@ def _checked(label: str, kind, value, rule=None):
     return value
 
 
+def _key(path: str, kind, rule=None, **default):
+    """An ExperimentConfig field declared with its JSON key path ("grid.m"
+    in group "grid", a bare key at the top level), its type, its range
+    rule or None, and default= or default_factory=."""
+    return field(metadata={"key": path, "kind": kind, "rule": rule}, **default)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment settings; from_dict/to_dict read and write the
-    JSON file through _SCHEMA, whose types and range rules construction
-    checks."""
+    """Validated experiment settings. Each field is declared once, by _key,
+    with its key in the JSON file, its type and its range rule;
+    construction checks every field against its type, then its rule, and
+    from_dict/to_dict read and write the file through the key paths."""
 
-    kernel: KernelSpec = field(default_factory=KernelSpec)
-    loss: LossSpec = field(default_factory=LossSpec)
-    alpha: float = 0.1
-    z_anchor: float = 0.0
-    seed: int = 0
-    n: int = 200
-    noise_sd: float = 0.0
-    method: str = "influence_function"
-    data_csv: str | None = None
-    grid_m: int = 512
-    grid_lo: float | None = None
-    grid_hi: float | None = None
-    grid_margin: float = 0.5
-    lambda_fixed: float | None = None
-    lambda_c: float = DEFAULT_LAMBDA_C
-    lambda_r: float = DEFAULT_LAMBDA_R
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    n_schedule: tuple[int, ...] = DEFAULT_SCHEDULE
-    sweep_repetitions: int = 3
-    sweep_grid_m: int = 400001
-    compare_repetitions: int = 50
-    split_fraction: float = 0.5
-    cross_folds: int = 5
-    d1_fraction: float = 0.5
+    # Types: float and int go through data_io.check_real and check_int,
+    # (float,) and (int,) are a list of them with the rule applied to each
+    # item, and a spec type is checked by the spec itself; None passes
+    # where it is the field's default. compare.split_fraction also drives
+    # `region --method split`, and compare.cross_folds drives only
+    # `region --method cross`: cmd_compare runs no cross-conformal
+    # (renaming the keys would change every hash).
+    kernel: KernelSpec = _key("kernel", KernelSpec, default_factory=KernelSpec)
+    loss: LossSpec = _key("loss", LossSpec, default_factory=LossSpec)
+    alpha: float = _key("alpha", float, _OPEN_UNIT, default=0.1)
+    z_anchor: float = _key("z_anchor", float, default=0.0)
+    seed: int = _key("seed", int, _NONNEGATIVE, default=0)
+    n: int = _key("n", int, _AT_LEAST_2, default=200)
+    noise_sd: float = _key("noise_sd", float, _NONNEGATIVE, default=0.0)
+    method: str = _key("method", str, (lambda v: v in REGION_METHODS,
+                                       f"must be one of {REGION_METHODS}"),
+                       default="influence_function")
+    data_csv: str | None = _key("data_csv", str, default=None)
+    grid_m: int = _key("grid.m", int, _AT_LEAST_2, default=512)
+    grid_lo: float | None = _key("grid.lo", float, default=None)
+    grid_hi: float | None = _key("grid.hi", float, default=None)
+    grid_margin: float = _key("grid.margin", float, _NONNEGATIVE, default=0.5)
+    lambda_fixed: float | None = _key("lambda_rule.fixed", float, _POSITIVE, default=None)
+    lambda_c: float = _key("lambda_rule.c", float, _POSITIVE, default=DEFAULT_LAMBDA_C)
+    lambda_r: float = _key("lambda_rule.r", float, (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+                           default=DEFAULT_LAMBDA_R)
+    lambda_grid: tuple[float, ...] = _key("lambda_grid", (float,), _POSITIVE,
+                                          default=DEFAULT_LAMBDA_GRID)
+    n_schedule: tuple[int, ...] = _key("n_schedule", (int,), _AT_LEAST_1,
+                                       default=DEFAULT_SCHEDULE)
+    sweep_repetitions: int = _key("sweep.repetitions", int, _AT_LEAST_1, default=3)
+    sweep_grid_m: int = _key("sweep.grid_m", int, _AT_LEAST_2, default=400001)
+    compare_repetitions: int = _key("compare.repetitions", int, _AT_LEAST_1, default=50)
+    split_fraction: float = _key("compare.split_fraction", float, _OPEN_UNIT, default=0.5)
+    cross_folds: int = _key("compare.cross_folds", int, _AT_LEAST_2, default=5)
+    d1_fraction: float = _key("select.d1_fraction", float, _OPEN_UNIT, default=0.5)
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
-                key, kind, rule = _FIELDS[f.name]
-                object.__setattr__(self, f.name, _checked(key, kind, value, rule))
+                meta = f.metadata
+                object.__setattr__(self, f.name, _checked(meta["key"], meta["kind"],
+                                                          value, meta["rule"]))
         if not self.lambda_grid:
             raise ValueError("lambda_grid must be nonempty")
+        repeated = [n for i, n in enumerate(self.n_schedule) if n in self.n_schedule[:i]]
+        if repeated:
+            # one problem run again would pose as more sample sizes in the slopes
+            raise ValueError(f"n_schedule repeats {repeated[0]}")
         if (self.grid_lo is None) != (self.grid_hi is None):
             raise ValueError("grid.lo and grid.hi must be set together")
         if self.grid_lo is not None and not self.grid_lo < self.grid_hi:
@@ -184,26 +172,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        # group ("" at the top level) -> key within it -> field name
+        groups: dict[str, dict[str, str]] = {}
+        for f in fields(cls):
+            group, _, key = f.metadata["key"].rpartition(".")
+            groups.setdefault(group, {})[key] = f.name
+        top = _checked("config", dict, raw)
         kw: dict = {}
-        groups = set(_SCHEMA) - {None}
-        for group, keys in _SCHEMA.items():
-            block = _checked(group or "config", dict,
-                             raw if group is None else raw.get(group) or {})
-            unknown = set(block) - set(keys) - (groups if group is None else set())
+        for group, keys in groups.items():
+            # an absent group takes its defaults; a present one must be an object
+            block = _checked(group, dict, top.get(group, {})) if group else top
+            unknown = set(block) - set(keys) - (set() if group else set(groups) - {""})
             if unknown:
-                where = "config keys" if group is None else f"keys in {group!r}"
+                where = f"keys in {group!r}" if group else "config keys"
                 raise ValueError(f"unknown {where}: {sorted(unknown)}")
-            kw.update((name, block[key]) for key, (name, *_) in keys.items()
-                      if key in block)
+            kw.update((name, block[key]) for key, name in keys.items() if key in block)
         return cls(**kw)
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for group, keys in _SCHEMA.items():
-            block = out if group is None else out.setdefault(group, {})
-            for key, (name, *_) in keys.items():
-                value = getattr(self, name)
-                block[key] = asdict(value) if is_dataclass(value) else value
+        for f in fields(self):
+            group, _, key = f.metadata["key"].rpartition(".")
+            value = getattr(self, f.name)
+            block = out.setdefault(group, {}) if group else out
+            block[key] = asdict(value) if is_dataclass(value) else value
         rule = out["lambda_rule"]
         # a fixed lambda replaces the c * (n+1)^(-r) rule in the file
         if self.lambda_fixed is not None:
@@ -228,6 +220,17 @@ class ExperimentConfig:
         return YGrid.from_targets(Y, m=m, margin=self.grid_margin)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs, refusing a repeated key,
+    of which json.load would keep the last value silently."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Config from a JSON file (defaults when path is None), seed overridable."""
     if path is None:
@@ -235,9 +238,11 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     else:
         with open(path) as fh:
             try:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as err:
                 raise ValueError(f"config file {path} is not valid JSON: {err}") from None
+            except ValueError as err:
+                raise ValueError(f"config file {path} {err}") from None
         cfg = ExperimentConfig.from_dict(raw)
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)

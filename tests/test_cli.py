@@ -98,6 +98,8 @@ def test_config_unknown_keys_rejected():
     # the specs reject these themselves (see test_kernels and test_losses)
     {"kernel": {"family": "laplacian", "bandwidth": True}},
     {"loss": {"family": "logcosh", "a": True}},
+    # one problem run again would pose as more sample sizes in the slopes
+    {"n_schedule": (12, 12, 12, 12)},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -123,6 +125,14 @@ def test_config_validation(kwargs):
     ({"loss": {"t": None}}, "loss.t must be a finite number, got None"),
     ({"loss": {"family": None}}, "loss.family must be a string, got None"),
     ({"noise_sd": 10**400}, "noise_sd must be a finite number, got 1000"),
+    # a group that is present must be an object; only an absent one takes
+    # the defaults
+    ({"grid": 0}, "grid must be an object, got 0"),
+    ({"grid": []}, r"grid must be an object, got \[\]"),
+    ({"grid": False}, "grid must be an object, got False"),
+    ({"grid": ""}, "grid must be an object, got ''"),
+    ({"grid": None}, "grid must be an object, got None"),
+    ({"lambda_rule": None}, "lambda_rule must be an object, got None"),
 ])
 def test_config_type_errors_name_the_key(raw, message):
     with pytest.raises(ValueError, match=message):
@@ -144,6 +154,7 @@ def test_config_type_errors_name_the_key(raw, message):
     ({"lambda_grid": [0.5, -0.1]}, "lambda_grid[1] must be positive, got -0.1"),
     ({"n_schedule": [-3, 1, 2, 3]}, "n_schedule[0] must be >= 1, got -3"),
     ({"lambda_grid": []}, "lambda_grid must be nonempty"),
+    ({"n_schedule": [12, 16, 12, 20]}, "n_schedule repeats 12"),
 ])
 def test_config_errors_of_a_spec_or_number_name_the_key(raw, message):
     # a spec checks its own fields; the config puts the key in front
@@ -151,18 +162,21 @@ def test_config_errors_of_a_spec_or_number_name_the_key(raw, message):
         ExperimentConfig.from_dict(raw)
 
 
-# values tried against every range rule of the config table, by type
+# values tried against every range rule of the config fields, by type
 _RULE_PROBES = {float: (-1.0, 0.0, 0.5, 1.0, 2.0), int: (-1, 0, 1, 2, 3),
                 str: ("bogus", "full")}
+# field name -> (its key as the file spells it, type, rule)
+_DECLARED = {f.name: (f.metadata["key"], f.metadata["kind"], f.metadata["rule"])
+             for f in fields(ExperimentConfig)}
 
 
-@pytest.mark.parametrize("name", [name for name, (*_, rule) in cli._FIELDS.items()
+@pytest.mark.parametrize("name", [name for name, (*_, rule) in _DECLARED.items()
                                   if rule is not None])
 def test_config_table_holds_every_range_rule(name):
-    # the table's rule alone decides each probe: a value it rejects fails
-    # naming the key path, one it keeps builds a config (so no range check
-    # outside the table rejects it)
-    key, kind, (keeps, _) = cli._FIELDS[name]
+    # the field's declared rule alone decides each probe: a value it
+    # rejects fails naming the key path, one it keeps builds a config (so
+    # no range check outside the declaration rejects it)
+    key, kind, (keeps, _) = _DECLARED[name]
     item = kind[0] if isinstance(kind, tuple) else kind
     rejected = 0
     for probe in _RULE_PROBES[item]:
@@ -174,6 +188,20 @@ def test_config_table_holds_every_range_rule(name):
         with pytest.raises(ValueError, match="^" + re.escape(key)):
             ExperimentConfig(**{name: value})
     assert rejected
+
+
+@pytest.mark.parametrize("lambda_fixed, dropped", [
+    (None, {"lambda_rule.fixed"}), (0.5, {"lambda_rule.c", "lambda_rule.r"})])
+def test_config_keys_are_distinct_and_each_group_holds_its_own(lambda_fixed, dropped):
+    keys = [key for key, *_ in _DECLARED.values()]
+    assert len(keys) == len(set(keys)) == 24
+    out = ExperimentConfig(lambda_fixed=lambda_fixed).to_dict()
+    groups = {key.rpartition(".")[0] for key in keys} - {""}
+    assert set(out) == {key for key in keys if "." not in key} | groups
+    for group in groups:
+        # a fixed lambda replaces c and r in the file
+        assert {f"{group}.{key}" for key in out[group]} == {
+            key for key in keys if key.startswith(group + ".")} - dropped
 
 
 @pytest.mark.parametrize("raw, want", [
@@ -261,6 +289,19 @@ def test_load_config(tmp_path):
     cfg = load_config(path, seed_override=9)
     assert cfg.alpha == 0.25 and cfg.n == 32 and cfg.seed == 9
     assert cfg.loss == LossSpec("pseudo_huber", 1.5)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"alpha": 0.05, "n": 30, "alpha": 0.2}', "alpha"),
+    ('{"grid": {"m": 101, "margin": 0.25, "m": 11}}', "m"),
+])
+def test_load_config_rejects_a_repeated_key(tmp_path, text, key):
+    # json.load would keep the last value silently
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))} "
+                                         f"repeats key '{key}'$"):
+        load_config(path)
 
 
 def test_schedules():
@@ -869,6 +910,9 @@ def test_main_region_from_config_file(tmp_path, capsys):
     ({"grid": {"m": 1}}, [], "grid.m"),
     ({"kernel": {"bogus": 1}}, [], "bogus"),
     ("{not json", [], "cfg.json is not valid JSON: Expecting property name"),
+    ({"grid": None}, [], "grid must be an object, got None"),
+    ({"n_schedule": [12, 12, 12, 12]}, [], "n_schedule repeats 12"),
+    ('{"alpha": 0.05, "alpha": 0.2}', [], "cfg.json repeats key 'alpha'"),
 ])
 def test_main_reports_a_bad_config_as_a_usage_error(tmp_path, capsys, config, argv,
                                                      named):

@@ -18,15 +18,17 @@ lambda of 0.01, the pseudo_huber loss), whose exact refits rebuild their
 chord factor several times along the grid, and a ``sweep`` run in the same
 regime over four small n on 20 001 grid points, three scan blocks, where
 the band the region scan compares exactly lies inside blocks and, at
-n = 29, runs across the first block boundary; last, a ``region`` (full)
+n = 29, runs across the first block boundary; then a ``region`` (full)
 run in that regime at a fixed lambda of 1e-4 with the logcosh loss, where
 most refits leave the block of refits early (solver.refit_block) and
-``fit`` finishes them by chord steps from the previous grid point. It
-prints one ``sha256  path`` line per output file. Timing columns are
-dropped from the CSVs before hashing, so two checkouts whose numeric
-outputs agree print the same lines: diff the output of two runs to check
-that a refactor left the CLI outputs byte-identical. Each run's wall
-seconds go to stderr, one ``seconds  name`` line per run, so stdout stays
+``fit`` finishes them by chord steps from the previous grid point; last,
+a ``gen-data`` run at a small n and its own seed, whose data.csv and
+meta.json carry the config stamp like every other output. It prints one
+``sha256  path`` line per output file. Timing columns are dropped from
+the CSVs before hashing, so two checkouts whose numeric outputs agree
+print the same lines: diff the output of two runs to check that a
+refactor left the CLI outputs byte-identical. Each run's wall seconds go
+to stderr, one ``seconds  name`` line per run, so stdout stays
 comparable.
 """
 
@@ -92,6 +94,7 @@ FIXED_RUNS += [
     ("region-full-fallback", ["region"],
      {"n": 40, "grid": {"m": 101}, "method": "full", "noise_sd": 1,
       "lambda_rule": {"fixed": 0.0001}, "seed": 11}),
+    ("gen-data", ["gen-data"], {"n": 25, "seed": 12}),
 ]
 
 
